@@ -16,6 +16,8 @@ of everything the artifact is a function of:
 - the fabric partition geometry (footprint token, per-block capacity,
   block count) -- *not* the cluster size or board identity, which is the
   paper's decoupling: one artifact serves every board;
+- the synthesis front-end's granularity and seed (``macro_lut`` decides
+  how many primitives the partitioner sees, so it moves the cut);
 - the flow configuration (shell clock, seed, detailed-P&R signoff flag)
   and :data:`~repro.compiler.flow.FLOW_VERSION`, bumped whenever the
   flow's semantics change so stale artifacts can never be replayed.
@@ -39,11 +41,14 @@ from pathlib import Path
 from repro.compiler.bitstream import CompiledApp
 from repro.compiler.flow import FLOW_VERSION, CompilationFlow
 from repro.fabric.partition import FabricPartition
+from repro.hls.frontend import HLSFrontend
 from repro.hls.kernels import KernelSpec
 from repro.obs.tracer import Tracer
 
 __all__ = ["compile_fingerprint", "fingerprint_for_flow",
            "CompileCache"]
+
+_DEFAULT_FRONTEND = HLSFrontend()
 
 
 def compile_fingerprint(spec: KernelSpec,
@@ -52,12 +57,16 @@ def compile_fingerprint(spec: KernelSpec,
                         shell_clock_mhz: float = 250.0,
                         seed: int = 0,
                         detailed_pnr: bool = False,
-                        flow_version: str = FLOW_VERSION) -> str:
+                        flow_version: str = FLOW_VERSION,
+                        macro_lut: int = _DEFAULT_FRONTEND.macro_lut,
+                        frontend_seed: int = _DEFAULT_FRONTEND.seed,
+                        ) -> str:
     """Deterministic content address of one compile's inputs.
 
     Two compiles share a fingerprint iff they are guaranteed to produce
     byte-identical artifacts: same spec, same abstraction geometry, same
-    flow configuration, same flow version.  Anything else -- cluster
+    front-end (``macro_lut``, ``frontend_seed``), same flow
+    configuration, same flow version.  Anything else -- cluster
     size, board count, tracer, wall clock -- deliberately stays out.
     """
     key = {
@@ -73,6 +82,10 @@ def compile_fingerprint(spec: KernelSpec,
             "footprint": fabric.blocks[0].footprint,
             "block_capacity": fabric.block_capacity.as_dict(),
             "num_blocks": fabric.num_blocks,
+        },
+        "frontend": {
+            "macro_lut": macro_lut,
+            "seed": frontend_seed,
         },
         "flow": {
             "shell_clock_mhz": shell_clock_mhz,
@@ -92,7 +105,9 @@ def fingerprint_for_flow(spec: KernelSpec,
         spec, flow.fabric,
         shell_clock_mhz=flow.shell_clock_mhz,
         seed=flow.seed,
-        detailed_pnr=flow.verify_with_detailed_pnr)
+        detailed_pnr=flow.verify_with_detailed_pnr,
+        macro_lut=flow.frontend.macro_lut,
+        frontend_seed=flow.frontend.seed)
 
 
 class CompileCache:

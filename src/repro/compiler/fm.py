@@ -20,9 +20,9 @@ from __future__ import annotations
 import heapq
 import random
 
-from repro.compiler.partitioner import PACKING_HEADROOM, blocks_for
+from repro.compiler.partitioner import PACKING_HEADROOM, \
+    PartitionResult, blocks_for
 from repro.fabric.resources import ResourceVector
-from repro.netlist.dataflow import DataflowGraph
 from repro.netlist.netlist import Netlist
 
 __all__ = ["fm_bipartition", "FMPartitioner"]
@@ -216,10 +216,10 @@ class FMPartitioner:
             except ValueError as exc:
                 last_error = exc
         raise RuntimeError(
-            f"FM partitioning {netlist.name} failed: {last_error}")
+            f"FM partitioning {netlist.name} failed: {last_error}"
+        ) from last_error
 
     def _attempt(self, netlist: Netlist, num_blocks: int):
-        from repro.compiler.partitioner import PartitionResult
         usable = self.block_capacity * self.headroom
         assignment: dict[int, int] = {}
 
@@ -240,17 +240,5 @@ class FMPartitioner:
 
         recurse(sorted(netlist.primitives), 0, num_blocks)
 
-        usage = [ResourceVector.zero() for _ in range(num_blocks)]
-        for uid, block in assignment.items():
-            usage[block] = usage[block] \
-                + netlist.primitives[uid].resources
-        flows = DataflowGraph(netlist).partition_edges(assignment)
-        return PartitionResult(
-            netlist=netlist,
-            num_blocks=num_blocks,
-            assignment=assignment,
-            block_usage=usage,
-            cut_bandwidth_bits=netlist.cut_bandwidth(assignment),
-            flows=flows,
-            placement=None,
-        )
+        return PartitionResult.from_assignment(netlist, num_blocks,
+                                               assignment)

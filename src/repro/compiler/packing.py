@@ -53,11 +53,18 @@ class GreedyPacker:
         self.capacity = capacity
         self.merge_threshold = merge_threshold
         self.rng = random.Random(seed)
+        #: deterministic effort counters of the last :meth:`pack` call:
+        #: clusters seeded, and frontier candidates scored while growing
+        self.clusters_grown = 0
+        self.candidates_scored = 0
 
     # ------------------------------------------------------------------
     def pack(self, netlist: Netlist) -> list[Cluster]:
         """Pack every primitive of ``netlist`` into clusters."""
+        self.clusters_grown = 0
+        self.candidates_scored = 0
         unpacked = set(netlist.primitives)
+        degree = {uid: len(netlist.neighbors(uid)) for uid in unpacked}
         order = sorted(unpacked)
         self.rng.shuffle(order)
         seeds = iter(order)
@@ -66,19 +73,22 @@ class GreedyPacker:
         while unpacked:
             seed_uid = next(s for s in seeds if s in unpacked)
             cluster = Cluster(uid=len(clusters))
-            self._grow(cluster, seed_uid, netlist, unpacked)
+            self._grow(cluster, seed_uid, netlist, unpacked, degree)
             clusters.append(cluster)
 
         return self._merge_small(clusters, netlist)
 
     # ------------------------------------------------------------------
     def _grow(self, cluster: Cluster, seed_uid: int, netlist: Netlist,
-              unpacked: set[int]) -> None:
-        """Grow one cluster from a seed until capacity is reached."""
+              unpacked: set[int], degree: dict[int, int]) -> None:
+        """Grow one cluster from a seed until capacity is reached.
+
+        ``degree`` is ``|S1|`` of every primitive, computed once by
+        :meth:`pack`: the netlist does not change while it is packed.
+        """
         prims = netlist.primitives
         cluster.add(seed_uid, prims[seed_uid].resources)
         unpacked.discard(seed_uid)
-        in_cluster = {seed_uid}
         # candidates: unpacked neighbors of the cluster, with the count of
         # their links into the cluster (|S2|) maintained incrementally
         links_in: dict[int, int] = {}
@@ -86,10 +96,12 @@ class GreedyPacker:
             if nb in unpacked:
                 links_in[nb] = links_in.get(nb, 0) + 1
 
+        scored = 0
         while links_in:
+            scored += len(links_in)
             best_uid, best_score = -1, -1.0
             for cand, s2 in links_in.items():
-                s1 = len(netlist.neighbors(cand))
+                s1 = degree[cand]
                 score = s2 / s1 if s1 else 0.0
                 if score > best_score:
                     best_uid, best_score = cand, score
@@ -99,11 +111,12 @@ class GreedyPacker:
                 break
             cluster.add(best_uid, cand_res)
             unpacked.discard(best_uid)
-            in_cluster.add(best_uid)
             del links_in[best_uid]
             for nb in netlist.neighbors(best_uid):
                 if nb in unpacked:
                     links_in[nb] = links_in.get(nb, 0) + 1
+        self.clusters_grown += 1
+        self.candidates_scored += scored
 
     def _merge_small(self, clusters: list[Cluster], netlist: Netlist,
                      ) -> list[Cluster]:

@@ -17,7 +17,6 @@ from repro.compiler.packing import GreedyPacker
 from repro.compiler.placement import BlockGrid, PlacementResult, \
     QuadraticPlacer
 from repro.fabric.resources import ResourceVector
-from repro.netlist.dataflow import DataflowGraph
 from repro.netlist.netlist import Netlist
 
 __all__ = [
@@ -69,6 +68,34 @@ class PartitionResult:
     flows: dict[tuple[int, int], float]
     placement: PlacementResult | None = None
 
+    @classmethod
+    def from_assignment(cls, netlist: Netlist, num_blocks: int,
+                        assignment: dict[int, int],
+                        placement: PlacementResult | None = None,
+                        ) -> "PartitionResult":
+        """Read usage, cut bandwidth and flows off an assignment."""
+        lut = [0.0] * num_blocks
+        dff = [0.0] * num_blocks
+        dsp = [0.0] * num_blocks
+        bram = [0.0] * num_blocks
+        prims = netlist.primitives
+        for uid, block in assignment.items():
+            res = prims[uid].resources
+            lut[block] += res.lut
+            dff[block] += res.dff
+            dsp[block] += res.dsp
+            bram[block] += res.bram_mb
+        return cls(
+            netlist=netlist,
+            num_blocks=num_blocks,
+            assignment=assignment,
+            block_usage=[ResourceVector(lut[b], dff[b], dsp[b], bram[b])
+                         for b in range(num_blocks)],
+            cut_bandwidth_bits=netlist.cut_bandwidth(assignment),
+            flows=netlist.partition_flows(assignment),
+            placement=placement,
+        )
+
     def validate(self, block_capacity: ResourceVector) -> None:
         """Every primitive assigned; no virtual block over capacity."""
         missing = set(self.netlist.primitives) - set(self.assignment)
@@ -116,7 +143,8 @@ class NetlistPartitioner:
                 last_error = exc
         raise RuntimeError(
             f"partitioning {netlist.name} failed after "
-            f"{self.max_retries + 1} attempts: {last_error}")
+            f"{self.max_retries + 1} attempts: {last_error}"
+        ) from last_error
 
     # ------------------------------------------------------------------
     def _attempt(self, netlist: Netlist, num_blocks: int,
@@ -137,27 +165,10 @@ class NetlistPartitioner:
             for uid in cluster.members:
                 assignment[uid] = block
 
-        result = self._finish(netlist, num_blocks, assignment, placement)
+        result = PartitionResult.from_assignment(
+            netlist, num_blocks, assignment, placement)
         result.validate(self.block_capacity)
         return result
-
-    def _finish(self, netlist: Netlist, num_blocks: int,
-                assignment: dict[int, int],
-                placement: PlacementResult | None) -> PartitionResult:
-        usage = [ResourceVector.zero() for _ in range(num_blocks)]
-        for uid, block in assignment.items():
-            usage[block] = usage[block] \
-                + netlist.primitives[uid].resources
-        flows = DataflowGraph(netlist).partition_edges(assignment)
-        return PartitionResult(
-            netlist=netlist,
-            num_blocks=num_blocks,
-            assignment=assignment,
-            block_usage=usage,
-            cut_bandwidth_bits=netlist.cut_bandwidth(assignment),
-            flows=flows,
-            placement=placement,
-        )
 
 
 def random_partition(netlist: Netlist, num_blocks: int,
@@ -189,13 +200,4 @@ def random_partition(netlist: Netlist, num_blocks: int,
             b = choices[0]
             assignment[uid] = b
             usage[b] = usage[b] + res
-    flows = DataflowGraph(netlist).partition_edges(assignment)
-    return PartitionResult(
-        netlist=netlist,
-        num_blocks=num_blocks,
-        assignment=assignment,
-        block_usage=usage,
-        cut_bandwidth_bits=netlist.cut_bandwidth(assignment),
-        flows=flows,
-        placement=None,
-    )
+    return PartitionResult.from_assignment(netlist, num_blocks, assignment)

@@ -98,6 +98,10 @@ class PlacementResult:
     qp_wirelength: float                        # Eq. 1 at relaxed positions
     legal_wirelength: float                     # Eq. 1 at block centers
     iterations: int
+    #: deterministic SA effort over all iterations: moves that proposed
+    #: a different block, and how many of those were accepted
+    sa_proposed: int = 0
+    sa_accepted: int = 0
 
     @property
     def gap(self) -> float:
@@ -125,6 +129,8 @@ class QuadraticPlacer:
         self.sa_moves = sa_moves
         self.sa_t0 = sa_t0
         self.overflow_penalty = overflow_penalty
+        self.sa_proposed = 0
+        self.sa_accepted = 0
 
     # ------------------------------------------------------------------
     # public API
@@ -137,6 +143,7 @@ class QuadraticPlacer:
         n = len(clusters)
         if n == 0:
             raise ValueError("cannot place an empty cluster list")
+        self.sa_proposed = self.sa_accepted = 0
 
         laplacian = self._laplacian(n, edges)
         anchors = self._io_anchors(clusters, netlist, index)
@@ -171,6 +178,8 @@ class QuadraticPlacer:
             qp_wirelength=qp_wl,
             legal_wirelength=legal_wl,
             iterations=iterations,
+            sa_proposed=self.sa_proposed,
+            sa_accepted=self.sa_accepted,
         )
 
     # ------------------------------------------------------------------
@@ -255,20 +264,18 @@ class QuadraticPlacer:
         every cluster so isolated clusters (zero Laplacian rows) keep the
         system positive definite; its weight is far below any real net.
         """
-        mat = laplacian.tolil(copy=True)
-        bx = np.zeros(n)
-        by = np.zeros(n)
         eps = 1e-6
-        cx, cy = self.grid.cols / 2.0, self.grid.rows / 2.0
-        for i in range(n):
-            mat[i, i] += eps
-            bx[i] += eps * cx
-            by[i] += eps * cy
+        diag = laplacian.diagonal() + eps
+        bx = np.full(n, eps * (self.grid.cols / 2.0))
+        by = np.full(n, eps * (self.grid.rows / 2.0))
         for i, (x, y, beta) in anchors.items():
-            mat[i, i] += beta
+            diag[i] += beta
             bx[i] += beta * x
             by[i] += beta * y
-        mat = mat.tocsr()
+        # the Laplacian stores its whole diagonal, so this only
+        # overwrites values: structure and index order stay as built
+        mat = laplacian.copy()
+        mat.setdiag(diag)
         xs = spsolve(mat, bx)
         ys = spsolve(mat, by)
         return np.column_stack((np.atleast_1d(xs), np.atleast_1d(ys)))
@@ -280,13 +287,18 @@ class QuadraticPlacer:
                   edges: dict[tuple[int, int], float]) -> list[int]:
         """SA legalization with the Eq. 3 cost, then greedy refinement.
 
-        The inner loop runs ``sa_moves`` times per placement iteration and
-        dominated the whole compile in profiles, almost entirely in
-        :class:`ResourceVector` allocation and property recomputation.  It
-        therefore works on flat per-component float arrays, performing the
-        exact same IEEE operations in the same order as the vector algebra
-        it replaces -- accept/reject decisions, and hence results, are
-        bit-identical to the original formulation.
+        The inner loop runs ``sa_moves`` times per placement iteration, so
+        it works on flat per-component float lists and keeps one overflow
+        term per block, recomputing only the two blocks a move touches.
+
+        Invariant: a block's term is always derived from its usage lists,
+        never remembered across a move.  A rejected move restores usage
+        with ``u -= x; u += x``, which for fractional BRAM does not give
+        back the same float; that rounding drift is carried by the usage
+        lists into every later move, so the terms of both blocks are
+        recomputed from the restored usage.  The cost is summed over the
+        blocks left to right on every move -- float addition does not
+        associate, and an incrementally updated sum picks other moves.
         """
         n = len(clusters)
         grid = self.grid
@@ -294,15 +306,18 @@ class QuadraticPlacer:
         cols = grid.cols
         aspect = grid.aspect_ratio
         penalty = self.overflow_penalty
-        rng = self.rng
-        inf = math.inf
+        # a move draws ``rng.randrange(n)`` then ``rng.randrange(num_blocks)``,
+        # spelled out below as the rejection sampling over ``getrandbits``
+        # that ``randrange`` performs: the same stream, two frames fewer
+        getrandbits = self.rng.getrandbits
+        n_bits, b_bits = n.bit_length(), num_blocks.bit_length()
+        random_ = self.rng.random
+        exp = math.exp
 
-        # per-block cell centers and per-cluster demand/position, unpacked
-        # once so the loop touches only local floats
-        cx = [b % cols + 0.5 for b in range(num_blocks)]
-        cy = [b // cols + 0.5 for b in range(num_blocks)]
-        px = [float(positions[i][0]) for i in range(n)]
-        py = [float(positions[i][1]) for i in range(n)]
+        # per-cluster demand and per-block usage, unpacked once so the
+        # loop touches only local floats
+        px = positions[:, 0].tolist()
+        py = positions[:, 1].tolist()
         r_lut = [c.resources.lut for c in clusters]
         r_dff = [c.resources.dff for c in clusters]
         r_dsp = [c.resources.dsp for c in clusters]
@@ -322,55 +337,72 @@ class QuadraticPlacer:
             u_dsp[b] += r_dsp[i]
             u_bram[b] += r_bram[i]
 
-        def overflow_term() -> float:
-            # mirrors ResourceVector.fits_in / utilization_of, component
-            # order preserved (lut, dff, dsp, bram) for identical floats
-            total = 0.0
-            for b in range(num_blocks):
-                lut, dff = u_lut[b], u_dff[b]
-                dsp, bram = u_dsp[b], u_bram[b]
-                if (lut <= cap_lut and dff <= cap_dff
-                        and dsp <= cap_dsp and bram <= cap_bram):
-                    continue
-                worst = 0.0
-                if lut != 0:
-                    if cap_lut == 0:
-                        total += penalty * inf
-                        continue
-                    worst = max(worst, lut / cap_lut)
-                if dff != 0:
-                    if cap_dff == 0:
-                        total += penalty * inf
-                        continue
-                    worst = max(worst, dff / cap_dff)
-                if dsp != 0:
-                    if cap_dsp == 0:
-                        total += penalty * inf
-                        continue
-                    worst = max(worst, dsp / cap_dsp)
-                if bram != 0:
-                    if cap_bram == 0:
-                        total += penalty * inf
-                        continue
-                    worst = max(worst, bram / cap_bram)
-                total += penalty * worst
-            return total / num_blocks
+        unprovided = penalty * math.inf
 
-        def move_term(i: int, b: int) -> float:
-            return (aspect * abs(cx[b] - px[i]) + abs(cy[b] - py[i])) / n
+        def block_term(b: int) -> float:
+            # penalty * ResourceVector.utilization_of for a block that
+            # does not fit, 0 for one that does; component order
+            # preserved (lut, dff, dsp, bram) for identical floats
+            lut, dff = u_lut[b], u_dff[b]
+            dsp, bram = u_dsp[b], u_bram[b]
+            if (lut <= cap_lut and dff <= cap_dff
+                    and dsp <= cap_dsp and bram <= cap_bram):
+                return 0.0
+            worst = 0.0
+            if lut != 0:
+                if cap_lut == 0:
+                    return unprovided
+                ratio = lut / cap_lut
+                if ratio > worst:
+                    worst = ratio
+            if dff != 0:
+                if cap_dff == 0:
+                    return unprovided
+                ratio = dff / cap_dff
+                if ratio > worst:
+                    worst = ratio
+            if dsp != 0:
+                if cap_dsp == 0:
+                    return unprovided
+                ratio = dsp / cap_dsp
+                if ratio > worst:
+                    worst = ratio
+            if bram != 0:
+                if cap_bram == 0:
+                    return unprovided
+                ratio = bram / cap_bram
+                if ratio > worst:
+                    worst = ratio
+            return penalty * worst
+
+        terms = [block_term(b) for b in range(num_blocks)]
+        # Eq. 3 move distance of every (cluster, block) pair
+        move = [[(aspect * abs(b % cols + 0.5 - px[i])
+                  + abs(b // cols + 0.5 - py[i])) / n
+                 for b in range(num_blocks)] for i in range(n)]
 
         move_total = 0.0
         for i in range(n):
-            move_total += move_term(i, assignment[i])
-        cost = move_total + overflow_term()
+            move_total += move[i][assignment[i]]
+        overflow = 0.0
+        for term in terms:
+            overflow += term
+        cost = move_total + overflow / num_blocks
 
         temperature = self.sa_t0
         cooling = 0.995
+        same_block = 0
+        accepted = 0
         for _ in range(self.sa_moves):
-            i = rng.randrange(n)
+            i = getrandbits(n_bits)
+            while i >= n:
+                i = getrandbits(n_bits)
             old_b = assignment[i]
-            new_b = rng.randrange(num_blocks)
+            new_b = getrandbits(b_bits)
+            while new_b >= num_blocks:
+                new_b = getrandbits(b_bits)
             if new_b == old_b:
+                same_block += 1
                 continue
             lut, dff, dsp, bram = r_lut[i], r_dff[i], r_dsp[i], r_bram[i]
             u_lut[old_b] -= lut
@@ -381,15 +413,21 @@ class QuadraticPlacer:
             u_dff[new_b] += dff
             u_dsp[new_b] += dsp
             u_bram[new_b] += bram
-            new_move_total = (move_total - move_term(i, old_b)
-                              + move_term(i, new_b))
-            new_cost = new_move_total + overflow_term()
+            terms[old_b] = block_term(old_b)
+            terms[new_b] = block_term(new_b)
+            move_i = move[i]
+            new_move_total = move_total - move_i[old_b] + move_i[new_b]
+            overflow = 0.0
+            for term in terms:
+                overflow += term
+            new_cost = new_move_total + overflow / num_blocks
             delta = new_cost - cost
-            if delta <= 0 or rng.random() < math.exp(
+            if delta <= 0 or random_() < exp(
                     -delta / max(temperature, 1e-9)):
                 assignment[i] = new_b
                 move_total = new_move_total
                 cost = new_cost
+                accepted += 1
             else:
                 u_lut[old_b] += lut
                 u_dff[old_b] += dff
@@ -399,7 +437,11 @@ class QuadraticPlacer:
                 u_dff[new_b] -= dff
                 u_dsp[new_b] -= dsp
                 u_bram[new_b] -= bram
+                terms[old_b] = block_term(old_b)
+                terms[new_b] = block_term(new_b)
             temperature *= cooling
+        self.sa_proposed += self.sa_moves - same_block
+        self.sa_accepted += accepted
 
         usage = [ResourceVector(u_lut[b], u_dff[b], u_dsp[b], u_bram[b])
                  for b in range(num_blocks)]
@@ -459,8 +501,10 @@ class QuadraticPlacer:
         """Eq. 1: weighted quadratic wirelength."""
         total = 0.0
         alpha = self.grid.aspect_ratio
+        xs = positions[:, 0].tolist()
+        ys = positions[:, 1].tolist()
         for (a, b), w in edges.items():
-            dx = positions[a][0] - positions[b][0]
-            dy = positions[a][1] - positions[b][1]
+            dx = xs[a] - xs[b]
+            dy = ys[a] - ys[b]
             total += w * (alpha * dx * dx + dy * dy)
         return total

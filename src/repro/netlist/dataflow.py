@@ -69,21 +69,9 @@ class DataflowGraph:
 
     def partition_edges(self, assignment: dict[int, int],
                         ) -> dict[tuple[int, int], float]:
-        """Aggregate inter-partition dataflow.
-
-        Returns a map ``(src_part, dst_part) -> total width_bits`` over all
-        edges crossing between distinct partitions.  This is exactly the
-        channel list the interface generator must realize.
-        """
-        flows: dict[tuple[int, int], float] = {}
-        for u, v, width in self.graph.edges(data="width_bits"):
-            pu = assignment.get(u)
-            pv = assignment.get(v)
-            if pu is None or pv is None or pu == pv:
-                continue
-            key = (pu, pv)
-            flows[key] = flows.get(key, 0.0) + width
-        return flows
+        """Aggregate inter-partition dataflow: the netlist's
+        :meth:`~repro.netlist.netlist.Netlist.partition_flows`."""
+        return self.netlist.partition_flows(assignment)
 
     def sources(self) -> list[int]:
         return [n for n in self.graph if self.graph.in_degree(n) == 0]

@@ -178,6 +178,40 @@ class Netlist:
                 total += net.width_bits * (len(parts) - 1)
         return total
 
+    def partition_flows(self, assignment: dict[int, int],
+                        ) -> dict[tuple[int, int], float]:
+        """Directed inter-partition traffic, ``(src, dst) -> bits``.
+
+        Every driver->sink pair whose ends sit in distinct partitions
+        adds its nets' width to the flow between them; primitives absent
+        from ``assignment`` are ignored.  This is exactly the channel
+        list the interface generator must realize.  Keys appear in
+        primitive order of the driver, then in the order the driver
+        first reached each sink.
+        """
+        part = assignment.get
+        crossing: dict[int, dict[int, int]] = {}
+        for net in self.nets.values():
+            src = part(net.driver)
+            if src is None:
+                continue
+            for sink in net.sinks:
+                dst = part(sink)
+                if dst is None or dst == src:
+                    continue
+                widths = crossing.setdefault(net.driver, {})
+                widths[sink] = widths.get(sink, 0) + net.width_bits
+        flows: dict[tuple[int, int], float] = {}
+        for driver in self.primitives:
+            widths = crossing.get(driver)
+            if widths is None:
+                continue
+            src = assignment[driver]
+            for sink, width in widths.items():
+                key = (src, assignment[sink])
+                flows[key] = flows.get(key, 0.0) + width
+        return flows
+
     def validate(self) -> None:
         """Structural sanity: every net endpoint exists, no empty nets."""
         for net in self.nets.values():

@@ -23,6 +23,7 @@ from repro.compiler.cache import (CompileCache, compile_fingerprint,
 from repro.compiler.flow import FLOW_VERSION, CompilationFlow
 from repro.fabric.devices import device_by_name
 from repro.fabric.partition import PartitionPlanner
+from repro.hls.frontend import HLSFrontend
 from repro.hls.kernels import all_benchmarks, benchmark
 from repro.obs.tracer import Tracer
 
@@ -43,6 +44,8 @@ class TestFingerprint:
         {"shell_clock_mhz": 300.0},
         {"detailed_pnr": True},
         {"flow_version": "vital-flow-0-test"},
+        {"macro_lut": 128},
+        {"frontend_seed": 7},
     ])
     def test_flow_config_invalidates(self, partition, change):
         spec = benchmark("cifar10", "M")
@@ -83,6 +86,16 @@ class TestFingerprint:
                                shell_clock_mhz=275.0)
         assert fingerprint_for_flow(spec, flow) == compile_fingerprint(
             spec, partition, seed=3, shell_clock_mhz=275.0)
+
+    def test_matches_flow_frontend(self, partition):
+        spec = benchmark("vgg16", "S")
+        flow = CompilationFlow(
+            fabric=partition, frontend=HLSFrontend(macro_lut=128, seed=7))
+        assert fingerprint_for_flow(spec, flow) == compile_fingerprint(
+            spec, partition, macro_lut=128, frontend_seed=7)
+        assert fingerprint_for_flow(
+            spec, CompilationFlow(fabric=partition)) \
+            == compile_fingerprint(spec, partition)
 
     def test_default_version_is_current(self, partition):
         spec = benchmark("resnet18", "S")
@@ -168,6 +181,24 @@ class TestCompileCache:
         assert hit["fields"]["app"] == "mlp-mnist-S"
         assert hit["fields"]["tier"] == "memory"
         assert hit["fields"]["fingerprint"] == "f" * 12
+
+    def test_front_ends_sharing_a_cache_get_their_own_artifact(
+            self, partition):
+        """Regression: the key ignored ``HLSFrontend``, so the second
+        front-end to ask was served the first one's artifact."""
+        spec = benchmark("svhn", "L")
+        cache = CompileCache()
+        apps = {}
+        for macro_lut in (512, 128):
+            flow = CompilationFlow(
+                fabric=partition, frontend=HLSFrontend(macro_lut=macro_lut))
+            key = fingerprint_for_flow(spec, flow)
+            assert cache.get(key) is None
+            apps[macro_lut] = flow.compile(spec)
+            cache.put(key, apps[macro_lut])
+        assert len(cache) == 2
+        assert apps[512].cut_bandwidth_bits != apps[128].cut_bandwidth_bits
+        assert apps[512].to_dict() != apps[128].to_dict()
 
     def test_rejects_degenerate_bound(self):
         with pytest.raises(ValueError, match="max_entries"):
