@@ -22,7 +22,11 @@ GC pause across the event loop):
 - **admit share** -- under saturation the cohort path must spend a
   smaller fraction of its wall in ``sim.admit`` than the heapq oracle
   (shares, unlike raw walls, survive machine speed differences), with
-  byte-identical results.
+  byte-identical results;
+- **backfill flatness** (PR 15) -- under a saturated backfill queue the
+  host cost per request must not grow with the queue: three times the
+  requests (and three times the peak queue) within 1.5x the cost per
+  request, again a ratio of two walls from one machine.
 
 Results land in ``benchmarks/results/event_engine.txt`` and the
 ``BENCH_perf.json`` trajectory file at the repo root.
@@ -36,8 +40,6 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.cluster import make_cluster
-from repro.fabric.devices import make_xcvu37p
-from repro.fabric.partition import PartitionPlanner
 from repro.obs.profile import PhaseProfiler
 from repro.runtime.controller import SystemController
 from repro.sim.experiment import compile_benchmarks, run_experiment
@@ -47,6 +49,8 @@ BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 ANCHOR = "pr10-event-engine"
 #: the anchor this PR must double (PR 7's 1024-board geometry)
 PR7_ANCHOR = "pr7-array-kernel"
+#: where the backfill flatness figures go (entry created by PR 15)
+PR15_ANCHOR = "pr15-backfill-queue"
 
 #: wall-clock ceiling of the 1024-board/100k-request experiment loop
 #: (PR 7's budget was 60 s; the event engine must be comfortably under)
@@ -59,22 +63,12 @@ MEGA_BUDGET_S = 420.0
 REDUCED_TOLERANCE = 4.0
 
 
-def _big_cluster(num_boards: int):
-    """Plan the fabric partition once and clone it across boards."""
-    partition = PartitionPlanner(make_xcvu37p()).plan()
-    return make_cluster(num_boards=num_boards, partition=partition)
-
-
 def _drive(num_boards: int, num_requests: int,
            mean_interarrival_s: float, engine: str = "array",
-           profile=None, apps=None, cluster=None, partition=None):
+           profile=None, apps=None, discipline: str = "fifo"):
     """One experiment at scale; returns (result, controller, wall_s)
     where wall_s times the event loop only."""
-    if cluster is None:
-        partition = partition if partition is not None \
-            else PartitionPlanner(make_xcvu37p()).plan()
-        cluster = make_cluster(num_boards=num_boards,
-                               partition=partition)
+    cluster = make_cluster(num_boards=num_boards)
     apps = apps if apps is not None else compile_benchmarks(cluster)
     controller = SystemController(cluster)
     requests = WorkloadGenerator(seed=42).generate(
@@ -82,15 +76,16 @@ def _drive(num_boards: int, num_requests: int,
         mean_interarrival_s=mean_interarrival_s)
     t0 = time.perf_counter()
     result = run_experiment(controller, requests, apps,
-                            engine=engine, profile=profile)
+                            engine=engine, profile=profile,
+                            discipline=discipline)
     wall = time.perf_counter() - t0
     return result, controller, wall
 
 
-def _record_trajectory(**fields) -> None:
-    """Merge ``fields`` into this PR's entry of the trajectory file."""
+def _record_trajectory(anchor: str = ANCHOR, **fields) -> None:
+    """Merge ``fields`` into an anchor's entry of the trajectory file."""
     from repro.analysis.bench import merge_metrics
-    merge_metrics(BENCH_FILE, ANCHOR, fields)
+    merge_metrics(BENCH_FILE, anchor, fields)
 
 
 def _anchor_metric(anchor: str, name: str):
@@ -113,17 +108,14 @@ def test_full_scale_2x_throughput(emit):
 
     Best-of-three: single runs on a shared box swing by 30%, and the
     claim is about the engine, not the neighbors."""
-    partition = PartitionPlanner(make_xcvu37p()).plan()
     # artifacts depend on the partition geometry only, so compile once
     # against a small cluster; each repetition then gets its own fresh
     # 1024-board substrate (a reused one would carry DRAM/ring state)
-    apps = compile_benchmarks(make_cluster(num_boards=4,
-                                           partition=partition))
+    apps = compile_benchmarks(make_cluster(num_boards=4))
     best_wall, summary = None, None
     for _ in range(3):
         result, controller, wall = _drive(
-            1024, 100_000, 0.02,
-            partition=partition, apps=apps)
+            1024, 100_000, 0.02, apps=apps)
         assert controller.deployments == {}  # everything drained
         if best_wall is None or wall < best_wall:
             best_wall, summary = wall, result.summary
@@ -204,7 +196,7 @@ def test_admit_share_cohort_fastpath(emit):
     Shares of total wall (not raw seconds) make the comparison robust
     across machines; the two engines must also agree byte-for-byte on
     the simulation itself and pop the same number of events."""
-    apps = compile_benchmarks(_big_cluster(16))
+    apps = compile_benchmarks(make_cluster(num_boards=1))
 
     profiles: dict[str, PhaseProfiler] = {}
     summaries = {}
@@ -241,3 +233,57 @@ def test_admit_share_cohort_fastpath(emit):
         f"cohort admission spent a larger share of wall "
         f"({shares['array']:.3f}) than the per-arrival oracle "
         f"({shares['heapq']:.3f})")
+
+
+#: allowed growth of host cost per request from the short to the long
+#: saturated backfill run (parent commit of PR 15: 2.15x)
+FLATNESS_TOLERANCE = 1.5
+
+
+def test_backfill_cost_flat_in_queue_length(emit):
+    """Saturated backfill: cost per request must not grow with the queue.
+
+    64 boards at half the load per board of ``sim_backfill_sat_128``
+    (80 ms interarrival, set 7, seed 42): 1 500 requests peak at ~860
+    queued, 4 500 at ~2 600.  A drain pass that walks the queue in
+    Python makes the long run cost twice as much per request; with the
+    queue carrying its own demand vector the two agree.  Best of three
+    walls each, and only their ratio is gated."""
+    apps = compile_benchmarks(make_cluster(num_boards=1))
+
+    def us_per_request(num_requests: int):
+        best, peak = None, None
+        for _ in range(3):
+            result, controller, wall = _drive(
+                64, num_requests, 0.08, apps=apps,
+                discipline="backfill")
+            assert controller.deployments == {}
+            assert result.summary.num_requests == num_requests
+            peak = result.summary.peak_queue_len
+            if best is None or wall < best:
+                best = wall
+        return best / num_requests * 1e6, peak
+
+    short, short_peak = us_per_request(1_500)
+    long, long_peak = us_per_request(4_500)
+    assert long_peak > 2.5 * short_peak > 1_000, (
+        "the runs no longer saturate; the gate measures nothing")
+    ratio = long / short
+    emit("event_engine_backfill_flat", "\n".join([
+        "Backfill cost per request vs queue length (PR 15)",
+        "  boards                  64 (80 ms interarrival, backfill)",
+        f"  1500 requests           {short:.1f} us/request"
+        f"  (peak queue {short_peak})",
+        f"  4500 requests           {long:.1f} us/request"
+        f"  (peak queue {long_peak})",
+        f"  long / short            {ratio:.2f}"
+        f"  (gate {FLATNESS_TOLERANCE})",
+    ]))
+    _record_trajectory(
+        PR15_ANCHOR,
+        backfill_us_per_request_short=round(short, 1),
+        backfill_us_per_request_long=round(long, 1))
+    assert ratio < FLATNESS_TOLERANCE, (
+        f"cost per request grew {ratio:.2f}x from a {short_peak}- to a "
+        f"{long_peak}-deep backfill queue; a drain pass is no longer "
+        "linear in numpy")

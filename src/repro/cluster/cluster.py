@@ -105,24 +105,18 @@ def make_cluster(num_boards: int = 4,
                  partition: FabricPartition | None = None) -> FPGACluster:
     """Build the paper's evaluation platform.
 
-    One fabric partition is planned once and shared across boards (they
-    are identical devices); pass ``partition`` to experiment with other
-    partitions.
+    The fabric partition is planned once (the Section 5.3 DSE runs for
+    board 0 only) and cloned onto every other board -- they are
+    identical devices, each with its own :class:`FPGADevice` instance;
+    pass ``partition`` to experiment with other partitions.
     """
+    if partition is None:
+        partition = PartitionPlanner(make_xcvu37p()).plan()
     boards = []
     for board_id in range(num_boards):
-        if partition is not None and board_id == 0:
-            device = partition.device
-            part = partition
-        elif partition is not None:
-            # clone the reference partition onto this board's own
-            # (identical) device instance
-            device = make_xcvu37p()
-            part = partition.clone_for(device)
-        else:
-            device = make_xcvu37p()
-            part = PartitionPlanner(device).plan()
-        boards.append(FPGABoard(board_id=board_id, device=device,
+        part = partition if board_id == 0 \
+            else partition.clone_for(make_xcvu37p())
+        boards.append(FPGABoard(board_id=board_id, device=part.device,
                                 partition=part))
     return FPGACluster(
         boards=boards,

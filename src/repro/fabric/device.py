@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.fabric.resources import ResourceVector
 
@@ -54,6 +55,21 @@ TILE_YIELD: dict[ColumnType, ResourceVector] = {
     ColumnType.BRAM: ResourceVector(bram_mb=0.018),  # one 36 kb BRAM per 2 rows
     ColumnType.IO: ResourceVector(),
 }
+
+
+@lru_cache(maxsize=64)
+def _slice_resources(kinds: "tuple[ColumnType, ...]",
+                     tile_rows: int) -> ResourceVector:
+    """Left-to-right resource sum of a slice, once per distinct slice.
+
+    A cluster instantiates the same die hundreds of times; the sum over
+    its columns is a pure function of (column kinds, height) and the
+    result is immutable, so every identical die shares one vector.
+    """
+    total = ResourceVector.zero()
+    for kind in kinds:
+        total = total + TILE_YIELD[kind] * tile_rows
+    return total
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,10 +151,7 @@ class Die:
             kinds = self.columns[columns]
         else:
             kinds = tuple(self.columns[i] for i in columns)
-        total = ResourceVector.zero()
-        for kind in kinds:
-            total = total + TILE_YIELD[kind] * tile_rows
-        return total
+        return _slice_resources(kinds, tile_rows)
 
     def total_resources(self) -> ResourceVector:
         return self.resources_of_slice(self.tile_rows)

@@ -9,6 +9,8 @@ latency overhead.
 - :mod:`repro.sim.events` -- event queue and time-weighted statistics;
 - :mod:`repro.sim.workload` -- Table 3 workload-set generation;
 - :mod:`repro.sim.metrics` -- per-request records and summaries;
+- :mod:`repro.sim.request_queue` -- the pending-request queue of the
+  event loop (all disciplines), carrying its own block-demand vector;
 - :mod:`repro.sim.experiment` -- the event loop and multi-manager
   comparison drivers;
 - :mod:`repro.sim.chaos` -- chaos campaign harness (correlated/gray

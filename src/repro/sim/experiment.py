@@ -2,7 +2,7 @@
 
 ``run_experiment`` replays one workload set against one manager:
 
-- arrivals enter a FIFO queue;
+- arrivals enter one :class:`~repro.sim.request_queue.RequestQueue`;
 - whenever resources change (arrival or completion) the queue head is
   offered to the manager; strict FIFO order preserves fairness across
   managers (optionally ``backfill=True`` lets later requests jump a
@@ -29,12 +29,8 @@ averages -- the paper's methodology.
 from __future__ import annotations
 
 import gc
-from bisect import insort
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable
-
-import numpy as np
 
 from repro.baselines.amorphos import AmorphOSManager
 from repro.baselines.base import ClusterManager
@@ -59,6 +55,7 @@ from repro.runtime.resource_db import ResourceDB
 from repro.sim.events import ArrayEventQueue, EventQueue
 from repro.sim.metrics import MetricsCollector, RequestRecord, \
     SummaryMetrics
+from repro.sim.request_queue import RequestQueue
 from repro.sim.workload import Request
 
 __all__ = [
@@ -241,8 +238,10 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
     fewer redundant retry rejections.  The same observability gate
     also enables a vectorized admission prefilter for ``backfill``
     scans: a one-shot :meth:`~repro.runtime.resource_db.ResourceDB`
-    capacity bound culls queued requests that cannot fit anywhere
-    before their per-request policy search runs.
+    capacity bound over the queue's own demand vector (kept by
+    :class:`~repro.sim.request_queue.RequestQueue`, never rebuilt)
+    culls queued requests that cannot fit anywhere before their
+    per-request policy search runs.
     """
     if engine not in ("array", "heapq"):
         raise ValueError(f"unknown event engine {engine!r}")
@@ -336,15 +335,18 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
                          for fault in fault_schedule)
 
     collector = MetricsCollector(manager.name, manager.capacity_blocks())
-    # sjf keeps the queue as a plain list ordered by (nominal service,
-    # request id) -- maintained incrementally by insort on admit instead
-    # of re-sorting the whole queue on every drain.  The secondary key
-    # reproduces the old stable re-sort exactly: request ids are issued
-    # in arrival order, so (service, id) == the old sort's tie-break.
-    queue: "deque[Request] | list[Request]" = \
-        [] if discipline == "sjf" else deque()
-    sjf_key = (lambda r: (r.spec.service_time_s(), r.request_id)) \
-        if discipline == "sjf" else None
+    # one queue type for all three disciplines; it carries the block
+    # demand of every queued request for the backfill prefilter.  sjf
+    # orders by (nominal service, request id) -- ids are issued in
+    # arrival order, so ties admit first come first served; fifo and
+    # backfill append in arrival order and sort (by id) only when a
+    # fault re-merges evicted requests.
+    sjf = discipline == "sjf"
+    queue = RequestQueue(
+        lambda r: apps[r.spec.name].num_blocks,
+        key=(lambda r: (r.spec.service_time_s(), r.request_id)) if sjf
+        else (lambda r: r.request_id))
+    enqueue = queue.insort if sjf else queue.append
     live: dict[int, object] = {}          # request id -> Deployment
     completion_at: dict[int, float] = {}  # authoritative completion time
     request_of: dict[int, Request] = {}   # for re-queueing evictions
@@ -363,8 +365,8 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
         if guard is None or not queue:
             return
         victims = guard.shed_victims(now, queue)
+        queue.remove_all(victims)
         for request in victims:
-            queue.remove(request)
             record = collector.records[request.request_id]
             record.shed = True
             # an open recovery dies with the shed: the request will
@@ -389,12 +391,8 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
                 # shrink feasibility -- so every culled search would
                 # have failed; recomputed per pass since deploys free
                 # nothing but consume capacity monotonically.
-                needed = np.fromiter(
-                    (apps[r.spec.name].num_blocks for r in queue),
-                    dtype=np.int64, count=len(queue))
-                scan = np.nonzero(
-                    prefilter_db.fit_mask_requests(
-                        needed, policy_max_boards))[0]
+                scan = prefilter_db.fit_mask_requests(
+                    queue.demand, policy_max_boards).nonzero()[0]
             else:
                 scan = range(len(queue)) if backfill else range(1)
             for i in scan:
@@ -555,10 +553,7 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
             # evictees re-enter in original arrival order (they are
             # older than anything currently queued); under sjf the
             # merge restores the queue's (service, id) sort invariant
-            merged = sorted(list(queue) + requeue,
-                            key=sjf_key or (lambda r: r.request_id))
-            queue.clear()
-            queue.extend(merged)
+            queue.merge(requeue)
         try_drain(now)
         run_defrag(now)
         maybe_shed(now)
@@ -607,9 +602,12 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
     # containers (audit entries, request records, step-function points),
     # and every full generational collection rescans that entire heap --
     # a superlinear tax that dominated million-request runs (~1.6x wall
-    # at 1024 boards x 100k requests).  The loop allocates no reference
-    # cycles of its own; anything cyclic is reclaimed once collection
-    # resumes after the loop, so observable behavior is unchanged.
+    # at 1024 boards x 100k requests).  Whatever cyclic garbage the run
+    # left behind (an observed run leaves tens of MB) is collected right
+    # where collection resumes, not by whichever later allocation
+    # happens to trip generation 2 -- otherwise peak memory of
+    # back-to-back runs depends on where that trip lands.  A caller
+    # that runs with the collector off keeps it off, uncollected.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
@@ -636,10 +634,7 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
                 ))
                 if fault_schedule is not None:
                     request_of[request.request_id] = request
-                if sjf_key is not None:
-                    insort(queue, request, key=sjf_key)
-                else:
-                    queue.append(request)
+                enqueue(request)
                 if tracer:
                     tracer.event("sim.arrival", t=now,
                                  request=request.request_id,
@@ -720,6 +715,7 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
     finally:
         if gc_was_enabled:
             gc.enable()
+            gc.collect()
         if injector is not None:
             # heal the (shared) substrate so the next experiment on
             # this cluster starts fault-free

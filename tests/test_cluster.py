@@ -6,8 +6,10 @@ from repro.cluster.board import DimmSite, FPGABoard
 from repro.cluster.cluster import make_cluster
 from repro.cluster.network import RingNetwork
 from repro.cluster.reconfig import FULL_DEVICE_BITSTREAM_MB, Reconfigurer
+from repro.fabric.device import TILE_YIELD
 from repro.fabric.devices import make_xcvu37p
 from repro.fabric.partition import PartitionConstraints, PartitionPlanner
+from repro.fabric.resources import ResourceVector
 
 
 class TestBoard:
@@ -99,6 +101,39 @@ class TestCluster:
 
     def test_single_board_cluster(self):
         assert make_cluster(num_boards=1).total_blocks == 15
+
+    def test_planned_once_equal_to_board_by_board(self, monkeypatch):
+        """One DSE per cluster, and nothing about a board shows it: each
+        has its own device, and its partition equals one planned for
+        that board alone."""
+        plans = []
+        plan = PartitionPlanner.plan
+        monkeypatch.setattr(
+            PartitionPlanner, "plan",
+            lambda self: plans.append(self) or plan(self))
+        cluster = make_cluster(num_boards=6)
+        assert len(plans) == 1
+        monkeypatch.undo()
+
+        devices = [board.device for board in cluster.boards]
+        assert len({id(device) for device in devices}) == 6
+        for board in cluster.boards:
+            assert board.partition.device is board.device
+            alone = PartitionPlanner(make_xcvu37p()).plan()
+            assert board.partition.blocks == alone.blocks
+            assert board.partition.regions == alone.regions
+            assert board.partition.block_capacity == alone.block_capacity
+            assert board.partition.user_columns == alone.user_columns
+            assert board.partition.reserved_columns \
+                == alone.reserved_columns
+            # device capacity against the uncached column-by-column sum
+            capacity = ResourceVector.zero()
+            for die in board.device.dies:
+                die_total = ResourceVector.zero()
+                for kind in die.columns:
+                    die_total = die_total + TILE_YIELD[kind] * die.tile_rows
+                capacity = capacity + die_total
+            assert board.device.capacity == capacity == alone.device.capacity
 
 
 class TestReconfigurer:

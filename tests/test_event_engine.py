@@ -17,9 +17,10 @@ from dataclasses import asdict
 import pytest
 
 from repro.cluster.cluster import make_cluster
-from repro.faults.schedule import FaultSchedule
+from repro.faults.schedule import BoardDown, BoardUp, FaultSchedule
 from repro.obs.tracer import Tracer
 from repro.runtime.controller import SystemController
+from repro.runtime.guard import DegradedModeGuard, GuardConfig
 from repro.sim.experiment import run_experiment
 from repro.sim.workload import Request
 
@@ -109,7 +110,9 @@ class TestEngineEquivalence:
                                                         compiled_apps):
         """Heavy backfill queue on a tiny cluster: the prefilter culls
         can't-fit-anywhere requests on both engines; results match the
-        observed (prefilter-off) run too."""
+        observed (prefilter-off) run too.  The same holds when the long
+        queue is mutated the two non-trivial ways: an outage re-merges
+        its victims into it, and a guard sheds from it in batches."""
         requests = _requests(compiled_apps, num=200, interarrival=0.05)
         shapes = {engine: _shape(_run(engine, requests, compiled_apps,
                                       boards=2,
@@ -119,6 +122,27 @@ class TestEngineEquivalence:
                                boards=2, discipline="backfill",
                                tracer=Tracer(retain=False)))
         assert shapes["heapq"] == shapes["array"] == observed
+
+        outage = FaultSchedule([BoardDown(time_s=6.0, board=1),
+                                BoardUp(time_s=30.0, board=1)])
+        # one of four boards down = 25% of capacity lost: over the
+        # guard's threshold for the whole outage
+        shedding = GuardConfig(shed_queue_limit=40,
+                               capacity_loss_threshold=0.2)
+        for guard_config in (None, shedding):
+            plain, traced = (
+                _run("array", requests, compiled_apps, boards=4,
+                     discipline="backfill", faults=outage,
+                     guard=guard_config
+                     and DegradedModeGuard(guard_config),
+                     tracer=tracer)
+                for tracer in (None, Tracer(retain=False)))
+            assert _shape(plain) == _shape(traced)
+            summary = plain.summary
+            assert summary.peak_queue_len > 80
+            # evicted, not migrated: they went back through the queue
+            assert summary.interruptions > summary.recoveries == 0
+            assert bool(summary.shed_requests) == bool(guard_config)
 
 
 class TestSJFSortedQueue:

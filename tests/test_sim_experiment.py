@@ -1,5 +1,8 @@
 """Tests for the experiment loop (the Fig. 9/10 driver)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.baselines.amorphos import AmorphOSManager
@@ -123,6 +126,70 @@ class TestRunExperiment:
         result = run_experiment(AmorphOSManager(cluster), reqs,
                                 compiled_apps)
         assert result.extras["combinations"] >= 1
+
+
+class _Cycle:
+    """Garbage that only a collector pass frees."""
+
+    def __init__(self):
+        self.me = self
+
+
+class TestCollectorPause:
+    """The loop runs with the collector paused; what it hands back is
+    the caller's collector state, with the run's garbage already gone
+    when (and only when) the caller had collection on."""
+
+    @pytest.fixture
+    def collector_state(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @staticmethod
+    def _run(cluster, compiled_apps, compiled_small):
+        """One small run that drops a reference cycle mid-loop; returns
+        (weak reference to the cycle, generations collected meanwhile)."""
+        dropped, collected = [], []
+
+        def probe(now, manager):
+            assert not gc.isenabled()
+            if not dropped:
+                dropped.append(weakref.ref(_Cycle()))
+
+        def on_gc(phase, info):
+            if phase == "start":
+                collected.append(info["generation"])
+
+        reqs = requests_for([compiled_small] * 6,
+                            [1 + i * 0.5 for i in range(6)])
+        gc.callbacks.append(on_gc)
+        try:
+            run_experiment(SystemController(cluster), reqs,
+                           compiled_apps, probe=probe)
+        finally:
+            gc.callbacks.remove(on_gc)
+        return dropped[0], collected
+
+    def test_enabled_stays_enabled_and_collects(
+            self, collector_state, cluster, compiled_apps,
+            compiled_small):
+        gc.enable()
+        cycle, collected = self._run(cluster, compiled_apps,
+                                     compiled_small)
+        assert gc.isenabled()
+        assert 2 in collected
+        assert cycle() is None
+
+    def test_disabled_stays_disabled_and_does_not_collect(
+            self, collector_state, cluster, compiled_apps,
+            compiled_small):
+        gc.disable()
+        cycle, collected = self._run(cluster, compiled_apps,
+                                     compiled_small)
+        assert not gc.isenabled()
+        assert collected == []
+        assert cycle() is not None
 
 
 class TestCompareManagers:
