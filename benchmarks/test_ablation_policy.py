@@ -27,7 +27,7 @@ POLICIES = {
 }
 
 
-def replay(cluster, apps, policy_factory, backfill=False):
+def replay(cluster, apps, policy_factory, discipline="fifo"):
     generator = WorkloadGenerator(seed=77)
     summaries = []
     for replica in range(3):
@@ -35,7 +35,7 @@ def replay(cluster, apps, policy_factory, backfill=False):
         manager = SystemController(cluster,
                                    policy=policy_factory())
         summaries.append(run_experiment(manager, requests, apps,
-                                        backfill=backfill).summary)
+                                        discipline=discipline).summary)
     return summaries
 
 
@@ -75,9 +75,9 @@ def test_ablation_allocation_policy(benchmark, cluster, apps, emit):
 
 def test_ablation_scheduling_discipline(benchmark, cluster, apps, emit):
     strict = replay(cluster, apps, CommunicationAwarePolicy,
-                    backfill=False)
+                    discipline="fifo")
     backfill = replay(cluster, apps, CommunicationAwarePolicy,
-                      backfill=True)
+                      discipline="backfill")
     benchmark(lambda: None)
 
     mean = lambda ss, attr: statistics.mean(getattr(s, attr)

@@ -42,8 +42,10 @@ import pytest
 from repro.cluster.cluster import make_cluster
 from repro.obs.profile import PhaseProfiler
 from repro.runtime.controller import SystemController
+from repro.sim import experiment
 from repro.sim.experiment import compile_benchmarks, run_experiment
 from repro.sim.workload import WorkloadGenerator
+from tests.reference_events import ReferenceEventQueue
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 ANCHOR = "pr10-event-engine"
@@ -64,7 +66,7 @@ REDUCED_TOLERANCE = 4.0
 
 
 def _drive(num_boards: int, num_requests: int,
-           mean_interarrival_s: float, engine: str = "array",
+           mean_interarrival_s: float,
            profile=None, apps=None, discipline: str = "fifo"):
     """One experiment at scale; returns (result, controller, wall_s)
     where wall_s times the event loop only."""
@@ -76,8 +78,7 @@ def _drive(num_boards: int, num_requests: int,
         mean_interarrival_s=mean_interarrival_s)
     t0 = time.perf_counter()
     result = run_experiment(controller, requests, apps,
-                            engine=engine, profile=profile,
-                            discipline=discipline)
+                            profile=profile, discipline=discipline)
     wall = time.perf_counter() - t0
     return result, controller, wall
 
@@ -187,12 +188,14 @@ def test_reduced_scale_regression():
         "the event engine regressed")
 
 
-def test_admit_share_cohort_fastpath(emit):
+def test_admit_share_cohort_fastpath(emit, monkeypatch):
     """Saturated admission: the cohort path must shrink ``sim.admit``.
 
     A 16-board cluster under a 1 ms interarrival flood keeps the queue
-    head blocked, so the heapq oracle re-runs a futile drain per
-    arrival while the array engine enqueues whole arrival cohorts.
+    head blocked, so the heapq oracle (``tests/reference_events.py``,
+    patched in over the name the loop instantiates) re-runs a futile
+    drain per arrival while the array engine enqueues whole arrival
+    cohorts.
     Shares of total wall (not raw seconds) make the comparison robust
     across machines; the two engines must also agree byte-for-byte on
     the simulation itself and pop the same number of events."""
@@ -200,11 +203,12 @@ def test_admit_share_cohort_fastpath(emit):
 
     profiles: dict[str, PhaseProfiler] = {}
     summaries = {}
-    for engine in ("array", "heapq"):
+    for engine, queue in (("array", experiment.ArrayEventQueue),
+                          ("heapq", ReferenceEventQueue)):
+        monkeypatch.setattr(experiment, "ArrayEventQueue", queue)
         profile = PhaseProfiler()
         result, _, _ = _drive(
-            16, 4_000, 0.001, engine=engine, profile=profile,
-            apps=apps)
+            16, 4_000, 0.001, profile=profile, apps=apps)
         profiles[engine] = profile
         summaries[engine] = result.summary
 

@@ -10,8 +10,9 @@ and ring span/contention math:
   setup excluded), which the per-request dict walks of the scalar
   kernel could not approach;
 - **differential** -- at 64 boards the array kernel and the scalar
-  oracle produce byte-identical traces and summaries (the counters are
-  equal by construction, so "modulo perf counters" is vacuous here);
+  oracle (``tests/reference_runtime.py``) produce byte-identical
+  traces and summaries (the counters are equal by construction, so
+  "modulo perf counters" is vacuous here);
 - **reduced regression** -- a 256-board/20k-request configuration is
   timed against the committed ``BENCH_perf.json`` baseline with a wide
   tolerance band; the ``perf-regression`` CI job runs only this and
@@ -29,13 +30,12 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.cluster import make_cluster
-from repro.fabric.devices import make_xcvu37p
-from repro.fabric.partition import PartitionPlanner
 from repro.obs.tracer import Tracer
 from repro.runtime.controller import SystemController
 from repro.runtime.policy import CommunicationAwarePolicy
 from repro.sim.experiment import compile_benchmarks, run_experiment
 from repro.sim.workload import WorkloadGenerator
+from tests.reference_runtime import ScalarPolicy
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 ANCHOR = "pr7-array-kernel"
@@ -49,20 +49,13 @@ FULL_SCALE_BUDGET_S = 60.0
 REDUCED_TOLERANCE = 4.0
 
 
-def _big_cluster(num_boards: int):
-    """Plan the fabric partition once and clone it across boards --
-    per-board planning is the dominant setup cost at this scale."""
-    partition = PartitionPlanner(make_xcvu37p()).plan()
-    return make_cluster(num_boards=num_boards, partition=partition)
-
-
 def _drive(num_boards: int, num_requests: int,
            mean_interarrival_s: float, policy=None,
            tracer=None, apps=None, cluster=None):
     """One experiment at scale; returns (result, controller, wall_s)
     where wall_s times the event loop only."""
     cluster = cluster if cluster is not None \
-        else _big_cluster(num_boards)
+        else make_cluster(num_boards=num_boards)
     apps = apps if apps is not None else compile_benchmarks(cluster)
     controller = SystemController(cluster, policy=policy)
     requests = WorkloadGenerator(seed=42).generate(
@@ -146,19 +139,18 @@ def test_64_board_differential():
     takes the same prune decisions by construction) and equal
     summaries; the untraced run (which engages the controller's
     ``allocate_fast`` path) must match them too."""
-    cluster = _big_cluster(64)
+    cluster = make_cluster(num_boards=64)
     apps = compile_benchmarks(cluster)
 
-    def traced(kernel: str):
+    def traced(policy):
         tracer = Tracer()
         result, _, _ = _drive(
-            64, 2_000, 0.2,
-            policy=CommunicationAwarePolicy(kernel=kernel),
+            64, 2_000, 0.2, policy=policy,
             tracer=tracer, apps=apps, cluster=cluster)
         return tracer.to_jsonl(), result.summary
 
-    array_trace, array_summary = traced("array")
-    scalar_trace, scalar_summary = traced("scalar")
+    array_trace, array_summary = traced(CommunicationAwarePolicy())
+    scalar_trace, scalar_summary = traced(ScalarPolicy())
     assert array_trace == scalar_trace
     assert array_summary == scalar_summary
 

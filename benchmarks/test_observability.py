@@ -22,8 +22,6 @@ import gc
 import time
 
 from repro.cluster.cluster import make_cluster
-from repro.fabric.devices import make_xcvu37p
-from repro.fabric.partition import PartitionPlanner
 from repro.obs import Tracer
 from repro.runtime.controller import SystemController
 from repro.sim.experiment import run_experiment
@@ -39,8 +37,7 @@ ROUNDS = 5
 
 
 def _fixture(apps, boards: int, num_requests: int, interarrival: float):
-    partition = PartitionPlanner(make_xcvu37p()).plan()
-    cluster = make_cluster(boards, partition=partition)
+    cluster = make_cluster(boards)
     requests = WorkloadGenerator(seed=2020).generate(
         WORKLOAD_SET, num_requests=num_requests,
         mean_interarrival_s=interarrival)

@@ -146,11 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile-out", dest="profile_out", default=None,
                    help="write the phase profile as diff-consumable "
                         "JSON (implies --profile)")
-    p.add_argument("--engine", default="array",
-                   choices=["array", "heapq"],
-                   help="event engine: the flat-array queue (default) "
-                        "or the original heapq oracle; results are "
-                        "byte-identical")
 
     p = sub.add_parser(
         "status",
@@ -460,8 +455,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                      tracer=tracer, metrics=metrics,
                                      timeline=timeline, slo=slo,
                                      defrag=args.defrag or None,
-                                     profile=profiler,
-                                     engine=args.engine).summary
+                                     profile=profiler).summary
         rows.append([name, f"{summary.mean_response_s:.1f}",
                      f"{summary.mean_wait_s:.1f}",
                      f"{summary.mean_concurrency:.1f}",

@@ -208,14 +208,13 @@ class SystemController:
 
         policy = self.policy
         if (not tracer and type(policy) is CommunicationAwarePolicy
-                and policy.prune and policy.kernel == "array"
-                and not policy.tracer
-                and type(self.resource_db) is ResourceDB):
+                and not policy.tracer):
             # untraced hot path: the policy searches the resource DB's
             # flat arrays directly instead of a per-board candidate map
-            # built fresh on every attempt.  Gated to the exact default
-            # types so oracle policies/databases keep their semantics,
-            # and to untraced runs so golden traces stay byte-identical.
+            # built fresh on every attempt.  Gated to the exact policy
+            # type so subclasses that override ``allocate`` keep their
+            # semantics, and to untraced runs so golden traces stay
+            # byte-identical.
             placement = policy.allocate_fast(
                 app, self.resource_db, self.cluster.network,
                 self._fast_excluded(app))

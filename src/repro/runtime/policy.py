@@ -23,9 +23,11 @@ branch-and-bound over the same key ``(span, leftover, subset)``:
 - pruning only discards subsets whose key is *strictly* greater than the
   incumbent, so the minimum -- including its lexicographic tie-break --
   is the one the exhaustive enumeration would have produced.
-  ``CommunicationAwarePolicy(prune=False)`` keeps the original loop as
-  the oracle for the equivalence property test and the "before" code
-  path of the scalability benchmark.
+
+This module holds the one production implementation and exposes no
+switch between implementations.  The exhaustive loop, the scalar
+branch-and-bound and the scalar block split it replaced are the
+differential references in ``tests/reference_runtime.py``.
 
 Two deliberately worse policies are provided for the ablation benches:
 ``FirstFitPolicy`` ignores board boundaries entirely and ``SpreadPolicy``
@@ -66,18 +68,8 @@ class AllocationPolicy(Protocol):
         ...
 
 
-#: memoized flow-adjacency per CompiledApp instance.  The profiler put
-#: ``split_virtual_blocks`` at the top of the surviving hot-path
-#: profile, and most of its time was rebuilding the same adjacency:
-#: every deploy attempt of every queued request re-splits the same few
-#: artifacts.  The adjacency (and the seed scores derived from it) is a
-#: pure function of ``app.flows``, so it is built once per app object.
-#: Keyed by ``id()`` with the app held strongly and identity-checked on
-#: lookup, so a recycled id can never alias a different artifact; the
-#: LRU bound keeps long campaigns from pinning dead apps.
-_ADJACENCY_CACHE: "OrderedDict[int, tuple]" = OrderedDict()
-_ADJACENCY_CACHE_MAX = 64
-#: cold constructions, ever (the equivalence test pins cache reuse)
+#: flow-adjacency constructions, ever: one per cold
+#: :func:`_split_arrays` entry (the memoization tests pin the count)
 _adjacency_builds = 0
 
 #: sentinel leftover for boards that fail the round-1 fit test
@@ -86,13 +78,8 @@ _I64_MAX = np.iinfo(np.int64).max
 
 
 def _flow_adjacency(app: CompiledApp):
-    """``(adjacency, base_flow)`` for ``app``, memoized per instance."""
+    """``(adjacency, base_flow)`` of ``app``'s inter-block flow graph."""
     global _adjacency_builds
-    key = id(app)
-    entry = _ADJACENCY_CACHE.get(key)
-    if entry is not None and entry[0] is app:
-        _ADJACENCY_CACHE.move_to_end(key)
-        return entry[1], entry[2]
     _adjacency_builds += 1
     n = app.num_blocks
     # symmetric flow-adjacency list between virtual blocks (self-flows
@@ -108,20 +95,19 @@ def _flow_adjacency(app: CompiledApp):
     for (a, b), w in weight.items():
         adjacency[a].append((b, w))
         adjacency[b].append((a, w))
-    # flow from each block into the all-unassigned set (seed scores;
-    # callers copy before mutating)
+    # flow from each block into the all-unassigned set (seed scores)
     base_flow = {vb: sum(w for _, w in adjacency[vb])
                  for vb in range(n)}
-    _ADJACENCY_CACHE[key] = (app, adjacency, base_flow)
-    while len(_ADJACENCY_CACHE) > _ADJACENCY_CACHE_MAX:
-        _ADJACENCY_CACHE.popitem(last=False)
     return adjacency, base_flow
 
 
-#: per-app state of the vectorized split kernel: the dense inter-block
-#: flow matrix plus the base scores as one float64 vector (the same
-#: values :func:`_flow_adjacency` hands the scalar kernel).  Keyed and
-#: bounded like ``_ADJACENCY_CACHE``.
+#: per-app split state -- the dense inter-block flow matrix plus the
+#: base scores as one float64 vector, both pure functions of
+#: ``app.flows`` (every deploy attempt of every queued request re-splits
+#: the same few artifacts).  Keyed by ``id()`` with the app held
+#: strongly and identity-checked on lookup, so a recycled id can never
+#: alias a different artifact; the LRU bound keeps long campaigns from
+#: pinning dead apps.
 _SPLIT_ARRAYS_CACHE: "OrderedDict[int, tuple]" = OrderedDict()
 _SPLIT_ARRAYS_CACHE_MAX = 64
 #: memoized group shapes: ``(app id, capacity tuple)`` -> per-block
@@ -136,12 +122,11 @@ _split_kernel_runs = 0
 
 
 def _clear_split_caches() -> None:
-    """Drop every split-path memo (adjacency, arrays, shapes).
+    """Drop every split-path memo (arrays, shapes).
 
     Test hook: the white-box cache tests clear all layers at once so
     build counters start from a provably cold state.
     """
-    _ADJACENCY_CACHE.clear()
     _SPLIT_ARRAYS_CACHE.clear()
     _SPLIT_RESULT_CACHE.clear()
 
@@ -167,11 +152,23 @@ def _split_arrays(app: CompiledApp):
     return matrix, base
 
 
-def _split_array(app: CompiledApp,
-                 quotas: list[tuple[int, int]]) -> dict[int, int]:
-    """The vectorized split kernel; see :func:`split_virtual_blocks`.
+def split_virtual_blocks(app: CompiledApp,
+                         quotas: list[tuple[int, int]],
+                         ) -> dict[int, int]:
+    """Group an app's virtual blocks onto boards, minimizing cut flow.
 
-    Float-exact with the scalar kernel: each assignment applies exactly
+    ``quotas`` is an ordered list of ``(board_id, capacity)``.  Greedy
+    region growing over the app's inter-block flow graph: each board's
+    group is grown by repeatedly pulling in the unassigned virtual block
+    with the strongest connection to the group, so heavy channels stay
+    board-local.
+
+    The selection loop runs over flat numpy score vectors with a dense
+    flow matrix (:func:`_split_arrays`), takes an O(n) shortcut for
+    single-board placements, and memoizes the group shape per ``(app,
+    capacity sequence)``.  It is float-exact with the scalar dict/set
+    walk it replaced (``reference_split_virtual_blocks`` in
+    ``tests/reference_runtime.py``): each assignment applies exactly
     one ``-=`` / ``+=`` per score cell (non-neighbors move by zero,
     which is an IEEE no-op), in the same order the scalar per-neighbor
     walk does, so every score the selection reads is bit-equal; and
@@ -181,6 +178,8 @@ def _split_array(app: CompiledApp,
     """
     global _split_kernel_runs
     n = app.num_blocks
+    if sum(q for _, q in quotas) < n:
+        raise ValueError("quotas cannot hold the application")
     caps = tuple(q for _, q in quotas)
     key = (id(app), caps)
     entry = _SPLIT_RESULT_CACHE.get(key)
@@ -220,74 +219,6 @@ def _split_array(app: CompiledApp,
     return {vb: quotas[g][0] for vb, g in enumerate(groups)}
 
 
-def split_virtual_blocks(app: CompiledApp,
-                         quotas: list[tuple[int, int]],
-                         kernel: str = "array",
-                         ) -> dict[int, int]:
-    """Group an app's virtual blocks onto boards, minimizing cut flow.
-
-    ``quotas`` is an ordered list of ``(board_id, capacity)``.  Greedy
-    region growing over the app's inter-block flow graph: each board's
-    group is grown by repeatedly pulling in the unassigned virtual block
-    with the strongest connection to the group, so heavy channels stay
-    board-local.
-
-    ``kernel`` selects the implementation: ``"array"`` (default) runs
-    the selection loop over flat numpy score vectors with a dense flow
-    matrix, takes an O(n) shortcut for single-board placements, and
-    memoizes the group shape per ``(app, capacity sequence)`` --
-    exactly the assignment the scalar kernel produces (the equivalence
-    suite asserts it); ``"scalar"`` is the original dict/set walk,
-    kept pristine as the differential oracle.
-
-    Scalar scores are maintained incrementally over a memoized
-    flow-adjacency list (:func:`_flow_adjacency`): assigning a block
-    updates only its neighbors' scores, and repeated splits of the same
-    artifact skip the adjacency construction entirely.
-    """
-    total_quota = sum(q for _, q in quotas)
-    n = app.num_blocks
-    if total_quota < n:
-        raise ValueError("quotas cannot hold the application")
-    if kernel == "array":
-        return _split_array(app, quotas)
-    if kernel != "scalar":
-        raise ValueError(f"unknown split kernel {kernel!r}")
-
-    adjacency, base_flow = _flow_adjacency(app)
-    #: flow from each block into the still-unassigned set (seed score)
-    unassigned_flow = dict(base_flow)
-    #: flow from each unassigned block into the group being grown
-    group_flow = {vb: 0.0 for vb in range(n)}
-
-    unassigned = set(range(n))
-    assignment: dict[int, int] = {}
-
-    def assign(vb: int, board_id: int) -> None:
-        unassigned.discard(vb)
-        assignment[vb] = board_id
-        for other, w in adjacency[vb]:
-            unassigned_flow[other] -= w
-            group_flow[other] += w
-
-    for board_id, quota in quotas:
-        if not unassigned:
-            break
-        for vb in unassigned:
-            group_flow[vb] = 0.0
-        take = min(quota, len(unassigned))
-        for picked in range(take):
-            if picked:
-                vb = max(unassigned,
-                         key=lambda v: (group_flow[v], -v))
-            else:
-                # seed with the unassigned block of heaviest total flow
-                vb = max(unassigned,
-                         key=lambda v: (unassigned_flow[v], -v))
-            assign(vb, board_id)
-    return assignment
-
-
 def _build_placement(app: CompiledApp,
                      quotas: list[tuple[int, int]],
                      free_by_board: dict[int, list[int]],
@@ -308,32 +239,19 @@ def _build_placement(app: CompiledApp,
 class CommunicationAwarePolicy:
     """The paper's multi-round, span-minimizing policy.
 
-    Two interchangeable kernels drive the pruned branch-and-bound:
-
-    - ``kernel="array"`` (default) precomputes each search node's
-      capacity-prune mask and added-span vector with numpy over the
-      candidate range -- both are independent of the incumbent, so the
-      sequential candidate scan that follows takes exactly the same
-      prune decisions (and visited/pruned counts) as the scalar code;
-    - ``kernel="scalar"`` is the original per-board Python loop, kept
-      as the differential oracle the equivalence tests replay.
-
-    Both kernels return identical keys, so placements, traces, and
-    summaries are identical by construction; the randomized equivalence
-    tests assert it anyway.
+    Each round is an exact branch-and-bound (:meth:`_best_subset_array`)
+    that precomputes every search node's capacity-prune mask and
+    added-span vector with numpy over the candidate range -- both are
+    independent of the incumbent, so the sequential candidate scan that
+    follows takes exactly the prune decisions (and visited/pruned
+    counts) of the per-board scalar loop it replaced.  That loop and
+    the exhaustive enumeration before it are ``ScalarPolicy`` and
+    ``ExhaustivePolicy`` in ``tests/reference_runtime.py``.
     """
 
     name = "communication-aware"
 
-    def __init__(self, prune: bool = True,
-                 kernel: str = "array",
-                 max_boards: int | None = None) -> None:
-        #: ``False`` restores the exhaustive per-round subset
-        #: enumeration (the differential oracle / "before" path)
-        self.prune = prune
-        if kernel not in ("array", "scalar"):
-            raise ValueError(f"unknown kernel {kernel!r}")
-        self.kernel = kernel
+    def __init__(self, max_boards: int | None = None) -> None:
         #: optional cap on placement span (boards per deployment).
         #: ``None`` -- the paper's unbounded multi-round search -- is
         #: byte-identical to the pre-cap policy.  A finite cap models
@@ -364,10 +282,6 @@ class CommunicationAwarePolicy:
         needed = app.num_blocks
         boards = sorted(free_by_board)
         free = {b: len(free_by_board[b]) for b in boards}
-        if not self.prune:
-            return self._allocate_exhaustive(app, free_by_board, free,
-                                             boards, needed, network)
-
         present = [b for b in boards if free[b] > 0]
         if sum(free[b] for b in present) < needed:
             if self.tracer:
@@ -375,19 +289,14 @@ class CommunicationAwarePolicy:
             return None
         # [visited, pruned] node counters, collected only when tracing
         stats = [0, 0] if self.tracer else None
-        if self.kernel == "array":
-            free_arr = np.asarray([free[b] for b in present],
-                                  dtype=np.int64)
+        free_arr = np.asarray([free[b] for b in present],
+                              dtype=np.int64)
         limit = len(present) if self.max_boards is None \
             else min(len(present), self.max_boards)
         for round_k in range(1, limit + 1):
-            if self.kernel == "array":
-                best = self._best_subset_array(
-                    present, free_arr, needed, round_k, network,
-                    stats=stats)
-            else:
-                best = self._best_subset(present, free, needed,
-                                         round_k, network, stats=stats)
+            best = self._best_subset_array(
+                present, free_arr, needed, round_k, network,
+                stats=stats)
             if best is None:
                 continue
             _, _, subset = best
@@ -405,82 +314,17 @@ class CommunicationAwarePolicy:
         return None
 
     @staticmethod
-    def _best_subset(present: list[int], free: dict[int, int],
-                     needed: int, k: int, network: RingNetwork,
-                     stats: list[int] | None = None,
-                     ) -> tuple[int, int, tuple[int, ...]] | None:
-        """Minimum-key feasible ``k``-subset of ``present`` boards.
-
-        Depth-first enumeration in lexicographic order (so equal-key
-        subsets resolve exactly like the exhaustive ``min``), with two
-        sound prunes -- see the module docstring.  ``stats`` (tracing
-        only) accumulates ``[nodes visited, nodes pruned]``; ``None``
-        keeps the search loop free of counting work.
-        """
-        n = len(present)
-        if k > n:
-            return None
-        # suffix_max[i]: most free blocks on any of present[i:]
-        suffix_max = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suffix_max[i] = max(free[present[i]], suffix_max[i + 1])
-        dist = network._dist
-        best: tuple[int, int, tuple[int, ...]] | None = None
-        chosen: list[int] = []
-
-        def extend(start: int, capacity: int, span: int) -> None:
-            nonlocal best
-            remaining = k - len(chosen)
-            if remaining == 0:
-                if capacity < needed:
-                    return
-                # int() keeps the tie-break key type identical to the
-                # exhaustive search's (and JSON-safe): the distance
-                # matrix hands out numpy scalars
-                key = (int(span), int(capacity - needed), tuple(chosen))
-                if best is None or key < best:
-                    best = key
-                return
-            for i in range(start, n - remaining + 1):
-                board = present[i]
-                if stats is not None:
-                    stats[0] += 1
-                # capacity bound: even the best boards after ``i``
-                # cannot close the gap
-                if capacity + free[board] \
-                        + (remaining - 1) * suffix_max[i + 1] < needed:
-                    if stats is not None:
-                        stats[1] += 1
-                    continue
-                added = span
-                for member in chosen:
-                    added += int(dist[member, board])
-                if best is not None:
-                    # span bound: each of the remaining boards adds at
-                    # least one hop to every board already chosen and to
-                    # each other; skipping is sound only on a strict
-                    # excess (an equal bound could still win on the
-                    # leftover tie-break)
-                    chosen_after = len(chosen) + 1
-                    floor = added + (remaining - 1) * chosen_after \
-                        + (remaining - 1) * (remaining - 2) // 2
-                    if floor > best[0]:
-                        if stats is not None:
-                            stats[1] += 1
-                        continue
-                chosen.append(board)
-                extend(i + 1, capacity + free[board], added)
-                chosen.pop()
-
-        extend(0, 0, 0)
-        return best
-
-    @staticmethod
     def _best_subset_array(present: list[int], free_arr: "np.ndarray",
                            needed: int, k: int, network: RingNetwork,
                            stats: list[int] | None = None,
                            ) -> tuple[int, int, tuple[int, ...]] | None:
-        """:meth:`_best_subset` on flat arrays, counter-exact.
+        """Minimum-key feasible ``k``-subset of ``present`` boards.
+
+        Depth-first enumeration in lexicographic order (so equal-key
+        subsets resolve exactly like an exhaustive ``min``), with two
+        sound prunes -- see the module docstring.  ``stats`` (tracing
+        only) accumulates ``[nodes visited, nodes pruned]``; ``None``
+        keeps the search loop free of counting work.
 
         ``free_arr`` is the free-block count of each ``present`` board
         (same order).  Per search node the capacity-prune mask and the
@@ -488,8 +332,10 @@ class CommunicationAwarePolicy:
         one shot -- both depend only on the fixed inputs and the chosen
         prefix, never on the incumbent -- and the candidate scan then
         walks them sequentially, comparing span floors against the live
-        incumbent at the same points the scalar loop does.  Visited and
-        pruned counts are therefore identical by construction.
+        incumbent at the same points a per-board scalar loop does.
+        Visited and pruned counts are therefore identical to that
+        loop's by construction (``ScalarPolicy`` in
+        ``tests/reference_runtime.py`` overrides this method with it).
         """
         n = len(present)
         if k > n:
@@ -506,8 +352,7 @@ class CommunicationAwarePolicy:
                 stats[1] += int(n - int(fits.sum()))
             if not fits.any():
                 return None
-            leftovers = np.where(fits, free_arr - needed,
-                                 np.iinfo(np.int64).max)
+            leftovers = np.where(fits, free_arr - needed, _I64_MAX)
             j = int(np.argmin(leftovers))
             return (0, int(free_arr[j] - needed), (present[j],))
         # suffix_max[i]: most free blocks on any of present[i:]
@@ -621,53 +466,6 @@ class CommunicationAwarePolicy:
             free_by_board = {board: db.free_by_board_one(board)
                              for board, _ in quotas}
             return _build_placement(app, quotas, free_by_board)
-        return None
-
-    def _allocate_exhaustive(self, app: CompiledApp,
-                             free_by_board: dict[int, list[int]],
-                             free: dict[int, int], boards: list[int],
-                             needed: int, network: RingNetwork,
-                             ) -> Placement | None:
-        """The original brute-force enumeration (every subset, every
-        round); kept as the reference the pruned search must match."""
-        visited = 0
-        limit = len(boards) if self.max_boards is None \
-            else min(len(boards), self.max_boards)
-        for round_k in range(1, limit + 1):
-            best: tuple[int, int, tuple[int, ...]] | None = None
-            for subset in itertools.combinations(boards, round_k):
-                visited += 1
-                capacity = sum(free[b] for b in subset)
-                if capacity < needed:
-                    continue
-                # every board of the subset must contribute, otherwise
-                # the same placement exists in an earlier round
-                if round_k > 1 and any(free[b] == 0 for b in subset):
-                    continue
-                # int-typed key, matching the pruned search exactly:
-                # mixed int/float keys compare equal on equal spans but
-                # serialize differently, and a future non-integral cost
-                # model would silently break tie-break parity
-                span = int(network.span_cost(list(subset)))
-                leftover = int(capacity - needed)
-                key = (span, leftover, subset)
-                if best is None or key < best:
-                    best = key
-            if best is None:
-                continue
-            _, _, subset = best
-            if self.tracer:
-                self.tracer.event(
-                    "policy.allocate", app=app.name, needed=needed,
-                    found=True, rounds=round_k, boards=subset,
-                    span=best[0], leftover=best[1],
-                    visited=visited, pruned=0)
-            quotas = CommunicationAwarePolicy._quotas(subset, free,
-                                                      needed)
-            return _build_placement(app, quotas, free_by_board)
-        if self.tracer:
-            self.last_search = ("no-feasible-subset", len(boards),
-                                visited, 0)
         return None
 
     @staticmethod

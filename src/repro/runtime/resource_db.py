@@ -16,10 +16,10 @@ The indices exist because the System-Layer simulator queries
 ``allocated_count``/``free_by_board``/``blocks_of`` on *every* event;
 rescanning the whole block table per call is O(total blocks) and dominates
 wall-clock on large clusters.  :meth:`verify` cross-checks the indices
-against a full rescan (the tests run it after every random transition);
-:class:`RescanResourceDB` preserves the original scan-per-query behavior
-as a reference implementation for differential tests and for the
-scalability benchmark's "before" measurement.
+against a full rescan (the tests run it after every random transition).
+This is the one production database; the scan-per-query database it
+replaced is the differential reference in
+``tests/reference_runtime.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from repro.cluster.cluster import FPGACluster
 from repro.runtime.types import BlockAddress
 
-__all__ = ["BlockState", "ResourceDB", "RescanResourceDB"]
+__all__ = ["BlockState", "ResourceDB"]
 
 
 class BlockState(enum.Enum):
@@ -351,8 +351,11 @@ class ResourceDB:
 
     def set_board_repaired(self, board_id: int) -> None:
         """Return a failed board's blocks to the free pool."""
-        row = self._row_of.get(board_id)
-        for address in self._board_blocks.get(board_id, ()):
+        on_board = self._board_blocks.get(board_id)
+        if not on_board:
+            raise KeyError(f"no blocks on board {board_id}")
+        row = self._row_of[board_id]
+        for address in on_board:
             entry = self._entries[address]
             if entry.state is BlockState.FAILED:
                 entry.state = BlockState.FREE
@@ -414,6 +417,10 @@ class ResourceDB:
             raise RuntimeError(
                 f"owner index diverges: rescan {sorted(owned)} vs "
                 f"index {sorted(owners)}")
+        if self._free_view.keys() != set(self._board_ids):
+            raise RuntimeError(
+                f"free views keyed by {sorted(self._free_view)}, boards "
+                f"are {self._board_ids}")
         for board, view in self._free_view.items():
             if view is not None and view != sorted(self._free[board]):
                 raise RuntimeError(
@@ -434,48 +441,3 @@ class ResourceDB:
             raise RuntimeError(
                 f"total-free counter {self._total_free} != rescan "
                 f"{sum(len(s) for s in free.values())}")
-
-
-class RescanResourceDB(ResourceDB):
-    """The pre-incremental reference implementation.
-
-    Every query rescans ``_entries`` exactly as the original database
-    did (transitions still maintain the indices, so the two
-    implementations can be compared in place).  Used as the differential
-    oracle in the property tests and as the "before" code path of
-    ``benchmarks/test_scalability.py``.
-    """
-
-    def free_blocks(self) -> list[BlockAddress]:
-        return [a for a, e in self._entries.items()
-                if e.state is BlockState.FREE]
-
-    def free_by_board(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {
-            b.board_id: [] for b in self.cluster.boards}
-        for (board, block), entry in self._entries.items():
-            if entry.state is BlockState.FREE:
-                out[board].append(block)
-        return out
-
-    def allocated_count(self) -> int:
-        return sum(1 for e in self._entries.values()
-                   if e.state is BlockState.ALLOCATED)
-
-    def failed_count(self) -> int:
-        return sum(1 for e in self._entries.values()
-                   if e.state is BlockState.FAILED)
-
-    def failed_boards(self) -> set[int]:
-        return {board for (board, _), e in self._entries.items()
-                if e.state is BlockState.FAILED}
-
-    def blocks_of(self, request_id: int) -> list[BlockAddress]:
-        return [a for a, e in self._entries.items()
-                if e.owner == request_id]
-
-    def release(self, request_id: int) -> list[BlockAddress]:
-        # pay the original scan cost, then transition through the
-        # index-maintaining path so both representations stay usable
-        self.blocks_of(request_id)
-        return super().release(request_id)

@@ -19,7 +19,7 @@ latency overhead.
   scenario-campaign service over declarative config grids.
 """
 
-from repro.sim.events import EventQueue, TimeWeightedValue
+from repro.sim.events import ArrayEventQueue, TimeWeightedValue
 from repro.sim.workload import (
     COMPOSITIONS,
     Request,
@@ -55,7 +55,7 @@ from repro.sim.chaos import (
 )
 
 __all__ = [
-    "EventQueue",
+    "ArrayEventQueue",
     "TimeWeightedValue",
     "COMPOSITIONS",
     "Request",

@@ -1,106 +1,31 @@
 """Discrete-event primitives.
 
-:class:`EventQueue` is a stable priority queue of timestamped events --
-ties break in insertion order, so simulations are deterministic.
-:class:`ArrayEventQueue` is the flat-array engine behind the same pop
-order: the static schedule (arrivals, faults) lives in struct-of-arrays
-form sorted once up front, only the dynamic events (completions) pay
-heap costs, and consecutive same-timestamp-range arrivals can be popped
-as one cohort.  :class:`TimeWeightedValue` integrates a step function
-over time, which is how the collector computes time-averaged
-utilization, concurrency and queue pressure.
+:class:`ArrayEventQueue` is the event queue of the experiment loop: a
+stable priority queue of timestamped events -- ties break in insertion
+order, so simulations are deterministic.  The static schedule (arrivals,
+faults) lives in struct-of-arrays form sorted once up front, only the
+dynamic events (completions) pay heap costs, and consecutive
+same-timestamp-range arrivals can be popped as one cohort.  It is the
+one production queue; the plain ``(time, seq)`` heap it replaced is the
+differential reference ``ReferenceEventQueue`` in
+``tests/reference_events.py``.  :class:`TimeWeightedValue` integrates a
+step function over time, which is how the collector computes
+time-averaged utilization, concurrency and queue pressure.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-__all__ = ["Event", "EventQueue", "ArrayEventQueue",
-           "TimeWeightedValue"]
-
-
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One scheduled occurrence."""
-
-    time: float
-    kind: str
-    payload: Any = None
-
-
-class EventQueue:
-    """Stable min-heap of events ordered by (time, insertion order)."""
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
-        self._seq = 0
-
-    def push(self, time: float, kind: str, payload: Any = None) -> Event:
-        if time < 0:
-            raise ValueError("event time must be non-negative")
-        event = Event(time=time, kind=kind, payload=payload)
-        heapq.heappush(self._heap, (time, self._seq, event))
-        self._seq += 1
-        return event
-
-    def push_many(self, items) -> None:
-        """Bulk-load ``(time, kind, payload)`` triples.
-
-        One heapify over the appended tail instead of a sift per push:
-        O(n) against O(n log n), which matters when the experiment loop
-        front-loads a 100k-request arrival schedule.  Pop order is
-        identical to sequential pushes -- both orders are exactly
-        (time, insertion order).
-        """
-        heap = self._heap
-        seq = self._seq
-        for time, kind, payload in items:
-            if time < 0:
-                raise ValueError("event time must be non-negative")
-            heap.append(
-                (time, seq, Event(time=time, kind=kind,
-                                  payload=payload)))
-            seq += 1
-        self._seq = seq
-        heapq.heapify(heap)
-
-    def pop(self) -> Event:
-        if not self._heap:
-            raise IndexError("pop from empty event queue")
-        return heapq.heappop(self._heap)[2]
-
-    def pop3(self) -> tuple[float, str, Any]:
-        """Pop as a bare ``(time, kind, payload)`` triple.
-
-        Same order as :meth:`pop`; the experiment loop uses this shape
-        so both engines feed it without allocating :class:`Event`
-        objects on the array path.
-        """
-        if not self._heap:
-            raise IndexError("pop from empty event queue")
-        event = heapq.heappop(self._heap)[2]
-        return event.time, event.kind, event.payload
-
-    def peek_time(self) -> float:
-        if not self._heap:
-            raise IndexError("peek into empty event queue")
-        return self._heap[0][0]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
+__all__ = ["ArrayEventQueue", "TimeWeightedValue"]
 
 
 class ArrayEventQueue:
-    """Struct-of-arrays event engine; pop order identical to
-    :class:`EventQueue`.
+    """Struct-of-arrays event queue ordered by (time, insertion order).
 
     Events arrive in two phases:
 
@@ -113,16 +38,16 @@ class ArrayEventQueue:
       (:meth:`push`: completions, penalty reschedules).  These go
       through a plain tuple heap.
 
-    Why the merged order is exactly the heapq oracle's: both queues
-    order by ``(time, seq)`` where ``seq`` is global insertion order.
-    Static events are all inserted before any dynamic event, so every
-    static seq is smaller than every dynamic seq; a time tie between
+    Why the merged order is exactly that of one ``(time, seq)`` heap,
+    ``seq`` being global insertion order: static events are all
+    inserted before any dynamic event, so every static seq is smaller
+    than every dynamic seq; a time tie between
     the static head and the dynamic head therefore always resolves to
     the static event, which is what :meth:`pop3` implements with a
     plain ``<=`` on times.  Within each side, the stable argsort
     (static) and the ``(time, seq)`` heap tuples (dynamic) preserve
     insertion order on ties.  The randomized property tests replay
-    interleaved push/pop sequences against the oracle to pin this.
+    interleaved push/pop sequences against such a heap to pin this.
 
     :meth:`pop_arrival_run` additionally exposes the *cohort* view the
     batched experiment loop wants: the maximal run of consecutive
@@ -160,8 +85,8 @@ class ArrayEventQueue:
 
         Before the first pop these land in the static schedule (one
         stable argsort at seal time); afterwards they fall back to
-        per-item dynamic pushes, preserving :class:`EventQueue`'s
-        semantics either way.
+        per-item dynamic pushes; the pop order is (time, insertion
+        order) either way.
         """
         if self._sealed:
             for time, kind, payload in items:
@@ -186,7 +111,7 @@ class ArrayEventQueue:
     def _seal(self) -> None:
         n = len(self._stage_t)
         times = np.asarray(self._stage_t, dtype=np.float64)
-        # stable sort == order by (time, insertion seq), the oracle key
+        # stable sort == order by (time, insertion seq)
         order = np.argsort(times, kind="stable")
         self._times = times[order]
         order_list = order.tolist()

@@ -5,8 +5,8 @@
 - arrivals enter one :class:`~repro.sim.request_queue.RequestQueue`;
 - whenever resources change (arrival or completion) the queue head is
   offered to the manager; strict FIFO order preserves fairness across
-  managers (optionally ``backfill=True`` lets later requests jump a
-  blocked head, an ablation);
+  managers (optionally ``discipline="backfill"`` lets later requests
+  jump a blocked head, an ablation);
 - a successful deployment schedules its completion after reconfiguration
   plus (communication-adjusted) service time;
 - managers may impose ``corunner_penalties`` (AmorphOS's full-device
@@ -51,8 +51,7 @@ from repro.obs.timeline import TimelineAggregator
 from repro.obs.tracer import Tracer
 from repro.runtime.controller import SystemController
 from repro.runtime.defrag import DefragConfig, Defragmenter
-from repro.runtime.resource_db import ResourceDB
-from repro.sim.events import ArrayEventQueue, EventQueue
+from repro.sim.events import ArrayEventQueue
 from repro.sim.metrics import MetricsCollector, RequestRecord, \
     SummaryMetrics
 from repro.sim.request_queue import RequestQueue
@@ -141,8 +140,7 @@ class _ExperimentMetrics:
 
 def run_experiment(manager: ClusterManager, requests: list[Request],
                    apps: dict[str, CompiledApp],
-                   backfill: bool = False,
-                   discipline: str | None = None,
+                   discipline: str = "fifo",
                    faults: FaultSchedule | None = None,
                    recovery: "RecoveryPolicy | str | None" = None,
                    tracer: Tracer | None = None,
@@ -155,15 +153,13 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
                    defrag: "Defragmenter | DefragConfig | bool | None"
                    = None,
                    profile=None,
-                   engine: str = "array",
                    ) -> ExperimentResult:
     """Replay ``requests`` against ``manager``; see module docstring.
 
     ``discipline`` selects the queueing policy: ``"fifo"`` (default,
     strict head-of-line), ``"backfill"`` (later requests may jump a
     blocked head), or ``"sjf"`` (shortest nominal service first --
-    starvation-prone, provided for the scheduling ablation).  The legacy
-    ``backfill=True`` flag is equivalent to ``discipline="backfill"``.
+    starvation-prone, provided for the scheduling ablation).
 
     ``faults`` injects a deterministic fault schedule; ``recovery``
     picks what happens to evicted deployments (``"requeue"``, the
@@ -221,14 +217,9 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
     the profiler subscribes to the trace stream for op counters.  Like
     every other observer, it never changes results.
 
-    ``engine`` selects the event queue: ``"array"`` (default), the
-    struct-of-arrays :class:`~repro.sim.events.ArrayEventQueue` whose
-    pop order is provably identical to the heapq oracle's, or
-    ``"heapq"``, the original :class:`~repro.sim.events.EventQueue`
-    (the differential oracle the equivalence tests replay).  Results
-    are byte-identical across engines; additionally, *unobserved*
-    array runs (no tracer / timeline / SLO engine, strict FIFO, no
-    guard / defragmenter / probe) take a cohort fast path: once the
+    Events pop from one :class:`~repro.sim.events.ArrayEventQueue`.
+    *Unobserved* runs (no tracer / timeline / SLO engine, strict FIFO,
+    no guard / defragmenter / probe) take a cohort fast path: once the
     queue head is blocked, nothing before the next completion or fault
     can unblock it, so the pending run of arrivals is popped and
     enqueued in one pass without re-running the (provably futile)
@@ -243,10 +234,6 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
     culls queued requests that cannot fit anywhere before their
     per-request policy search runs.
     """
-    if engine not in ("array", "heapq"):
-        raise ValueError(f"unknown event engine {engine!r}")
-    if discipline is None:
-        discipline = "backfill" if backfill else "fifo"
     if discipline not in ("fifo", "backfill", "sjf"):
         raise ValueError(f"unknown discipline {discipline!r}")
     backfill = discipline == "backfill"
@@ -311,17 +298,15 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
     mx = _ExperimentMetrics(metrics, manager.name) if metrics is not None \
         else None
 
-    # fast-path gates (see the ``engine`` docs above).  The admission
-    # prefilter needs the flat ResourceDB mirrors (the rescan oracle
-    # subclass recomputes them; keep it on the audited path) and no
+    # fast-path gates (see the docstring's last paragraph).  The
+    # admission prefilter needs a ResourceDB's flat mirrors and no
     # observer of the per-request search stream.
-    db = getattr(manager, "resource_db", None)
-    prefilter_db = db if (not trace_observed
-                          and type(db) is ResourceDB) else None
+    prefilter_db = None if trace_observed \
+        else getattr(manager, "resource_db", None)
     policy_max_boards = getattr(getattr(manager, "policy", None),
                                 "max_boards", None)
 
-    events = ArrayEventQueue() if engine == "array" else EventQueue()
+    events = ArrayEventQueue()
     events.push_many((request.arrival_s, "arrival", request)
                      for request in requests)
 
@@ -587,13 +572,12 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
     was_degraded = False
     prev_t = 0.0
 
-    # cohort fast path (array engine only): under strict FIFO with no
-    # guard / defragmenter / probe and nothing observing the trace
-    # stream, a non-empty queue after any event means the head is
-    # blocked, and arrivals never free resources -- so the pending run
-    # of arrivals can be enqueued in bulk without the per-arrival
-    # (provably futile) drain.  See the ``engine`` docs above.
-    fast_cohorts = (engine == "array" and discipline == "fifo"
+    # cohort fast path: under strict FIFO with no guard / defragmenter
+    # / probe and nothing observing the trace stream, a non-empty queue
+    # after any event means the head is blocked, and arrivals never
+    # free resources -- so the pending run of arrivals can be enqueued
+    # in bulk without the per-arrival (provably futile) drain.
+    fast_cohorts = (discipline == "fifo"
                     and not trace_observed and guard is None
                     and defragmenter is None and probe is None)
 

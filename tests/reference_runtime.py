@@ -1,0 +1,250 @@
+"""Pre-optimization System-Layer implementations, kept as differential
+oracles.
+
+Each class or function here is the body ``src/repro/runtime`` shipped
+before the optimization that replaced it, moved here verbatim
+(test-only: no oracle and no switch between implementations lives under
+``src/``):
+
+- :class:`RescanResourceDB` -- every query rescans the block table, as
+  the database did before the incremental indices;
+- :class:`ExhaustivePolicy` -- ``allocate`` enumerates every board
+  subset of every round (what ``CommunicationAwarePolicy(prune=False)``
+  selected), tracer event and ``last_search`` included;
+- :class:`ScalarPolicy` -- the per-board Python branch-and-bound (what
+  ``kernel="scalar"`` selected), plugged in through the
+  ``_best_subset_array`` hook so ``allocate`` itself, its trace event
+  and its counters are the production code's;
+- :func:`reference_split_virtual_blocks` -- the dict/set region growing
+  (what ``split_virtual_blocks(kernel="scalar")`` selected).
+
+``tests/test_kernel_equivalence.py``, ``tests/test_incremental_indices.py``
+and ``benchmarks/test_kernel_scale.py`` hold the production code to them
+exactly.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from repro.cluster.network import RingNetwork
+from repro.compiler.bitstream import CompiledApp
+from repro.runtime.policy import CommunicationAwarePolicy, \
+    _build_placement, _flow_adjacency
+from repro.runtime.resource_db import BlockState, ResourceDB
+from repro.runtime.types import BlockAddress, Placement
+
+__all__ = ["RescanResourceDB", "ExhaustivePolicy", "ScalarPolicy",
+           "reference_split_virtual_blocks"]
+
+
+class RescanResourceDB(ResourceDB):
+    """The pre-incremental reference implementation.
+
+    Every query rescans ``_entries`` exactly as the original database
+    did (transitions still maintain the indices, so the two
+    implementations can be compared in place).
+    """
+
+    def free_blocks(self) -> list[BlockAddress]:
+        return [a for a, e in self._entries.items()
+                if e.state is BlockState.FREE]
+
+    def free_by_board(self) -> dict[int, list[int]]:
+        out: dict[int, list[int]] = {
+            b.board_id: [] for b in self.cluster.boards}
+        for (board, block), entry in self._entries.items():
+            if entry.state is BlockState.FREE:
+                out[board].append(block)
+        return out
+
+    def allocated_count(self) -> int:
+        return sum(1 for e in self._entries.values()
+                   if e.state is BlockState.ALLOCATED)
+
+    def failed_count(self) -> int:
+        return sum(1 for e in self._entries.values()
+                   if e.state is BlockState.FAILED)
+
+    def failed_boards(self) -> set[int]:
+        return {board for (board, _), e in self._entries.items()
+                if e.state is BlockState.FAILED}
+
+    def blocks_of(self, request_id: int) -> list[BlockAddress]:
+        return [a for a, e in self._entries.items()
+                if e.owner == request_id]
+
+    def release(self, request_id: int) -> list[BlockAddress]:
+        # pay the original scan cost, then transition through the
+        # index-maintaining path so both representations stay usable
+        self.blocks_of(request_id)
+        return super().release(request_id)
+
+
+class ExhaustivePolicy(CommunicationAwarePolicy):
+    """The original brute-force enumeration (every subset, every
+    round); the reference the pruned search must match."""
+
+    def allocate(self, app: CompiledApp,
+                 free_by_board: dict[int, list[int]],
+                 network: RingNetwork) -> Placement | None:
+        needed = app.num_blocks
+        boards = sorted(free_by_board)
+        free = {b: len(free_by_board[b]) for b in boards}
+        visited = 0
+        limit = len(boards) if self.max_boards is None \
+            else min(len(boards), self.max_boards)
+        for round_k in range(1, limit + 1):
+            best: tuple[int, int, tuple[int, ...]] | None = None
+            for subset in itertools.combinations(boards, round_k):
+                visited += 1
+                capacity = sum(free[b] for b in subset)
+                if capacity < needed:
+                    continue
+                # every board of the subset must contribute, otherwise
+                # the same placement exists in an earlier round
+                if round_k > 1 and any(free[b] == 0 for b in subset):
+                    continue
+                # int-typed key, matching the pruned search exactly:
+                # mixed int/float keys compare equal on equal spans but
+                # serialize differently, and a future non-integral cost
+                # model would silently break tie-break parity
+                span = int(network.span_cost(list(subset)))
+                leftover = int(capacity - needed)
+                key = (span, leftover, subset)
+                if best is None or key < best:
+                    best = key
+            if best is None:
+                continue
+            _, _, subset = best
+            if self.tracer:
+                self.tracer.event(
+                    "policy.allocate", app=app.name, needed=needed,
+                    found=True, rounds=round_k, boards=subset,
+                    span=best[0], leftover=best[1],
+                    visited=visited, pruned=0)
+            quotas = CommunicationAwarePolicy._quotas(subset, free,
+                                                      needed)
+            return _build_placement(app, quotas, free_by_board)
+        if self.tracer:
+            self.last_search = ("no-feasible-subset", len(boards),
+                                visited, 0)
+        return None
+
+
+class ScalarPolicy(CommunicationAwarePolicy):
+    """The per-board Python branch-and-bound behind production's
+    ``allocate``: same rounds, same trace event, scalar search."""
+
+    @staticmethod
+    def _best_subset_array(present: list[int], free_arr,
+                           needed: int, k: int, network: RingNetwork,
+                           stats: list[int] | None = None,
+                           ) -> tuple[int, int, tuple[int, ...]] | None:
+        # the scalar search read a board -> free-count dict; everything
+        # below this line is its body, verbatim
+        free = dict(zip(present, free_arr.tolist()))
+        n = len(present)
+        if k > n:
+            return None
+        # suffix_max[i]: most free blocks on any of present[i:]
+        suffix_max = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            suffix_max[i] = max(free[present[i]], suffix_max[i + 1])
+        dist = network._dist
+        best: tuple[int, int, tuple[int, ...]] | None = None
+        chosen: list[int] = []
+
+        def extend(start: int, capacity: int, span: int) -> None:
+            nonlocal best
+            remaining = k - len(chosen)
+            if remaining == 0:
+                if capacity < needed:
+                    return
+                # int() keeps the tie-break key type identical to the
+                # exhaustive search's (and JSON-safe): the distance
+                # matrix hands out numpy scalars
+                key = (int(span), int(capacity - needed), tuple(chosen))
+                if best is None or key < best:
+                    best = key
+                return
+            for i in range(start, n - remaining + 1):
+                board = present[i]
+                if stats is not None:
+                    stats[0] += 1
+                # capacity bound: even the best boards after ``i``
+                # cannot close the gap
+                if capacity + free[board] \
+                        + (remaining - 1) * suffix_max[i + 1] < needed:
+                    if stats is not None:
+                        stats[1] += 1
+                    continue
+                added = span
+                for member in chosen:
+                    added += int(dist[member, board])
+                if best is not None:
+                    # span bound: each of the remaining boards adds at
+                    # least one hop to every board already chosen and to
+                    # each other; skipping is sound only on a strict
+                    # excess (an equal bound could still win on the
+                    # leftover tie-break)
+                    chosen_after = len(chosen) + 1
+                    floor = added + (remaining - 1) * chosen_after \
+                        + (remaining - 1) * (remaining - 2) // 2
+                    if floor > best[0]:
+                        if stats is not None:
+                            stats[1] += 1
+                        continue
+                chosen.append(board)
+                extend(i + 1, capacity + free[board], added)
+                chosen.pop()
+
+        extend(0, 0, 0)
+        return best
+
+
+def reference_split_virtual_blocks(app: CompiledApp,
+                                   quotas: list[tuple[int, int]],
+                                   ) -> dict[int, int]:
+    """``split_virtual_blocks`` as the scalar dict/set walk.
+
+    Scores are maintained incrementally over the flow-adjacency list:
+    assigning a block updates only its neighbors' scores.
+    """
+    total_quota = sum(q for _, q in quotas)
+    n = app.num_blocks
+    if total_quota < n:
+        raise ValueError("quotas cannot hold the application")
+
+    adjacency, base_flow = _flow_adjacency(app)
+    #: flow from each block into the still-unassigned set (seed score)
+    unassigned_flow = dict(base_flow)
+    #: flow from each unassigned block into the group being grown
+    group_flow = {vb: 0.0 for vb in range(n)}
+
+    unassigned = set(range(n))
+    assignment: dict[int, int] = {}
+
+    def assign(vb: int, board_id: int) -> None:
+        unassigned.discard(vb)
+        assignment[vb] = board_id
+        for other, w in adjacency[vb]:
+            unassigned_flow[other] -= w
+            group_flow[other] += w
+
+    for board_id, quota in quotas:
+        if not unassigned:
+            break
+        for vb in unassigned:
+            group_flow[vb] = 0.0
+        take = min(quota, len(unassigned))
+        for picked in range(take):
+            if picked:
+                vb = max(unassigned,
+                         key=lambda v: (group_flow[v], -v))
+            else:
+                # seed with the unassigned block of heaviest total flow
+                vb = max(unassigned,
+                         key=lambda v: (unassigned_flow[v], -v))
+            assign(vb, board_id)
+    return assignment

@@ -1,10 +1,12 @@
 """Differential tests: the array event engine vs the heapq oracle.
 
-``run_experiment(engine="array")`` must be byte-identical to
-``engine="heapq"`` -- traces, summaries, per-request records, and the
-policy search counters inside the trace -- while the cohort fast path
-and the admission prefilter only engage where they provably cannot
-change results (untraced strict-FIFO runs).  The SJF sorted-queue
+``run_experiment`` over its ``ArrayEventQueue`` must be byte-identical
+to the same loop over ``tests/reference_events.py``'s heapq
+``ReferenceEventQueue`` (swapped in by monkeypatching the name the loop
+instantiates -- a test seam, not an option) -- traces, summaries,
+per-request records, and the policy search counters inside the trace --
+while the cohort fast path and the admission prefilter only engage where
+they provably cannot change results (untraced strict-FIFO runs).  The SJF sorted-queue
 rewrite rides the same bar: identical admit order, including on
 arrival-time ties.
 """
@@ -21,8 +23,10 @@ from repro.faults.schedule import BoardDown, BoardUp, FaultSchedule
 from repro.obs.tracer import Tracer
 from repro.runtime.controller import SystemController
 from repro.runtime.guard import DegradedModeGuard, GuardConfig
+from repro.sim import experiment
 from repro.sim.experiment import run_experiment
 from repro.sim.workload import Request
+from tests.reference_events import ReferenceEventQueue
 
 
 def _requests(compiled_apps, num=240, interarrival=0.4, seed=3):
@@ -41,9 +45,14 @@ def _requests(compiled_apps, num=240, interarrival=0.4, seed=3):
 
 
 def _run(engine, requests, apps, boards=8, **kwargs):
+    """One run on the production queue (``"array"``) or with the
+    reference queue patched in for its duration (``"heapq"``)."""
     manager = SystemController(make_cluster(num_boards=boards))
-    return run_experiment(manager, requests, apps, engine=engine,
-                          **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        if engine == "heapq":
+            patch.setattr(experiment, "ArrayEventQueue",
+                          ReferenceEventQueue)
+        return run_experiment(manager, requests, apps, **kwargs)
 
 
 def _shape(result):
@@ -52,10 +61,6 @@ def _shape(result):
 
 
 class TestEngineEquivalence:
-    def test_unknown_engine_rejected(self, compiled_apps):
-        with pytest.raises(ValueError, match="unknown event engine"):
-            _run("simd", _requests(compiled_apps, num=2), compiled_apps)
-
     def test_untraced_saturated_runs_identical(self, compiled_apps):
         """Saturating FIFO load -- the cohort fast path engages on the
         array side and must change nothing."""

@@ -3,15 +3,17 @@
 The System-Layer hot path replaced full-table rescans with indices
 maintained on every transition (see ``runtime/resource_db.py``).  These
 tests pin the equivalence: a randomized operation mix is applied to both
-:class:`ResourceDB` (incremental) and :class:`RescanResourceDB` (the
-original scan-per-query semantics), every query is compared after every
+:class:`ResourceDB` (incremental) and ``RescanResourceDB`` (the
+original scan-per-query semantics, ``tests/reference_runtime.py``), every
+query is compared after every
 transition, and ``verify()`` cross-checks the indices against a rescan
 of the block table.  A second group checks that ``verify()`` actually
 detects corruption, so the cross-check itself cannot rot silently.
 
 The same treatment covers the allocation policy: the pruned subset
 search of :class:`CommunicationAwarePolicy` must pick the placement the
-exhaustive enumeration picks, on random free maps.
+exhaustive enumeration (``ExhaustivePolicy``, same module) picks, on
+random free maps.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import pytest
 
 from repro.cluster.cluster import make_cluster
 from repro.runtime.policy import CommunicationAwarePolicy
-from repro.runtime.resource_db import (BlockState, RescanResourceDB,
-                                       ResourceDB)
+from repro.runtime.resource_db import BlockState, ResourceDB
+from tests.reference_runtime import ExhaustivePolicy, RescanResourceDB
 
 
 def _compare_queries(fast: ResourceDB, slow: RescanResourceDB) -> None:
@@ -97,6 +99,21 @@ class TestIncrementalMatchesRescan:
         _compare_queries(fast, slow)
         fast.verify()
 
+    def test_unknown_board_rejected_before_any_state_moves(self,
+                                                           cluster):
+        """Repairing a board that does not exist used to succeed and
+        plant a phantom ``_free_view`` key; it must raise like
+        ``set_board_failed`` and leave the database untouched."""
+        unknown = len(cluster.boards) + 97
+        for db in (ResourceDB(cluster), RescanResourceDB(cluster)):
+            with pytest.raises(KeyError, match="no blocks on board"):
+                db.set_board_failed(unknown)
+            with pytest.raises(KeyError, match="no blocks on board"):
+                db.set_board_repaired(unknown)
+            assert unknown not in db._free_view
+            assert unknown not in db.failed_boards()
+            db.verify()
+
 
 class TestVerifyDetectsTampering:
     """``verify()`` is only a safety net if it actually trips."""
@@ -144,6 +161,11 @@ class TestVerifyDetectsTampering:
         with pytest.raises(RuntimeError, match="stale free view"):
             db.verify()
 
+    def test_detects_phantom_free_view_key(self, db):
+        db._free_view[99] = None
+        with pytest.raises(RuntimeError, match="free views keyed by"):
+            db.verify()
+
     def test_detects_state_owner_inconsistency(self, db):
         db._entries[(0, 1)].state = BlockState.FREE
         with pytest.raises(RuntimeError):
@@ -163,8 +185,8 @@ class TestPrunedPolicyMatchesExhaustive:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_free_maps(self, big_cluster, compiled_apps, seed):
         rng = random.Random(seed)
-        pruned = CommunicationAwarePolicy(prune=True)
-        exhaustive = CommunicationAwarePolicy(prune=False)
+        pruned = CommunicationAwarePolicy()
+        exhaustive = ExhaustivePolicy()
         boards = [b.board_id for b in big_cluster.boards]
         per_board = big_cluster.blocks_per_board
         for _ in range(25):

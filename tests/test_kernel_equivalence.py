@@ -1,13 +1,14 @@
 """Differential tests: the array runtime kernel vs its scalar oracles.
 
-PR 7 moves the runtime hot paths (policy subset search, resource-DB fit
+PR 7 moved the runtime hot paths (policy subset search, resource-DB fit
 tests, ring span/contention math) onto flat numpy arrays.  Every array
-path keeps the prior implementation as an oracle:
+path is held to the implementation it replaced, which lives in
+``tests/reference_runtime.py``:
 
-- ``CommunicationAwarePolicy(kernel="scalar")`` is the original
-  per-board Python branch-and-bound;
-- ``CommunicationAwarePolicy(prune=False)`` is the exhaustive
-  enumeration both pruned kernels must agree with;
+- ``ScalarPolicy`` is the original per-board Python branch-and-bound;
+- ``ExhaustivePolicy`` is the exhaustive enumeration both pruned
+  searches must agree with;
+- ``reference_split_virtual_blocks`` is the dict/set block split;
 - ``ResourceDB.verify()`` cross-checks the flat free-count/bitmap
   mirrors against the authoritative per-board sets.
 
@@ -24,8 +25,11 @@ from dataclasses import dataclass, field
 import pytest
 
 from repro.cluster.network import RingNetwork
-from repro.runtime.policy import CommunicationAwarePolicy
+from repro.runtime.policy import CommunicationAwarePolicy, \
+    split_virtual_blocks
 from repro.runtime.resource_db import ResourceDB
+from tests.reference_runtime import ExhaustivePolicy, ScalarPolicy, \
+    reference_split_virtual_blocks
 
 
 @dataclass(frozen=True)
@@ -50,9 +54,9 @@ def _free_by_board(rng: random.Random, boards: int,
 
 def _policies() -> dict[str, CommunicationAwarePolicy]:
     return {
-        "array": CommunicationAwarePolicy(kernel="array"),
-        "scalar": CommunicationAwarePolicy(kernel="scalar"),
-        "exhaustive": CommunicationAwarePolicy(prune=False),
+        "array": CommunicationAwarePolicy(),
+        "scalar": ScalarPolicy(),
+        "exhaustive": ExhaustivePolicy(),
     }
 
 
@@ -138,8 +142,8 @@ class TestKernelEquivalence:
             needed = rng.randint(1, 10)
             app = FakeApp(name=f"s{trial}", num_blocks=needed)
             counts = {}
-            for kernel in ("array", "scalar"):
-                policy = CommunicationAwarePolicy(kernel=kernel)
+            for kernel, policy in (("array", CommunicationAwarePolicy()),
+                                   ("scalar", ScalarPolicy())):
                 tracer = Tracer()
                 policy.tracer = tracer
                 policy.allocate(app, dict(free), network)
@@ -150,10 +154,6 @@ class TestKernelEquivalence:
                      e["fields"]["rounds"], tuple(e["fields"]["boards"]))
                     for e in events]
             assert counts["array"] == counts["scalar"], trial
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            CommunicationAwarePolicy(kernel="simd")
 
 
 class TestResourceDBArrayMirrors:
@@ -354,7 +354,6 @@ class TestSplitKernelEquivalence:
         return quotas
 
     def test_randomized_flow_graphs_match_scalar(self):
-        from repro.runtime.policy import split_virtual_blocks
         rng = random.Random(91_000)
         checked = 0
         for trial in range(200):
@@ -363,8 +362,8 @@ class TestSplitKernelEquivalence:
             quotas = self._random_quotas(rng, n)
             if sum(c for _, c in quotas) < n:
                 continue
-            vec = split_virtual_blocks(app, quotas, kernel="array")
-            ref = split_virtual_blocks(app, quotas, kernel="scalar")
+            vec = split_virtual_blocks(app, quotas)
+            ref = reference_split_virtual_blocks(app, quotas)
             assert vec == ref, f"trial {trial}: {app.flows} {quotas}"
             checked += 1
         assert checked > 150
@@ -372,7 +371,6 @@ class TestSplitKernelEquivalence:
     def test_tie_heavy_uniform_flows_match(self):
         """All-equal weights tie every greedy pick; argmax-first must
         reproduce the scalar max()'s first-wins tie-break."""
-        from repro.runtime.policy import split_virtual_blocks
         rng = random.Random(92_000)
         for trial in range(60):
             n = rng.randint(2, 10)
@@ -382,37 +380,28 @@ class TestSplitKernelEquivalence:
             quotas = self._random_quotas(rng, n)
             if sum(c for _, c in quotas) < n:
                 continue
-            assert split_virtual_blocks(app, quotas, kernel="array") \
-                == split_virtual_blocks(app, quotas, kernel="scalar")
+            assert split_virtual_blocks(app, quotas) \
+                == reference_split_virtual_blocks(app, quotas)
 
     def test_single_block_degenerate_app(self):
-        from repro.runtime.policy import split_virtual_blocks
         app = FakeApp(name="one", num_blocks=1,
                       flows={(0, 0): 99.0})  # self-flow only
         for quotas in ([(5, 1)], [(3, 4)], [(2, 1), (7, 9)]):
-            assert split_virtual_blocks(app, quotas, kernel="array") \
-                == split_virtual_blocks(app, quotas, kernel="scalar") \
+            assert split_virtual_blocks(app, quotas) \
+                == reference_split_virtual_blocks(app, quotas) \
                 == {0: quotas[0][0]}
 
     def test_memoized_adjacency_path_matches_cold(self):
         """Second call hits every cache layer; the answer must not
         drift from the cold run's."""
         from repro.runtime import policy as policy_mod
-        from repro.runtime.policy import split_virtual_blocks
         rng = random.Random(93_000)
         app = self._random_app(rng, 9, "memo")
         quotas = [(0, 5), (1, 4)]
         policy_mod._clear_split_caches()
-        cold = split_virtual_blocks(app, quotas, kernel="array")
-        warm = split_virtual_blocks(app, quotas, kernel="array")
-        relabeled = split_virtual_blocks(app, [(6, 5), (2, 4)],
-                                         kernel="array")
+        cold = split_virtual_blocks(app, quotas)
+        warm = split_virtual_blocks(app, quotas)
+        relabeled = split_virtual_blocks(app, [(6, 5), (2, 4)])
         assert cold == warm
         assert relabeled == {vb: {0: 6, 1: 2}[b]
                              for vb, b in cold.items()}
-
-    def test_unknown_kernel_rejected(self):
-        from repro.runtime.policy import split_virtual_blocks
-        app = FakeApp(name="k", num_blocks=2, flows={})
-        with pytest.raises(ValueError):
-            split_virtual_blocks(app, [(0, 2)], kernel="gpu")

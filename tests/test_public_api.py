@@ -35,6 +35,51 @@ class TestPublicSurface:
             for name in module.__all__:
                 assert hasattr(module, name), (module.__name__, name)
 
+    def test_one_production_path_no_oracle_switches(self, monkeypatch,
+                                                    compiled_apps,
+                                                    capsys):
+        """The differential references live in ``tests/reference_*.py``;
+        nothing under ``src/`` selects between implementations, and the
+        untraced default controller never leaves ``allocate_fast``."""
+        import inspect
+
+        import repro.runtime.resource_db
+        import repro.sim
+        from repro.cli import main
+        from repro.runtime.controller import SystemController
+        from repro.runtime.policy import CommunicationAwarePolicy, \
+            split_virtual_blocks
+        from repro.sim.experiment import run_experiment
+        from repro.sim.workload import Request
+
+        def params(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert not {"engine", "backfill"} & set(params(run_experiment))
+        assert params(CommunicationAwarePolicy.__init__) \
+            == ["self", "max_boards"]
+        assert params(split_virtual_blocks) == ["app", "quotas"]
+        exported = set(repro.runtime.resource_db.__all__) \
+            | set(repro.sim.__all__)
+        assert not {"RescanResourceDB", "EventQueue"} & exported
+
+        with pytest.raises(SystemExit) as usage:
+            main(["simulate", "--engine", "heapq"])
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+        def traced_only(*args, **kwargs):
+            raise AssertionError("untraced search left allocate_fast")
+        monkeypatch.setattr(CommunicationAwarePolicy, "allocate",
+                            traced_only)
+        specs = [app.spec for app in compiled_apps.values()]
+        requests = [Request(request_id=i, spec=specs[i % 3],
+                            arrival_s=0.2 * i) for i in range(60)]
+        result = run_experiment(
+            SystemController(make_cluster(num_boards=8)), requests,
+            compiled_apps)
+        assert result.summary.multi_fpga_fraction > 0  # rounds >= 2 too
+
 
 class TestRepresentativeAppsRunEndToEnd:
     """The Fig. 1a motivation apps actually run through the stack."""

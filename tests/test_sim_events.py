@@ -5,46 +5,48 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.events import ArrayEventQueue, EventQueue, \
-    TimeWeightedValue
+from repro.sim.events import ArrayEventQueue, TimeWeightedValue
+from tests.reference_events import ReferenceEventQueue
 
 
 class TestEventQueue:
+    """The heapq reference queue itself: an oracle has to be right."""
+
     def test_orders_by_time(self):
-        q = EventQueue()
+        q = ReferenceEventQueue()
         q.push(5.0, "b")
         q.push(1.0, "a")
         q.push(3.0, "c")
         assert [q.pop().kind for _ in range(3)] == ["a", "c", "b"]
 
     def test_stable_for_ties(self):
-        q = EventQueue()
+        q = ReferenceEventQueue()
         q.push(1.0, "first")
         q.push(1.0, "second")
         assert q.pop().kind == "first"
         assert q.pop().kind == "second"
 
     def test_payload_carried(self):
-        q = EventQueue()
+        q = ReferenceEventQueue()
         q.push(0.0, "k", payload={"x": 1})
         assert q.pop().payload == {"x": 1}
 
     def test_empty_pop_raises(self):
         with pytest.raises(IndexError):
-            EventQueue().pop()
+            ReferenceEventQueue().pop()
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            EventQueue().push(-1.0, "bad")
+            ReferenceEventQueue().push(-1.0, "bad")
 
     def test_len_and_bool(self):
-        q = EventQueue()
+        q = ReferenceEventQueue()
         assert not q and len(q) == 0
         q.push(0.0, "x")
         assert q and len(q) == 1
 
     def test_peek_time(self):
-        q = EventQueue()
+        q = ReferenceEventQueue()
         q.push(7.0, "x")
         q.push(2.0, "y")
         assert q.peek_time() == 2.0
@@ -52,7 +54,7 @@ class TestEventQueue:
     @given(st.lists(st.floats(min_value=0, max_value=1e6,
                               allow_nan=False), max_size=60))
     def test_pop_order_sorted(self, times):
-        q = EventQueue()
+        q = ReferenceEventQueue()
         for t in times:
             q.push(t, "e")
         popped = [q.pop().time for _ in times]
@@ -63,10 +65,10 @@ class TestEventQueue:
     def test_push_many_pops_like_sequential_pushes(self, times):
         """The bulk heapify load is indistinguishable from one push
         per event -- same (time, insertion order) pop sequence."""
-        one_by_one = EventQueue()
+        one_by_one = ReferenceEventQueue()
         for i, t in enumerate(times):
             one_by_one.push(t, f"e{i}")
-        bulk = EventQueue()
+        bulk = ReferenceEventQueue()
         bulk.push_many((t, f"e{i}", None)
                        for i, t in enumerate(times))
         for _ in times:
@@ -75,7 +77,7 @@ class TestEventQueue:
         assert not bulk
 
     def test_push_many_interleaves_with_push(self):
-        q = EventQueue()
+        q = ReferenceEventQueue()
         q.push(2.0, "mid")
         q.push_many([(1.0, "early", None), (2.0, "mid-later", None),
                      (3.0, "late", None)])
@@ -84,8 +86,8 @@ class TestEventQueue:
 
     def test_push_many_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            EventQueue().push_many([(0.0, "ok", None),
-                                    (-1.0, "bad", None)])
+            ReferenceEventQueue().push_many([(0.0, "ok", None),
+                                             (-1.0, "bad", None)])
 
 
 #: tiny time domain -> heavy timestamp ties, the regime where a pop
@@ -167,7 +169,7 @@ class TestArrayEventQueue:
         the oracle's, under heavy timestamp ties."""
         static = _static_schedule(times, flags)
         rng = random.Random(seed)
-        oracle, array = EventQueue(), ArrayEventQueue()
+        oracle, array = ReferenceEventQueue(), ArrayEventQueue()
         oracle.push_many(static)
         array.push_many(static)
         popped = 0
@@ -191,7 +193,7 @@ class TestArrayEventQueue:
         prefixes of the oracle's pop sequence."""
         static = _static_schedule(times, flags)
         rng = random.Random(seed ^ 0x5eed)
-        oracle, array = EventQueue(), ArrayEventQueue()
+        oracle, array = ReferenceEventQueue(), ArrayEventQueue()
         oracle.push_many(static)
         array.push_many(static)
         popped = 0

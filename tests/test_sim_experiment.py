@@ -78,9 +78,9 @@ class TestRunExperiment:
         apps = [compiled_large] * 7 + [compiled_large, compiled_small]
         reqs = requests_for(apps, [0.1 * i for i in range(9)])
         strict = run_experiment(SystemController(cluster), reqs,
-                                compiled_apps, backfill=False)
+                                compiled_apps, discipline="fifo")
         jumpy = run_experiment(SystemController(cluster), reqs,
-                               compiled_apps, backfill=True)
+                               compiled_apps, discipline="backfill")
         small_wait_strict = [r for r in strict.records
                              if r.request_id == 8][0].wait_s
         small_wait_backfill = [r for r in jumpy.records
@@ -107,17 +107,6 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="discipline"):
             run_experiment(SystemController(cluster), reqs,
                            compiled_apps, discipline="lifo")
-
-    def test_backfill_flag_maps_to_discipline(self, cluster,
-                                              compiled_apps,
-                                              compiled_small):
-        reqs = requests_for([compiled_small] * 3, [1.0, 2.0, 3.0])
-        a = run_experiment(SystemController(cluster), reqs,
-                           compiled_apps, backfill=True)
-        b = run_experiment(SystemController(cluster), reqs,
-                           compiled_apps, discipline="backfill")
-        assert a.summary.mean_response_s \
-            == pytest.approx(b.summary.mean_response_s)
 
     def test_extras_report_amorphos_combinations(self, cluster,
                                                  compiled_apps,
