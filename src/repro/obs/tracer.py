@@ -52,6 +52,19 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
+def _encode_set(value: Any) -> list:
+    """Encoder hook for the one payload type JSON has no form for."""
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+#: the one export encoder (``json.dumps`` would build a fresh one per
+#: entry): compact, key-sorted; tuples it writes as lists unaided
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            default=_encode_set)
+
+
 class Span:
     """One open interval; :meth:`end` records it as a single entry.
 
@@ -190,8 +203,8 @@ class Tracer:
         self._entries.clear()
 
     # ------------------------------------------------------------------
-    def entries(self) -> Iterator[dict]:
-        """Yield entries as dicts (the JSONL schema, pre-serialization)."""
+    def _raw_entries(self) -> Iterator[dict]:
+        """Entries in the JSONL schema, payloads as recorded."""
         for seq, (kind, name, t, duration_s, fields) in \
                 enumerate(self._entries):
             entry: dict[str, Any] = {
@@ -199,15 +212,26 @@ class Tracer:
             if duration_s is not None:
                 entry["duration_s"] = duration_s
             if fields:
+                entry["fields"] = fields
+            yield entry
+
+    def entries(self) -> Iterator[dict]:
+        """Yield entries as dicts (the JSONL schema, pre-serialization)."""
+        for entry in self._raw_entries():
+            if "fields" in entry:
                 entry["fields"] = {
-                    k: _jsonable(v) for k, v in sorted(fields.items())}
+                    k: _jsonable(v)
+                    for k, v in sorted(entry["fields"].items())}
             yield entry
 
     def to_jsonl(self) -> str:
-        """One compact, key-sorted JSON object per line (byte-stable)."""
-        return "\n".join(
-            json.dumps(entry, sort_keys=True, separators=(",", ":"))
-            for entry in self.entries())
+        """One compact, key-sorted JSON object per line (byte-stable).
+
+        Payloads go to the encoder as recorded: it sorts keys, writes
+        tuples as lists and sets sorted, which is the text the
+        normalized :meth:`entries` serialize to.
+        """
+        return "\n".join(map(_ENCODER.encode, self._raw_entries()))
 
     def dump(self, path: "str | Path") -> int:
         """Write the JSONL trace; returns the number of entries."""

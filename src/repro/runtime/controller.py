@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cluster.board import BoardHealth
 from repro.cluster.cluster import FPGACluster
 from repro.compiler.bitstream import CompiledApp
@@ -60,6 +62,27 @@ class _ServiceModel:
     service_time_s: float
     comm_slowdown: float
     latency_overhead_s: float
+
+
+@dataclass(frozen=True, slots=True)
+class _Allocatable:
+    """The boards a placement may use right now: in service, not
+    guard-quarantined and -- on mixed clusters -- of one footprint.
+
+    Replaced whole wherever membership changes and never mutated in
+    place: ``ctrl.deploy`` records retain ``ids``.
+    """
+
+    ids: list[int]            #: board ids, board order
+    rows: "np.ndarray"        #: their rows in the ResourceDB vectors
+    excluded: "np.ndarray"    #: every other row
+
+    @classmethod
+    def from_mask(cls, mask: "np.ndarray",
+                  board_ids: "np.ndarray") -> "_Allocatable":
+        rows = np.nonzero(mask)[0]
+        return cls(board_ids[rows].tolist(), rows,
+                   np.nonzero(~mask)[0])
 
 
 class SystemController:
@@ -140,6 +163,7 @@ class SystemController:
         #: carries both so warm restarts keep the accounting
         self.migrations_performed = 0
         self.migration_pause_s = 0.0
+        self._refresh_allocatable()
 
     # ------------------------------------------------------------------
     # public API (what the hypervisor calls)
@@ -162,6 +186,7 @@ class SystemController:
         self.guard = guard
         if guard is not None:
             guard.bind(self)
+        self._refresh_allocatable()
 
     def attach_metrics(self, registry) -> None:
         """Expose live controller state through ``registry``.
@@ -206,29 +231,21 @@ class SystemController:
                     needed=app.num_blocks)
             return None
 
+        # one search, watched or not: the exact communication-aware
+        # policy runs over the resource DB's count vector (subclasses
+        # that override ``allocate`` and the ablation policies get the
+        # candidate map their protocol entry takes); a tracer only adds
+        # records
         policy = self.policy
-        if (not tracer and type(policy) is CommunicationAwarePolicy
-                and not policy.tracer):
-            # untraced hot path: the policy searches the resource DB's
-            # flat arrays directly instead of a per-board candidate map
-            # built fresh on every attempt.  Gated to the exact policy
-            # type so subclasses that override ``allocate`` keep their
-            # semantics, and to untraced runs so golden traces stay
-            # byte-identical.
+        view = self._allocatable_for(app)
+        if type(policy) is CommunicationAwarePolicy:
             placement = policy.allocate_fast(
                 app, self.resource_db, self.cluster.network,
-                self._fast_excluded(app))
-            if placement is None:
-                self.audit.record(now, AuditEvent.REJECT, request_id,
-                                  tenant, app=app_name,
-                                  reason="no-free-blocks")
-                return None
-            return self._finalize_deploy(app, request_id, now, tenant,
-                                         placement)
-
-        candidates = self._allocatable_blocks(app)
-        placement = self.policy.allocate(
-            app, candidates, self.cluster.network)
+                view.excluded)
+        else:
+            placement = policy.allocate(
+                app, self._allocatable_blocks(app),
+                self.cluster.network)
         if placement is None:
             self.audit.record(now, AuditEvent.REJECT, request_id,
                               tenant, app=app_name,
@@ -242,14 +259,17 @@ class SystemController:
                     "ctrl.reject", t=now, request=request_id,
                     tenant=tenant, app=app_name,
                     reason="no-free-blocks", needed=app.num_blocks,
-                    candidate_boards=len(candidates),
+                    candidate_boards=len(view.ids),
                     free_blocks=(self.resource_db.total_blocks
                                  - self.resource_db.allocated_count()
                                  - self.resource_db.failed_count()),
-                    search=getattr(self.policy, "last_search", None))
+                    search=getattr(policy, "last_search", None))
             return None
+        # the view as searched: programming faults inside
+        # _finalize_deploy may quarantine a board before ctrl.deploy
+        # is written
         return self._finalize_deploy(app, request_id, now, tenant,
-                                     placement, candidates=candidates)
+                                     placement, candidates=view.ids)
 
     def _register_if_needed(self, app: CompiledApp) -> None:
         if app.name not in self.bitstream_db:
@@ -383,6 +403,7 @@ class SystemController:
         for board_id in snapshot.get("failed_boards", []):
             controller.board_health[board_id] = BoardHealth.FAILED
             controller.resource_db.set_board_failed(board_id)
+        controller._refresh_allocatable()
         return controller
 
     def set_quota(self, tenant: str, max_blocks: int) -> None:
@@ -432,44 +453,44 @@ class SystemController:
         used rather than ``id(self)``, which CPython reuses after GC."""
         return (self._instance_id, request_id)
 
-    def _fast_excluded(self, app: CompiledApp) -> tuple:
-        """Boards the array fast path must mask out of the free-count
-        vector.  Failed boards already read zero free blocks there, so
-        only guard quarantines need explicit masking; the heterogeneous
-        subclass adds boards outside the app's footprint group."""
-        if self.guard is not None:
-            return tuple(self.guard.excluded_boards())
-        return ()
+    def _refresh_allocatable(self) -> None:
+        """Re-derive the allocatable-board view from board health and
+        guard quarantines.  Called wherever membership changes
+        (``fail_board``, ``repair_board``, ``restore``, ``attach_guard``
+        and the guard's breaker transitions), so no search, migration
+        or defrag pass rescans health."""
+        quarantined = self.guard.excluded_boards() \
+            if self.guard is not None else ()
+        mask = np.fromiter(
+            (health is BoardHealth.HEALTHY and board not in quarantined
+             for board, health in self.board_health.items()),
+            dtype=bool, count=len(self.board_health))
+        self._allocatable = _Allocatable.from_mask(
+            mask, self.resource_db.board_ids_array())
+
+    def _allocatable_for(self, app: CompiledApp) -> _Allocatable:
+        """The view ``app``'s placements draw from; the heterogeneous
+        subclass narrows it to the artifact's footprint group."""
+        return self._allocatable
+
+    def _allocatable_free(self, view: _Allocatable) -> dict[int, int]:
+        """Board id -> free-block count over ``view`` (planner input)."""
+        return dict(zip(
+            view.ids,
+            self.resource_db.free_counts_vector()[view.rows].tolist()))
 
     def _allocatable_blocks(self, app: CompiledApp,
                             ) -> dict[int, list[int]]:
-        """Free blocks the policy may use for ``app``; subclasses narrow
-        this (e.g. to footprint-compatible boards).  Failed boards are
-        dropped from the candidate set entirely (their blocks are
-        already excluded as non-free; dropping the key keeps the
-        policy's round enumeration away from them)."""
-        return self._filter_unavailable(
-            self.resource_db.free_by_board())
-
-    def _filter_unavailable(self, free: dict[int, list[int]],
-                            ) -> dict[int, list[int]]:
-        """Drop failed and guard-quarantined boards from a candidate
-        map (shared by the homogeneous and heterogeneous paths)."""
-        if any(h is BoardHealth.FAILED
-               for h in self.board_health.values()):
-            free = {b: blocks for b, blocks in free.items()
-                    if self.board_health[b] is BoardHealth.HEALTHY}
-        if self.guard is not None:
-            quarantined = self.guard.excluded_boards()
-            if quarantined:
-                free = {b: blocks for b, blocks in free.items()
-                        if b not in quarantined}
-        return free
+        """Candidate map (board -> free blocks) over the allocatable
+        boards, for :meth:`AllocationPolicy.allocate` callers."""
+        free_on = self.resource_db.free_by_board_one
+        return {board: free_on(board)
+                for board in self._allocatable_for(app).ids}
 
     def _finalize_deploy(self, app: CompiledApp, request_id: int,
                          now: float, tenant: str,
                          placement: Placement,
-                         candidates: dict[int, list[int]] | None = None,
+                         candidates: list[int] | None = None,
                          ) -> Deployment | None:
         # runtime relocation: bind every image to its physical block
         # (validation memoized per (image, block) -- see __init__)
@@ -552,8 +573,7 @@ class SystemController:
                 comm_slowdown=model.comm_slowdown,
                 # the candidate set is the boards considered; per-board
                 # free counts would cost O(boards) per deployment
-                candidates=list(candidates)
-                if candidates is not None else None)
+                candidates=candidates)
         return deployment
 
     def release(self, deployment: Deployment, now: float = 0.0) -> None:
@@ -633,6 +653,7 @@ class SystemController:
                     reason=f"board-{board_id}-failed")
         self.board_health[board_id] = BoardHealth.FAILED
         self.resource_db.set_board_failed(board_id)
+        self._refresh_allocatable()
         self._refresh_fragmentation()
         # the crash loses DRAM contents and any queued ICAP work
         board = self.cluster.board(board_id)
@@ -654,6 +675,7 @@ class SystemController:
             return
         self.resource_db.set_board_repaired(board_id)
         self.board_health[board_id] = BoardHealth.HEALTHY
+        self._refresh_allocatable()
         self._refresh_fragmentation()
         self.audit.record(now, AuditEvent.REPAIR, -1, "-",
                           board=board_id)

@@ -107,7 +107,7 @@ class DefragmentingController(SystemController):
             # directly instead of searching a second time
             return self._finalize_deploy(app, request_id, now,
                                          actual_tenant, probe,
-                                         candidates=candidates)
+                                         candidates=list(candidates))
 
         penalties: dict[int, float] = {}
         plan = self.plan_migration(app)
@@ -125,14 +125,13 @@ class DefragmentingController(SystemController):
         blocks on one *available* board, or ``None`` when none clears a
         board within ``max_moved_blocks``.
 
-        Candidate targets and donor destinations both come from
-        :meth:`_allocatable_blocks`, so failed, quarantined, and (for
+        Candidate targets and donor destinations both come from the
+        allocatable-board view, so failed, quarantined, and (for
         heterogeneous clusters) out-of-footprint boards are neither
         consolidated onto nor counted as destination space.
         """
         needed = app.num_blocks
-        free = {b: len(v)
-                for b, v in self._allocatable_blocks(app).items()}
+        free = self._allocatable_free(self._allocatable_for(app))
         total_free = sum(free.values())
         if total_free < needed:
             return None  # not fragmentation -- genuinely out of space
@@ -180,8 +179,8 @@ class DefragmentingController(SystemController):
         """
         penalties: dict[int, float] = {}
         for deployment in plan.moves:
-            allowed = [b for b in self._allocatable_blocks(
-                           deployment.app)
+            allowed = [b for b in
+                       self._allocatable_for(deployment.app).ids
                        if b != plan.target_board]
             pause = self.migrate(deployment.request_id,
                                  to_boards=allowed, now=now,
@@ -274,11 +273,10 @@ class Defragmenter:
         trigger = None
         target_blocks = needed_blocks
         if needed_blocks is not None:
-            free = ctrl._filter_unavailable(
-                ctrl.resource_db.free_by_board())
-            counts = [len(v) for v in free.values()]
-            if sum(counts) >= needed_blocks \
-                    and not any(c >= needed_blocks for c in counts):
+            counts = ctrl.resource_db.free_counts_vector()[
+                ctrl._allocatable.rows]
+            if counts.sum() >= needed_blocks \
+                    and not (counts >= needed_blocks).any():
                 trigger = "rejection"
         if trigger is None:
             if self._last_pass_t is not None \
@@ -304,10 +302,8 @@ class Defragmenter:
         for deployment in plan.moves:
             if moved_blocks + deployment.num_blocks > budget:
                 continue
-            allowed = [
-                b for b in ctrl._filter_unavailable(
-                    ctrl.resource_db.free_by_board())
-                if b != plan.target_board]
+            allowed = [b for b in ctrl._allocatable.ids
+                       if b != plan.target_board]
             pause = ctrl.migrate(deployment.request_id,
                                  to_boards=allowed, now=now,
                                  reason=f"defrag-{trigger}")
@@ -349,9 +345,7 @@ class Defragmenter:
         shrinking the fragmentation index directly.
         """
         ctrl = self.controller
-        free_map = ctrl._filter_unavailable(
-            ctrl.resource_db.free_by_board())
-        free = {b: len(v) for b, v in free_map.items()}
+        free = ctrl._allocatable_free(ctrl._allocatable)
         if not free:
             return None
         total_free = sum(free.values())

@@ -101,9 +101,10 @@ class DegradedModeGuard:
     :meth:`bind`); optionally :meth:`bind_slo` to let a PR 4 SLO engine
     drive shedding.  The controller calls back into
     :meth:`record_board_failure` / :meth:`record_reconfig_faults` /
-    :meth:`retry_backoff`, consults :meth:`excluded_boards` during
-    allocation, and ticks :meth:`advance` on every deploy attempt; the
-    experiment loop calls :meth:`shed_victims` when the queue changes.
+    :meth:`retry_backoff` and ticks :meth:`advance` on every deploy
+    attempt; every breaker transition pushes :meth:`excluded_boards`
+    into the controller's allocatable-board view; the experiment loop
+    calls :meth:`shed_victims` when the queue changes.
     """
 
     def __init__(self, config: GuardConfig | None = None) -> None:
@@ -116,6 +117,8 @@ class DegradedModeGuard:
         self._failures: dict[int, list[float]] = {}
         #: board -> time its current quarantine/probation phase ends
         self._until: dict[int, float] = {}
+        #: the quarantined boards, re-derived by ``_breakers_changed``
+        self._excluded: frozenset[int] = frozenset()
         self.quarantine_count = 0
         self.probation_count = 0
         self.shed_count = 0
@@ -156,9 +159,17 @@ class DegradedModeGuard:
     def excluded_boards(self) -> frozenset[int]:
         """Boards allocation must avoid (quarantined only; probation
         boards serve traffic -- that is the trial)."""
-        return frozenset(
+        return self._excluded
+
+    def _breakers_changed(self) -> None:
+        """Every write to ``_state`` ends here: re-derive the exclusion
+        set and have the bound controller rebuild its allocatable-board
+        view, so neither is recomputed per allocation."""
+        self._excluded = frozenset(
             b for b, s in self._state.items()
             if s is BreakerState.QUARANTINED)
+        if self._controller is not None:
+            self._controller._refresh_allocatable()
 
     def quarantined_boards(self) -> list[int]:
         return sorted(self.excluded_boards())
@@ -187,6 +198,7 @@ class DegradedModeGuard:
                     self._failures.pop(board, None)
                 else:  # pragma: no cover - CLOSED never has a deadline
                     del self._until[board]
+                self._breakers_changed()
 
     def record_board_failure(self, board: int, now: float) -> None:
         """One fail-stop strike against ``board``'s breaker."""
@@ -226,6 +238,7 @@ class DegradedModeGuard:
             return  # quarantining would starve the cluster
         self._state[board] = BreakerState.QUARANTINED
         self._until[board] = now + self.config.quarantine_s
+        self._breakers_changed()
         self.quarantine_count += 1
         self._emit("ctrl.quarantine", now, board=board, reason=reason,
                    failures=failures,
@@ -237,9 +250,7 @@ class DegradedModeGuard:
         controller = self._controller
         if controller is None:
             return []
-        excluded = self.excluded_boards()
-        return [b for b in controller.healthy_boards()
-                if b not in excluded]
+        return controller._allocatable.ids
 
     # ------------------------------------------------------------------
     # load shedding
@@ -335,6 +346,7 @@ class DegradedModeGuard:
                           for b, ts in state["failures"].items()}
         self._until = {int(b): float(t)
                        for b, t in state["until"].items()}
+        self._breakers_changed()
         counters = state["counters"]
         self.quarantine_count = int(counters["quarantines"])
         self.probation_count = int(counters["probations"])

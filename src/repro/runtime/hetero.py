@@ -15,12 +15,14 @@ controller's relocation/reconfiguration/memory path unchanged.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cluster.cluster import FPGACluster
 from repro.compiler.bitstream import CompiledApp
 from repro.compiler.flow import CompilationFlow
 from repro.hls.kernels import KernelSpec
 from repro.runtime.bitstream_db import BitstreamDB
-from repro.runtime.controller import SystemController
+from repro.runtime.controller import SystemController, _Allocatable
 from repro.runtime.policy import AllocationPolicy
 from repro.runtime.types import Deployment
 
@@ -40,14 +42,6 @@ class HeterogeneousController(SystemController):
         # one bitstream database per footprint group
         self._databases = {fp: BitstreamDB(fp)
                            for fp in cluster.footprints()}
-        # footprint -> boards *outside* that group (fast-path mask);
-        # the topology is immutable, so compute once
-        all_boards = {b.board_id for b in cluster.boards}
-        self._outside_group = {
-            fp: tuple(sorted(all_boards - {
-                b.board_id
-                for b in cluster.boards_with_footprint(fp)}))
-            for fp in cluster.footprints()}
 
     # ------------------------------------------------------------------
     def register(self, app: CompiledApp) -> None:
@@ -67,25 +61,41 @@ class HeterogeneousController(SystemController):
         if app.name not in db:
             db.register(app)
 
-    def _allocatable_blocks(self, app: CompiledApp,
-                            ) -> dict[int, list[int]]:
+    def _refresh_allocatable(self) -> None:
+        """The base view, plus one per footprint group."""
+        super()._refresh_allocatable()
+        db = self.resource_db
+        in_service = np.zeros(len(self.board_health), dtype=bool)
+        in_service[self._allocatable.rows] = True
+        self._group_allocatable = {}
+        for fp in self.cluster.footprints():
+            mask = np.zeros_like(in_service)
+            rows = db.class_rows(fp)
+            mask[rows] = in_service[rows]
+            self._group_allocatable[fp] = _Allocatable.from_mask(
+                mask, db.board_ids_array())
+
+    def _allocatable_for(self, app: CompiledApp) -> _Allocatable:
         """Only boards whose footprint matches the artifact (and which
         health / guard quarantine have not taken out of service)."""
-        group = {b.board_id
-                 for b in self.cluster.boards_with_footprint(
-                     app.footprint)}
-        return self._filter_unavailable(
-            {board: blocks
-             for board, blocks in
-             self.resource_db.free_by_board().items()
-             if board in group})
+        return self._group_allocatable[app.footprint]
 
-    def _fast_excluded(self, app: CompiledApp) -> tuple:
-        """Fast-path mask: out-of-group boards plus any quarantines."""
-        outside = self._outside_group.get(app.footprint, ())
-        excluded = super()._fast_excluded(app)
-        return outside + tuple(b for b in excluded
-                               if b not in outside)
+    def _try_deploy_any(self, artifacts: dict[str, CompiledApp],
+                        request_id: int, now: float,
+                        ) -> Deployment | None:
+        """Place one of a kernel's per-footprint ``artifacts``, trying
+        the group with the most free blocks first.  Only allocatable
+        boards count: a failed or quarantined group must not outrank a
+        serviceable one and cost a futile search."""
+        counts = self.resource_db.free_counts_vector()
+        group_free = {
+            fp: int(counts[self._group_allocatable[fp].rows].sum())
+            for fp in artifacts}
+        for fp in sorted(artifacts, key=lambda f: -group_free[f]):
+            deployment = self.try_deploy(artifacts[fp], request_id, now)
+            if deployment is not None:
+                return deployment
+        return None
 
 
 class HeterogeneousStack:
@@ -124,17 +134,8 @@ class HeterogeneousStack:
         artifacts = self.compile(spec)
         request_id = self._next_request_id
         self._next_request_id += 1
-        free = self.controller.resource_db.free_by_board()
-        group_free = {
-            fp: sum(len(free[b.board_id]) for b in
-                    self.cluster.boards_with_footprint(fp))
-            for fp in artifacts}
-        for fp in sorted(artifacts, key=lambda f: -group_free[f]):
-            deployment = self.controller.try_deploy(
-                artifacts[fp], request_id, now)
-            if deployment is not None:
-                return deployment
-        return None
+        return self.controller._try_deploy_any(artifacts, request_id,
+                                               now)
 
     def release(self, deployment: Deployment,
                 now: float = 0.0) -> None:
@@ -157,19 +158,8 @@ class HeterogeneousManagerAdapter:
 
     def try_deploy(self, app: CompiledApp, request_id: int,
                    now: float) -> Deployment | None:
-        artifacts = self.stack.compile(app.spec)
-        controller = self.stack.controller
-        free = controller.resource_db.free_by_board()
-        group_free = {
-            fp: sum(len(free[b.board_id]) for b in
-                    self.stack.cluster.boards_with_footprint(fp))
-            for fp in artifacts}
-        for fp in sorted(artifacts, key=lambda f: -group_free[f]):
-            deployment = controller.try_deploy(artifacts[fp],
-                                               request_id, now)
-            if deployment is not None:
-                return deployment
-        return None
+        return self.stack.controller._try_deploy_any(
+            self.stack.compile(app.spec), request_id, now)
 
     def release(self, deployment: Deployment, now: float) -> None:
         self.stack.controller.release(deployment, now)

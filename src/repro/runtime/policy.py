@@ -72,10 +72,6 @@ class AllocationPolicy(Protocol):
 #: :func:`_split_arrays` entry (the memoization tests pin the count)
 _adjacency_builds = 0
 
-#: sentinel leftover for boards that fail the round-1 fit test
-#: (hoisted: ``np.iinfo`` lookups are surprisingly costly per call)
-_I64_MAX = np.iinfo(np.int64).max
-
 
 def _flow_adjacency(app: CompiledApp):
     """``(adjacency, base_flow)`` of ``app``'s inter-block flow graph."""
@@ -279,37 +275,106 @@ class CommunicationAwarePolicy:
     def allocate(self, app: CompiledApp,
                  free_by_board: dict[int, list[int]],
                  network: RingNetwork) -> Placement | None:
-        needed = app.num_blocks
+        """:class:`AllocationPolicy` entry: search a caller-built
+        candidate map (migration targets, the defragmenter's probe).
+        The map becomes the count vector :meth:`_search` reads."""
         boards = sorted(free_by_board)
-        free = {b: len(free_by_board[b]) for b in boards}
-        present = [b for b in boards if free[b] > 0]
-        if sum(free[b] for b in present) < needed:
-            if self.tracer:
+        counts = np.fromiter((len(free_by_board[b]) for b in boards),
+                             dtype=np.int64, count=len(boards))
+        return self._search(
+            app, counts, int(counts.sum()),
+            np.asarray(boards, dtype=np.int64),
+            lambda board: sorted(free_by_board[board]), network)
+
+    def allocate_fast(self, app: CompiledApp, db, network: RingNetwork,
+                      excluded=()) -> Placement | None:
+        """Deploy-path entry: search the ResourceDB's live free-count
+        vector, rows ``excluded`` (boards this placement may not use)
+        read as zero.  No per-board candidate map is built; concrete
+        free lists are materialized only for the boards the winning
+        quotas use.  Same search, same records as :meth:`allocate` on
+        the equivalent candidate map.
+        """
+        counts = db.free_counts_vector()
+        if len(excluded):
+            counts = counts.copy()
+            counts[excluded] = 0
+            total = int(counts.sum())
+        else:
+            total = db.total_free_blocks()
+        return self._search(app, counts, total, db.board_ids_array(),
+                            db.free_by_board_one, network)
+
+    def _search(self, app: CompiledApp, counts: "np.ndarray",
+                total: int, ids: "np.ndarray", blocks_of,
+                network: RingNetwork) -> Placement | None:
+        """The multi-round search over per-board free counts.
+
+        ``counts[row]`` is the free-block count of board ``ids[row]``
+        (rows in ascending board id; boards out of service read zero),
+        ``total`` their sum, ``blocks_of(board)`` that board's sorted
+        free-block indices.  With a tracer attached the effort figures
+        are read off the same vectors the search runs on, so recording
+        never changes which nodes are visited.
+        """
+        needed = app.num_blocks
+        tracer = self.tracer
+        if total < needed:
+            if tracer:
                 self.last_search = ("insufficient-capacity", 0, 0, 0)
             return None
-        # [visited, pruned] node counters, collected only when tracing
-        stats = [0, 0] if self.tracer else None
-        free_arr = np.asarray([free[b] for b in present],
-                              dtype=np.int64)
-        limit = len(present) if self.max_boards is None \
-            else min(len(present), self.max_boards)
-        for round_k in range(1, limit + 1):
-            best = self._best_subset_array(
-                present, free_arr, needed, round_k, network,
-                stats=stats)
+        # round 1 inline: the overwhelming outcome on an unsaturated
+        # cluster.  Negative leftovers reinterpret as huge unsigned
+        # values, so argmin lands on the smallest leftover at the
+        # lowest row (= lowest board id) -- or, when nothing fits, on a
+        # board the counts check rejects.  The single-quota placement
+        # is built directly: virtual block i onto the board's i-th
+        # lowest free block, what _build_placement's cursor walk does.
+        leftovers = (counts - needed).view(np.uint64)
+        j = int(leftovers.argmin())
+        fit = int(counts[j])
+        # a single-board round visits every board with a free block
+        # and prunes the ones that do not fit (its span floor is 0)
+        present = int(np.count_nonzero(counts)) if tracer else 0
+        if fit >= needed:
+            board = int(ids[j])
+            if tracer:
+                tracer.event(
+                    "policy.allocate", app=app.name, needed=needed,
+                    found=True, rounds=1, boards=(board,), span=0,
+                    leftover=fit - needed, visited=present,
+                    pruned=present
+                    - int(np.count_nonzero(counts >= needed)))
+            blocks = blocks_of(board)
+            return Placement(mapping={
+                vb: (board, blocks[vb]) for vb in range(needed)})
+        present_rows = np.nonzero(counts)[0]
+        free_arr = counts[present_rows]
+        boards = ids[present_rows].tolist()
+        # [visited, pruned] node counters, collected only when tracing:
+        # round 1 just visited every present board and pruned them all
+        stats = [present, present] if tracer else None
+        limit = len(boards) if self.max_boards is None \
+            else min(len(boards), self.max_boards)
+        for round_k in range(2, limit + 1):
+            best = self._best_subset_array(boards, free_arr, needed,
+                                           round_k, network, stats)
             if best is None:
                 continue
-            _, _, subset = best
-            if self.tracer:
-                self.tracer.event(
+            span, leftover, subset = best
+            if tracer:
+                tracer.event(
                     "policy.allocate", app=app.name, needed=needed,
                     found=True, rounds=round_k, boards=subset,
-                    span=best[0], leftover=best[1],
+                    span=span, leftover=leftover,
                     visited=stats[0], pruned=stats[1])
+            free = dict(zip(boards, free_arr.tolist()))
             quotas = self._quotas(subset, free, needed)
-            return _build_placement(app, quotas, free_by_board)
-        if self.tracer:
-            self.last_search = ("no-feasible-subset", len(present),
+            return _build_placement(
+                app, quotas,
+                {board: blocks_of(board) for board, _ in quotas})
+        if tracer:
+            self.last_search = ("no-feasible-subset", len(boards),
                                 stats[0], stats[1])
         return None
 
@@ -340,21 +405,6 @@ class CommunicationAwarePolicy:
         n = len(present)
         if k > n:
             return None
-        if k == 1:
-            # single-board round: the common case, fully vectorized.
-            # The scalar scan never span-prunes here (the floor is 0),
-            # so pruned == boards that fail the fit test, and the best
-            # key is the smallest leftover with the lowest board id --
-            # exactly the first minimum ``argmin`` returns.
-            fits = free_arr >= needed
-            if stats is not None:
-                stats[0] += n
-                stats[1] += int(n - int(fits.sum()))
-            if not fits.any():
-                return None
-            leftovers = np.where(fits, free_arr - needed, _I64_MAX)
-            j = int(np.argmin(leftovers))
-            return (0, int(free_arr[j] - needed), (present[j],))
         # suffix_max[i]: most free blocks on any of present[i:]
         suffix_max = np.zeros(n + 1, dtype=np.int64)
         suffix_max[:n] = np.maximum.accumulate(free_arr[::-1])[::-1]
@@ -409,64 +459,6 @@ class CommunicationAwarePolicy:
 
         extend(0, 0, 0)
         return best
-
-    def allocate_fast(self, app: CompiledApp, db, network: RingNetwork,
-                      excluded=()) -> Placement | None:
-        """Untraced hot path straight over the ResourceDB's flat arrays.
-
-        Skips building the per-board free-list candidate map entirely:
-        the round search runs on the database's live free-count vector
-        (with ``excluded`` boards masked out), and the concrete free
-        lists are materialized only for the boards the winning quotas
-        actually use.  Produces exactly the placement :meth:`allocate`
-        would on the equivalent candidate map -- the controller only
-        takes this path when no tracer is attached, so the traced
-        telemetry (and golden traces) are untouched.
-        """
-        needed = app.num_blocks
-        counts = db.free_counts_vector()
-        if excluded:
-            counts = counts.copy()
-            for board in excluded:
-                counts[db.board_row(board)] = 0
-        elif db.total_free_blocks() < needed:
-            return None
-        # round 1 inline: the overwhelming outcome on a big unsaturated
-        # cluster.  Same argmin tie-break as _best_subset_array(k=1)
-        # (smallest leftover, lowest row = lowest board id; zero-count
-        # rows never fit, so restricting to present boards first would
-        # pick the same row), and the single-quota placement is built
-        # directly -- virtual block i onto the board's i-th lowest free
-        # block, exactly what _build_placement's cursor walk assigns.
-        # one temporary: negative leftovers reinterpret as huge
-        # unsigned values, so argmin lands on the best fitting board
-        # (or, when nothing fits, a board the counts check rejects)
-        leftovers = (counts - needed).view(np.uint64)
-        j = int(leftovers.argmin())
-        if counts[j] >= needed:
-            board = int(db.board_ids_array()[j])
-            blocks = db.free_by_board_one(board)
-            return Placement(mapping={
-                vb: (board, blocks[vb]) for vb in range(needed)})
-        present_rows = np.nonzero(counts)[0]
-        free_arr = counts[present_rows]
-        if int(free_arr.sum()) < needed:
-            return None
-        present = db.board_ids_array()[present_rows].tolist()
-        limit = len(present) if self.max_boards is None \
-            else min(len(present), self.max_boards)
-        for round_k in range(2, limit + 1):
-            best = self._best_subset_array(present, free_arr, needed,
-                                           round_k, network)
-            if best is None:
-                continue
-            _, _, subset = best
-            free = dict(zip(present, free_arr.tolist()))
-            quotas = self._quotas(subset, free, needed)
-            free_by_board = {board: db.free_by_board_one(board)
-                             for board, _ in quotas}
-            return _build_placement(app, quotas, free_by_board)
-        return None
 
     @staticmethod
     def _quotas(subset: tuple[int, ...], free: dict[int, int],

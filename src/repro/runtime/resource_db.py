@@ -140,9 +140,9 @@ class ResourceDB:
     def free_by_board_one(self, board: int) -> list[int]:
         """One board's sorted free-block indices (snapshot view).
 
-        The policy's array fast path resolves concrete block indices
-        only for the boards a winning allocation actually uses, instead
-        of materializing the whole candidate map up front.
+        The policy's array search resolves concrete block indices only
+        for the boards a winning allocation actually uses, instead of
+        materializing the whole candidate map up front.
         """
         return self._free_sorted(board)
 

@@ -264,6 +264,7 @@ def simulate_warm_restart(controller: SystemController) -> None:
     if controller.guard is not None \
             and state.get("guard") is not None:
         controller.guard.load_snapshot(state["guard"])
+    controller._refresh_allocatable()
     controller._refresh_fragmentation()
 
 

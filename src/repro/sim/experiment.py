@@ -232,16 +232,21 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
     capacity bound over the queue's own demand vector (kept by
     :class:`~repro.sim.request_queue.RequestQueue`, never rebuilt)
     culls queued requests that cannot fit anywhere before their
-    per-request policy search runs.
+    per-request policy search runs.  These two loop-level shortcuts are
+    all an observer switches off: each ``try_deploy`` runs the same
+    array search, over the same allocatable-board view, observed or
+    not.
     """
     if discipline not in ("fifo", "backfill", "sjf"):
         raise ValueError(f"unknown discipline {discipline!r}")
     backfill = discipline == "backfill"
     # computed before the internal tracer plumbing below: timeline /
     # SLO monitoring create a non-retaining tracer with *event sinks*
-    # that must see every event, which disables the fast paths; a
-    # profile-only internal tracer merely folds op counters and keeps
-    # them enabled (fewer redundant searches is the point)
+    # that must see every event, which disables the loop's two
+    # shortcuts (arrival cohorts, backfill prefilter); a profile-only
+    # internal tracer merely folds op counters and keeps them enabled
+    # (fewer redundant searches is the point).  The deploy path is not
+    # gated: try_deploy runs the same search watched or not.
     trace_observed = (tracer is not None or timeline is not None
                       or slo is not None)
 

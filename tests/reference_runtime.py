@@ -16,26 +16,41 @@ before the optimization that replaced it, moved here verbatim
   ``_best_subset_array`` hook so ``allocate`` itself, its trace event
   and its counters are the production code's;
 - :func:`reference_split_virtual_blocks` -- the dict/set region growing
-  (what ``split_virtual_blocks(kernel="scalar")`` selected).
+  (what ``split_virtual_blocks(kernel="scalar")`` selected);
+- :class:`CandidateMapPolicy` and :class:`CandidateMapController` /
+  :class:`CandidateMapHeteroController` -- the deploy path a *traced*
+  controller took before PR 17: health and guard quarantines rescanned
+  and a whole-cluster ``free_by_board()`` candidate map built per
+  search, then the candidate-map round loop (with its vectorized
+  single-board round) over it.
 
-``tests/test_kernel_equivalence.py``, ``tests/test_incremental_indices.py``
-and ``benchmarks/test_kernel_scale.py`` hold the production code to them
+``tests/test_kernel_equivalence.py``, ``tests/test_incremental_indices.py``,
+``tests/test_observed_deploy_path.py`` and
+``benchmarks/test_kernel_scale.py`` hold the production code to them
 exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
+import numpy as np
+
+from repro.cluster.board import BoardHealth
 from repro.cluster.network import RingNetwork
 from repro.compiler.bitstream import CompiledApp
+from repro.runtime.controller import SystemController
+from repro.runtime.guard import BreakerState
+from repro.runtime.hetero import HeterogeneousController
 from repro.runtime.policy import CommunicationAwarePolicy, \
     _build_placement, _flow_adjacency
 from repro.runtime.resource_db import BlockState, ResourceDB
 from repro.runtime.types import BlockAddress, Placement
 
 __all__ = ["RescanResourceDB", "ExhaustivePolicy", "ScalarPolicy",
-           "reference_split_virtual_blocks"]
+           "reference_split_virtual_blocks", "CandidateMapPolicy",
+           "CandidateMapController", "CandidateMapHeteroController"]
 
 
 class RescanResourceDB(ResourceDB):
@@ -248,3 +263,129 @@ def reference_split_virtual_blocks(app: CompiledApp,
                          key=lambda v: (unassigned_flow[v], -v))
             assign(vb, board_id)
     return assignment
+
+
+_I64_MAX = np.iinfo(np.int64).max
+
+
+class CandidateMapPolicy(CommunicationAwarePolicy):
+    """``allocate`` as the round loop over a per-board candidate map
+    that every traced deploy ran before PR 17, verbatim -- including
+    the vectorized single-board round ``_best_subset_array`` then
+    carried (production now runs round 1 inline in ``_search``)."""
+
+    def allocate(self, app: CompiledApp,
+                 free_by_board: dict[int, list[int]],
+                 network: RingNetwork) -> Placement | None:
+        needed = app.num_blocks
+        boards = sorted(free_by_board)
+        free = {b: len(free_by_board[b]) for b in boards}
+        present = [b for b in boards if free[b] > 0]
+        if sum(free[b] for b in present) < needed:
+            if self.tracer:
+                self.last_search = ("insufficient-capacity", 0, 0, 0)
+            return None
+        # [visited, pruned] node counters, collected only when tracing
+        stats = [0, 0] if self.tracer else None
+        free_arr = np.asarray([free[b] for b in present],
+                              dtype=np.int64)
+        limit = len(present) if self.max_boards is None \
+            else min(len(present), self.max_boards)
+        for round_k in range(1, limit + 1):
+            best = self._best_subset_array(
+                present, free_arr, needed, round_k, network,
+                stats=stats)
+            if best is None:
+                continue
+            _, _, subset = best
+            if self.tracer:
+                self.tracer.event(
+                    "policy.allocate", app=app.name, needed=needed,
+                    found=True, rounds=round_k, boards=subset,
+                    span=best[0], leftover=best[1],
+                    visited=stats[0], pruned=stats[1])
+            quotas = self._quotas(subset, free, needed)
+            return _build_placement(app, quotas, free_by_board)
+        if self.tracer:
+            self.last_search = ("no-feasible-subset", len(present),
+                                stats[0], stats[1])
+        return None
+
+    @staticmethod
+    def _best_subset_array(present: list[int], free_arr,
+                           needed: int, k: int, network: RingNetwork,
+                           stats: list[int] | None = None,
+                           ) -> tuple[int, int, tuple[int, ...]] | None:
+        n = len(present)
+        if k > n:
+            return None
+        if k == 1:
+            # single-board round: the common case, fully vectorized.
+            # The scalar scan never span-prunes here (the floor is 0),
+            # so pruned == boards that fail the fit test, and the best
+            # key is the smallest leftover with the lowest board id --
+            # exactly the first minimum ``argmin`` returns.
+            fits = free_arr >= needed
+            if stats is not None:
+                stats[0] += n
+                stats[1] += int(n - int(fits.sum()))
+            if not fits.any():
+                return None
+            leftovers = np.where(fits, free_arr - needed, _I64_MAX)
+            j = int(np.argmin(leftovers))
+            return (0, int(free_arr[j] - needed), (present[j],))
+        return CommunicationAwarePolicy._best_subset_array(
+            present, free_arr, needed, k, network, stats)
+
+
+class _CandidateMapDeployPath:
+    """Mixin: the allocatable set as a pre-PR-17 traced ``try_deploy``
+    derived it -- ``board_health`` and the guard's breaker table
+    rescanned and ``free_by_board()`` materialized on every search --
+    so a controller built from it never reads the maintained view."""
+
+    def _filter_unavailable(self, free: dict[int, list[int]],
+                            ) -> dict[int, list[int]]:
+        if any(h is BoardHealth.FAILED
+               for h in self.board_health.values()):
+            free = {b: blocks for b, blocks in free.items()
+                    if self.board_health[b] is BoardHealth.HEALTHY}
+        if self.guard is not None:
+            quarantined = frozenset(
+                b for b, s in self.guard._state.items()
+                if s is BreakerState.QUARANTINED)
+            if quarantined:
+                free = {b: blocks for b, blocks in free.items()
+                        if b not in quarantined}
+        return free
+
+    def _allocatable_blocks(self, app: CompiledApp,
+                            ) -> dict[int, list[int]]:
+        return self._filter_unavailable(
+            self.resource_db.free_by_board())
+
+    def _allocatable_for(self, app: CompiledApp):
+        # try_deploy reads only ``ids`` off the view on the
+        # protocol-entry branch (candidate count and candidate list)
+        return SimpleNamespace(ids=list(self._allocatable_blocks(app)))
+
+
+class CandidateMapController(_CandidateMapDeployPath, SystemController):
+    """Pair with :class:`CandidateMapPolicy`: the whole pre-PR-17
+    traced deploy path."""
+
+
+class CandidateMapHeteroController(_CandidateMapDeployPath,
+                                   HeterogeneousController):
+    """The same over a mixed-footprint cluster."""
+
+    def _allocatable_blocks(self, app: CompiledApp,
+                            ) -> dict[int, list[int]]:
+        group = {b.board_id
+                 for b in self.cluster.boards_with_footprint(
+                     app.footprint)}
+        return self._filter_unavailable(
+            {board: blocks
+             for board, blocks in
+             self.resource_db.free_by_board().items()
+             if board in group})

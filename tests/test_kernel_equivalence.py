@@ -231,10 +231,11 @@ class TestResourceDBArrayMirrors:
 
 
 class TestControllerFastPath:
-    """``try_deploy`` short-circuits the free-map materialization when
-    the default policy runs untraced (the ``allocate_fast`` path).  A
-    traced controller takes the original slow path -- both must place
-    every request identically."""
+    """``try_deploy`` searches the resource DB's count vector
+    (``allocate_fast``) with or without a tracer attached; both must
+    place every request identically.  The record-level comparison
+    against the candidate-map path a traced controller used to take is
+    ``tests/test_observed_deploy_path.py``."""
 
     def _drive(self, traced: bool, compiled_small, compiled_medium,
                compiled_large):

@@ -93,6 +93,41 @@ class TestHeterogeneousStack:
             stack.release(d)
         assert stack.controller.busy_blocks() == 0
 
+    @pytest.mark.parametrize("front_door", ["stack", "adapter"])
+    def test_quarantined_group_does_not_outrank_a_serviceable_one(
+            self, hetero_cluster, front_door):
+        """Group ranking counts allocatable boards only.  With the
+        roomier (higher-ranked) group fully quarantined, the request
+        goes straight to the serviceable group -- no futile search,
+        so no REJECT in the audit log.  Before PR 17 the quarantined
+        group's idle blocks still ranked it first."""
+        from repro.runtime.audit import AuditEvent
+        from repro.runtime.guard import DegradedModeGuard, GuardConfig
+        from repro.runtime.hetero import HeterogeneousManagerAdapter
+        adapter = HeterogeneousManagerAdapter(hetero_cluster)
+        stack = adapter.stack
+        controller = stack.controller
+        spec = benchmark("cifar10", "M")
+        artifacts = stack.compile(spec)
+        roomier, serviceable = sorted(
+            artifacts, key=lambda fp: -sum(
+                b.num_blocks
+                for b in hetero_cluster.boards_with_footprint(fp)))
+        guard = DegradedModeGuard(GuardConfig(failure_threshold=1))
+        controller.attach_guard(guard)
+        for board in hetero_cluster.boards_with_footprint(roomier):
+            guard.record_board_failure(board.board_id, now=1.0)
+        assert guard.excluded_boards() == {
+            b.board_id
+            for b in hetero_cluster.boards_with_footprint(roomier)}
+        if front_door == "stack":
+            deployment = stack.deploy(spec, now=2.0)
+        else:
+            deployment = adapter.try_deploy(artifacts[roomier], 77, 2.0)
+        assert deployment is not None
+        assert deployment.app.footprint == serviceable
+        assert AuditEvent.REJECT not in controller.audit.counts()
+
     def test_isolation_holds_across_groups(self, stack):
         for i, (fam, size) in enumerate([("vgg16", "S"),
                                          ("cifar10", "L"),
