@@ -18,13 +18,16 @@ ring-crossing channels get FIFOs sized to their link's round trip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.cluster.cluster import FPGACluster
-from repro.compiler.bitstream import CompiledApp
 from repro.interconnect.channel import Channel
 from repro.interconnect.links import LINKS, LinkClass, LinkModel
 from repro.interconnect.simulator import BlockNode, TrafficSimulator
-from repro.runtime.types import Placement
+
+if TYPE_CHECKING:
+    from repro.cluster.cluster import FPGACluster
+    from repro.compiler.bitstream import CompiledApp
+    from repro.runtime.types import Placement
 
 __all__ = ["link_class_for", "DeploymentSimResult",
            "simulate_deployment"]
@@ -37,18 +40,27 @@ __all__ = ["link_class_for", "DeploymentSimResult",
 _ON_CHIP_DEPTH = 64
 
 
+def _site(placement: Placement, cluster: FPGACluster,
+          vb: int) -> tuple[int, int]:
+    """The (board, die) a virtual block is mapped onto."""
+    board, block = placement.mapping[vb]
+    return board, cluster.board(board).block(block).die_index
+
+
+def _link_between(src: tuple[int, int], dst: tuple[int, int],
+                  ) -> LinkClass:
+    if src[0] != dst[0]:
+        return LinkClass.INTER_FPGA
+    if src[1] != dst[1]:
+        return LinkClass.INTER_DIE
+    return LinkClass.ON_CHIP
+
+
 def link_class_for(placement: Placement, cluster: FPGACluster,
                    src_vb: int, dst_vb: int) -> LinkClass:
     """Which physical link a channel traverses under a placement."""
-    src_board, src_block = placement.mapping[src_vb]
-    dst_board, dst_block = placement.mapping[dst_vb]
-    if src_board != dst_board:
-        return LinkClass.INTER_FPGA
-    src_die = cluster.board(src_board).block(src_block).die_index
-    dst_die = cluster.board(dst_board).block(dst_block).die_index
-    if src_die != dst_die:
-        return LinkClass.INTER_DIE
-    return LinkClass.ON_CHIP
+    return _link_between(_site(placement, cluster, src_vb),
+                         _site(placement, cluster, dst_vb))
 
 
 @dataclass(slots=True)
@@ -72,21 +84,22 @@ def simulate_deployment(app: CompiledApp, placement: Placement,
                         cycles: int = 5000) -> DeploymentSimResult:
     """Step the app's block/channel graph under ``placement``."""
     placement.validate(app.num_blocks)
+    specs = app.interface.channels
+    fed = {spec.dst_block for spec in specs}
+    feeding = {spec.src_block for spec in specs}
     sim = TrafficSimulator()
-    graph = app.interface.channel_graph()
-    nodes: dict[int, BlockNode] = {}
-    for vb in range(app.num_blocks):
-        nodes[vb] = sim.add_node(BlockNode(
-            name=f"vb{vb}",
-            is_source=graph.in_degree(vb) == 0,
-            is_sink=graph.out_degree(vb) == 0,
-        ))
+    nodes = [sim.add_node(BlockNode(name=f"vb{vb}",
+                                    is_source=vb not in fed,
+                                    is_sink=vb not in feeding))
+             for vb in range(app.num_blocks)]
+    sites = [_site(placement, cluster, vb)
+             for vb in range(app.num_blocks)]
 
     links: dict[tuple[int, int], LinkClass] = {}
     channels: dict[tuple[int, int], Channel] = {}
-    for spec in app.interface.channels:
+    for spec in specs:
         key = (spec.src_block, spec.dst_block)
-        link_class = link_class_for(placement, cluster, *key)
+        link_class = _link_between(sites[key[0]], sites[key[1]])
         model: LinkModel = LINKS[link_class]
         if spec.init_tokens > 0:
             # a back-edge keeps the full compiled FIFO and its
@@ -120,10 +133,12 @@ def simulate_deployment(app: CompiledApp, placement: Placement,
         cycles=cycles,
         total_firings=total,
         block_utilization={vb: node.utilization()
-                           for vb, node in nodes.items()},
+                           for vb, node in enumerate(nodes)},
         channel_throughput_gbps={
             key: ch.throughput_gbps(cycles)
             for key, ch in channels.items()},
         channel_links=links,
-        deadlocked=total == 0 and bool(nodes),
+        # a deadlock is a run in which nothing fired, not a run of
+        # no cycles
+        deadlocked=cycles > 0 and total == 0 and bool(nodes),
     )

@@ -11,6 +11,16 @@ sustains one flit per cycle -- the saturating behavior Table 4 measures.
 ``init_tokens`` pre-loads the receive FIFO with tokens at reset; the
 interface generator places them on cycle back-edges to establish the
 "at least one input buffer non-empty" deadlock-freedom condition.
+
+State layout (shared with :meth:`TrafficSimulator.run
+<repro.interconnect.simulator.TrafficSimulator.run>`, which steps these
+fields in place, so hand-driven and simulator-driven cycles interleave on
+one channel): a flit is the cycle it was sent in and a pending credit the
+cycle its slot was drained in -- ``_in_flight``, ``rx_fifo`` and
+``_credit_returns`` hold plain ints, oldest first, each taking effect
+``latency`` cycles later -- and an init token is ``None``, which keeps it
+out of the latency account.  At all times ``credits + in flight + FIFO
+occupancy + pending returns == fifo_depth``.
 """
 
 from __future__ import annotations
@@ -18,7 +28,8 @@ from __future__ import annotations
 from collections import deque
 
 from repro.interconnect.fifo import BoundedFifo, CreditCounter
-from repro.interconnect.links import LINKS, LinkClass, LinkModel
+from repro.interconnect.links import (LINKS, SHELL_CLOCK_MHZ, LinkClass,
+                                      LinkModel)
 
 __all__ = ["Channel"]
 
@@ -34,11 +45,14 @@ class Channel:
             raise ValueError("init tokens exceed FIFO depth")
         self.rx_fifo = BoundedFifo(fifo_depth)
         self.credits = CreditCounter(fifo_depth)
-        for i in range(init_tokens):
-            self.rx_fifo.push(("init", i))
-            self.credits.consume()
-        self._in_flight: deque[tuple[int, object]] = deque()
+        # init tokens hold their slots from reset (checked above to fit)
+        self.rx_fifo._items.extend([None] * init_tokens)
+        self.credits._credits -= init_tokens
+        self._in_flight: deque[int] = deque()
         self._credit_returns: deque[int] = deque()
+        # payloads of hand-sent flits by send index; the simulator's own
+        # flits carry none
+        self._payloads: dict[int, object] = {}
         self.sent = 0
         self.delivered = 0
         self.consumed = 0
@@ -55,8 +69,9 @@ class Channel:
     def send(self, cycle: int, payload: object = None) -> None:
         """Launch one flit (caller must have checked :meth:`can_accept`)."""
         self.credits.consume()
-        self._in_flight.append((cycle + self.link.latency_cycles,
-                                (cycle, payload)))
+        if payload is not None:
+            self._payloads[self.sent] = payload
+        self._in_flight.append(cycle)
         self.sent += 1
 
     # ------------------------------------------------------------------
@@ -67,27 +82,26 @@ class Channel:
 
     def receive(self, cycle: int) -> object:
         """Drain one flit; returns its payload and schedules the credit."""
-        item = self.rx_fifo.pop()
-        self._credit_returns.append(cycle + self.link.latency_cycles)
+        sent_cycle = self.rx_fifo.pop()
+        self._credit_returns.append(cycle)
         self.consumed += 1
-        if isinstance(item, tuple) and len(item) == 2 \
-                and item[0] != "init":
-            sent_cycle, payload = item
-            self.latency_sum += cycle - sent_cycle
-            self.latency_count += 1
-            return payload
-        return None
+        if sent_cycle is None:
+            return None
+        self.latency_sum += cycle - sent_cycle
+        self.latency_count += 1
+        return self._payloads.pop(self.latency_count - 1, None)
 
     # ------------------------------------------------------------------
     # per-cycle bookkeeping
     # ------------------------------------------------------------------
     def step(self, cycle: int) -> None:
         """Deliver arrived flits and returned credits for ``cycle``."""
-        while self._in_flight and self._in_flight[0][0] <= cycle:
-            _, item = self._in_flight.popleft()
-            self.rx_fifo.push(item)   # a credit guaranteed the slot
+        done_by = cycle - self.link.latency_cycles
+        while self._in_flight and self._in_flight[0] <= done_by:
+            # a credit guaranteed the slot
+            self.rx_fifo.push(self._in_flight.popleft())
             self.delivered += 1
-        while self._credit_returns and self._credit_returns[0] <= cycle:
+        while self._credit_returns and self._credit_returns[0] <= done_by:
             self._credit_returns.popleft()
             self.credits.restore()
 
@@ -101,7 +115,6 @@ class Channel:
         return self.consumed * self.link.bits_per_cycle / cycles
 
     def throughput_gbps(self, cycles: int) -> float:
-        from repro.interconnect.links import SHELL_CLOCK_MHZ
         return (self.throughput_bits_per_cycle(cycles)
                 * SHELL_CLOCK_MHZ / 1e3)
 

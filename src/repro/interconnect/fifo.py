@@ -4,7 +4,10 @@ These are the storage and flow-control elements the interface generator
 instantiates in the communication region.  They are deliberately tiny,
 assertion-heavy classes: the cycle simulator leans on their invariants
 (no overflow, no underflow, credits conserved) to make deadlock and
-back-pressure behavior trustworthy.
+back-pressure behavior trustworthy.  A ``Channel`` holds one of each and
+checks every hand-driven transition through them; ``TrafficSimulator.run``
+steps the same deque and counter in place and makes the same four
+comparisons inline.
 """
 
 from __future__ import annotations

@@ -33,7 +33,12 @@ __all__ = [
 
 
 class BlockNode:
-    """One latency-insensitive endpoint (user logic of a virtual block)."""
+    """One latency-insensitive endpoint (user logic of a virtual block).
+
+    A node is state only -- its channels, its rate and its ``fired`` /
+    ``stalled`` counters; :meth:`TrafficSimulator.run` executes the
+    firing rule over all nodes of a simulator.
+    """
 
     def __init__(self, name: str, is_source: bool = False,
                  is_sink: bool = False, rate: float = 1.0,
@@ -49,31 +54,6 @@ class BlockNode:
         self.fired = 0
         self.stalled = 0
         self._rng = random.Random(seed)
-
-    # ------------------------------------------------------------------
-    def clock_enabled(self) -> bool:
-        """The CE condition the interface's control logic generates."""
-        if not self.is_source and any(not c.has_data()
-                                      for c in self.inputs):
-            return False
-        if not self.is_sink and any(not c.can_accept()
-                                    for c in self.outputs):
-            return False
-        return True
-
-    def step(self, cycle: int) -> None:
-        if self.rate < 1.0 and self._rng.random() >= self.rate:
-            return  # idle by choice, not a stall
-        if not self.clock_enabled():
-            self.stalled += 1
-            return
-        if not self.is_source:
-            for channel in self.inputs:
-                channel.receive(cycle)
-        if not self.is_sink:
-            for channel in self.outputs:
-                channel.send(cycle, payload=self.fired)
-        self.fired += 1
 
     def utilization(self) -> float:
         total = self.fired + self.stalled
@@ -94,18 +74,195 @@ class TrafficSimulator:
 
     def connect(self, src: BlockNode, dst: BlockNode, channel: Channel,
                 ) -> Channel:
+        """Wire ``src`` -> ``channel`` -> ``dst``.
+
+        A channel has exactly one producer and one consumer: :meth:`run`
+        settles its credits where the producer tests them and its
+        arrivals where the consumer tests them, and nowhere else.  Both
+        endpoints must have been added to this simulator, or the channel
+        would never be stepped from that side.
+        """
+        for node in (src, dst):
+            if node not in self.nodes:
+                raise ValueError(
+                    f"node {node.name!r} was not added to this simulator")
+        if channel in self.channels:
+            raise ValueError(
+                f"channel {channel.name!r} is already connected")
         src.outputs.append(channel)
         dst.inputs.append(channel)
         self.channels.append(channel)
         return channel
 
     def run(self, cycles: int) -> None:
-        for _ in range(cycles):
-            for channel in self.channels:
-                channel.step(self.cycle)
-            for node in self.nodes:
-                node.step(self.cycle)
-            self.cycle += 1
+        """Advance every node and channel by ``cycles`` cycles.
+
+        Each cycle, each node in turn draws its rate, tests its clock
+        enable (every input has data, every output a credit) and, if
+        enabled, drains one flit per input and launches one per output;
+        otherwise it stalls.  Sources skip the input side, sinks the
+        output side.  What is sent or drained in cycle ``t`` over a link
+        of latency ``L`` takes effect at ``t + max(L, 1)``, so nothing
+        crosses nodes within a cycle; with one producer and one consumer
+        per channel, arrivals are settled where the consumer tests them
+        and credit returns where the producer runs dry -- there is no
+        per-cycle channel phase.  A cycle that fires nothing, with no
+        ``rate < 1`` node whose random draw a jump would skip, advances
+        the clock to the earliest arrival or credit return a stalled
+        node waits for (DESIGN section 16 has the argument).
+
+        On return every channel is settled as of the last cycle run, so
+        the single-channel API and a further ``run`` continue from the
+        state a cycle-by-cycle :meth:`Channel.step` would have left.
+        The protocol checks of :mod:`repro.interconnect.fifo` are made
+        inline (``IndexError`` / ``RuntimeError`` / ``OverflowError``),
+        and each channel must end the call with ``credits + in flight +
+        occupancy + pending returns`` equal to its depth.
+        """
+        if cycles <= 0:
+            return
+        nodes, channels = self.nodes, self.channels
+        index = {id(ch): c for c, ch in enumerate(channels)}
+        # a link is registered: what is sent or drained in a cycle is
+        # seen the next cycle at the earliest
+        visible = [max(ch.link.latency_cycles, 1) for ch in channels]
+        fifos = [ch.rx_fifo._items for ch in channels]
+        pipes = [ch._in_flight for ch in channels]
+        returning = [ch._credit_returns for ch in channels]
+        plan = []
+        for n, node in enumerate(nodes):
+            try:
+                ins = [] if node.is_source else \
+                    [index[id(ch)] for ch in node.inputs]
+                outs = [] if node.is_sink else \
+                    [index[id(ch)] for ch in node.outputs]
+            except KeyError:
+                raise ValueError(
+                    f"node {node.name!r} holds a channel that was not "
+                    f"connected through this simulator") from None
+            plan.append((
+                n,
+                node._rng.random if node.rate < 1.0 else None,
+                node.rate,
+                tuple((fifos[c], pipes[c], visible[c]) for c in ins),
+                tuple(outs),
+                tuple((c, fifos[c], pipes[c], returning[c], visible[c])
+                      for c in ins),
+                tuple((c, pipes[c]) for c in outs),
+            ))
+        can_jump = all(node.rate >= 1.0 for node in nodes)
+
+        for ch in channels:
+            # what a hand sent or drained in this very cycle over a
+            # zero-latency link precedes the cycle's delivery
+            ch.step(self.cycle)
+        credits = [ch.credits.available for ch in channels]
+        latency = [0] * len(channels)   # summed over this call's drains
+        tokens = [0] * len(channels)    # init tokens drained this call
+        fired = [0] * len(nodes)
+        stalled = [0] * len(nodes)
+        cycle = self.cycle
+        end = cycle + cycles
+        skipped = 0
+        try:
+            while cycle < end:
+                quiet = can_jump
+                wake = end
+                for n, draw, rate, arrived, granted, drains, launches \
+                        in plan:
+                    if draw is not None and draw() >= rate:
+                        continue  # idle by choice, not a stall
+                    for fifo, pipe, vis in arrived:
+                        if pipe:
+                            due = pipe[0] + vis
+                            if due <= cycle:
+                                continue
+                            if not fifo:
+                                if due < wake:
+                                    wake = due
+                                break
+                        elif not fifo:
+                            break
+                    else:
+                        for c in granted:
+                            if not credits[c]:
+                                returns = returning[c]
+                                seen = cycle - visible[c]
+                                due = 0
+                                while returns and returns[0] <= seen:
+                                    returns.popleft()
+                                    due += 1
+                                if not due:
+                                    if returns:
+                                        back = returns[0] + visible[c]
+                                        if back < wake:
+                                            wake = back
+                                    break
+                                if due > channels[c].credits.initial:
+                                    raise RuntimeError(
+                                        "restoring credit above initial "
+                                        "(protocol bug)")
+                                credits[c] = due
+                        else:
+                            for c, fifo, pipe, returns, vis in drains:
+                                if fifo:
+                                    sent = fifo.popleft()
+                                    if sent is None:
+                                        tokens[c] += 1
+                                    else:
+                                        latency[c] += cycle - sent
+                                else:
+                                    age = cycle - pipe.popleft()
+                                    if age < vis:
+                                        raise IndexError(
+                                            "pop from empty FIFO")
+                                    latency[c] += age
+                                returns.append(cycle)
+                            for c, pipe in launches:
+                                have = credits[c]
+                                if have <= 0:
+                                    raise RuntimeError(
+                                        "consuming credit at zero "
+                                        "(protocol bug)")
+                                credits[c] = have - 1
+                                pipe.append(cycle)
+                            fired[n] += 1
+                            quiet = False
+                            continue
+                    stalled[n] += 1
+                cycle += 1
+                if quiet and wake > cycle:
+                    skipped += wake - cycle
+                    cycle = wake
+        finally:
+            self.cycle = cycle
+            for c, ch in enumerate(channels):
+                ch.credits._credits = credits[c]
+                ch.latency_sum += latency[c]
+            for n, _, _, _, granted, drains, _ in plan:
+                node = nodes[n]
+                node.fired += fired[n]
+                node.stalled += stalled[n] + skipped
+                for c in granted:
+                    channels[c].sent += fired[n]
+                for c, *_ in drains:
+                    channels[c].consumed += fired[n]
+                    channels[c].latency_count += fired[n] - tokens[c]
+
+        last = cycle - 1
+        for ch, pipe, returns, vis in zip(channels, pipes, returning,
+                                          visible):
+            while pipe and pipe[0] + vis <= last:
+                ch.rx_fifo.push(pipe.popleft())
+            ch.delivered = ch.sent - len(pipe)
+            while returns and returns[0] + vis <= last:
+                returns.popleft()
+                ch.credits.restore()
+            if ch.credits.available + len(pipe) + len(ch.rx_fifo) \
+                    + len(returns) != ch.rx_fifo.capacity:
+                raise RuntimeError(
+                    f"channel {ch.name!r} lost or gained a credit "
+                    f"(protocol bug)")
 
     def total_fired(self) -> int:
         return sum(n.fired for n in self.nodes)
@@ -120,6 +277,19 @@ class TrafficSimulator:
 # ----------------------------------------------------------------------
 # microbenchmarks (benchmark set 1)
 # ----------------------------------------------------------------------
+def _drive_link(model: LinkModel, fifo_depth: int, rate: float,
+                seed: int, cycles: int) -> Channel:
+    """Run source -> channel -> sink for ``cycles``; return the channel."""
+    sim = TrafficSimulator()
+    src = sim.add_node(BlockNode("src", is_source=True, rate=rate,
+                                 seed=seed))
+    dst = sim.add_node(BlockNode("dst", is_sink=True))
+    channel = sim.connect(src, dst,
+                          Channel("ch", model, fifo_depth=fifo_depth))
+    sim.run(cycles)
+    return channel
+
+
 def measure_channel_bandwidth(link: "LinkClass | LinkModel",
                               fifo_depth: int | None = None,
                               cycles: int = 20000,
@@ -134,12 +304,7 @@ def measure_channel_bandwidth(link: "LinkClass | LinkModel",
     model = LINKS[link] if isinstance(link, LinkClass) else link
     if fifo_depth is None:
         fifo_depth = model.round_trip_cycles()
-    sim = TrafficSimulator()
-    src = sim.add_node(BlockNode("src", is_source=True, rate=offered_rate))
-    dst = sim.add_node(BlockNode("dst", is_sink=True))
-    channel = sim.connect(src, dst,
-                          Channel("ch", model, fifo_depth=fifo_depth))
-    sim.run(cycles)
+    channel = _drive_link(model, fifo_depth, offered_rate, 0, cycles)
     return (channel.throughput_gbps(cycles),
             channel.mean_latency_cycles())
 
@@ -170,14 +335,8 @@ def random_traffic_experiment(link: LinkClass, rates: list[float],
     model = LINKS[link]
     out = []
     for rate in rates:
-        sim = TrafficSimulator()
-        src = sim.add_node(BlockNode("src", is_source=True, rate=rate,
-                                     seed=seed))
-        dst = sim.add_node(BlockNode("dst", is_sink=True))
-        channel = sim.connect(
-            src, dst, Channel("ch", model,
-                              fifo_depth=model.round_trip_cycles()))
-        sim.run(cycles)
+        channel = _drive_link(model, model.round_trip_cycles(), rate,
+                              seed, cycles)
         out.append(RandomTrafficResult(
             offered_rate=rate,
             accepted_gbps=channel.throughput_gbps(cycles),

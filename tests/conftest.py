@@ -59,3 +59,20 @@ def compiled_apps(compiled_small, compiled_medium, compiled_large):
     """Name-indexed app dictionary for simulator runs."""
     return {app.name: app
             for app in (compiled_small, compiled_medium, compiled_large)}
+
+
+@pytest.fixture
+def built_simulators(monkeypatch):
+    """Every ``TrafficSimulator`` that ``simulate_deployment`` builds
+    during the test, in order (it does not hand its simulator back)."""
+    from repro.interconnect import appsim
+
+    built = []
+
+    class Recording(appsim.TrafficSimulator):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(appsim, "TrafficSimulator", Recording)
+    return built

@@ -101,3 +101,30 @@ class TestSimulateDeployment:
                                      cluster, cycles=1000)
         assert not result.deadlocked
         controller.release(d)
+
+    def test_zero_cycles_is_not_a_deadlock(self, cluster,
+                                           compiled_large):
+        """Probing construction cost steps no cycle; nothing fired
+        because nothing ran, not because the design is stuck."""
+        placement = single_board_placement(compiled_large)
+        probe = simulate_deployment(compiled_large, placement, cluster,
+                                    cycles=0)
+        assert probe.total_firings == 0 and not probe.deadlocked
+        assert set(probe.block_utilization.values()) == {0.0}
+        assert set(probe.channel_throughput_gbps.values()) == {0.0}
+
+    def test_sources_and_sinks_follow_the_channel_graph(
+            self, cluster, compiled_apps, built_simulators):
+        """Blocks no channel feeds are sources, blocks feeding none are
+        sinks, an isolated block is both -- as ``channel_graph()``
+        degrees say, without building that graph."""
+        for app in compiled_apps.values():
+            simulate_deployment(app, single_board_placement(app),
+                                cluster, cycles=0)
+            graph = app.interface.channel_graph()
+            assert [(n.is_source, n.is_sink)
+                    for n in built_simulators[-1].nodes] \
+                == [(graph.in_degree(vb) == 0, graph.out_degree(vb) == 0)
+                    for vb in range(app.num_blocks)]
+        alone = built_simulators[0].nodes
+        assert len(alone) == 1 and alone[0].is_source and alone[0].is_sink
