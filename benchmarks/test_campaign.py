@@ -22,7 +22,6 @@ re-anchor the ``pr9-campaign`` entry of ``BENCH_perf.json``.
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from pathlib import Path
 
@@ -31,6 +30,7 @@ import pytest
 from repro.analysis.bench import (format_trajectory, load_bench,
                                   merge_metrics)
 from repro.analysis.report import format_table
+from repro.compiler.service import _usable_cpus
 from repro.sim.campaign import (CampaignCache, CampaignRunner,
                                 canonical_json, standard_grid)
 
@@ -43,13 +43,6 @@ MAX_WARM_FRACTION = 0.10
 #: requests per scenario: small enough for CI, large enough that the
 #: sweep dominates the pool/cache overhead being measured
 GRID_REQUESTS = 12
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 @pytest.fixture(scope="module")

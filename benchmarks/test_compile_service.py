@@ -19,21 +19,13 @@ speed never buys a different artifact.
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.compiler.cache import CompileCache
-from repro.compiler.service import CompileService
+from repro.compiler.service import CompileService, _usable_cpus
 from repro.hls.kernels import all_benchmarks
 
 MIN_WARM_SPEEDUP = 10.0
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def test_cache_cold_vs_warm(emit, cluster, compiled_apps):

@@ -11,8 +11,11 @@ until the next human re-anchor.  This module gives them a contract:
   carries ``anchor`` (the measurement's identity, e.g.
   ``"pr7-array-kernel"``), ``date`` (ISO ``YYYY-MM-DD``), optional
   ``fingerprint`` (the campaign/config content address the numbers came
-  from, ``None`` for hand measurements), and ``metrics`` -- a nested
-  dict whose leaves are finite numbers;
+  from, ``None`` for hand measurements), optional ``machine`` -- a
+  flat descriptor of the box the numbers were measured on (CPU model,
+  core count, interpreter and library versions; string or finite
+  number values) -- and ``metrics``, a nested dict whose leaves are
+  finite numbers;
 - **validator** (:func:`validate_doc` / :func:`load_bench`) enforcing
   that shape, used by tests and the ``bench-trajectory`` CI job;
 - **append** (:func:`append_entry`, the ``repro bench append`` CLI)
@@ -83,6 +86,24 @@ def _check_metrics(node, path: str, errors: list[str]) -> None:
         errors.append(f"{path}: leaf must be finite, got {node!r}")
 
 
+def _check_machine(machine, where: str, errors: list[str]) -> None:
+    if not isinstance(machine, dict) or not machine:
+        errors.append(f"{where}: 'machine' must be a non-empty object")
+        return
+    for key, value in machine.items():
+        if not isinstance(key, str) or not key:
+            errors.append(f"{where}.machine: non-string key {key!r}")
+        elif isinstance(value, str):
+            if not value:
+                errors.append(f"{where}.machine.{key}: empty string")
+        elif isinstance(value, bool) \
+                or not isinstance(value, (int, float)) \
+                or value != value \
+                or value in (float("inf"), float("-inf")):
+            errors.append(f"{where}.machine.{key}: value must be a "
+                          f"string or a finite number, got {value!r}")
+
+
 def validate_entry(entry, where: str = "entry") -> list[str]:
     """Schema errors of one trajectory entry (empty when valid)."""
     errors: list[str] = []
@@ -106,8 +127,10 @@ def validate_entry(entry, where: str = "entry") -> list[str]:
         errors.append(f"{where}: 'metrics' must be a non-empty object")
     else:
         _check_metrics(metrics, f"{where}.metrics", errors)
-    unknown = sorted(set(entry)
-                     - {"anchor", "date", "fingerprint", "metrics"})
+    if "machine" in entry:
+        _check_machine(entry["machine"], where, errors)
+    unknown = sorted(set(entry) - {"anchor", "date", "fingerprint",
+                                   "machine", "metrics"})
     if unknown:
         errors.append(f"{where}: unknown fields {unknown}")
     return errors
@@ -303,12 +326,17 @@ def format_trajectory(docs: "list[dict]") -> str:
             if len(flat) > 3:
                 headline += f", +{len(flat) - 3} more"
             fingerprint = entry.get("fingerprint")
+            machine = ", ".join(
+                f"{key}={value}" if isinstance(value, str)
+                else f"{key}={value:g}"
+                for key, value in sorted(entry.get("machine", {}).items()))
             rows.append([
                 doc["bench"], entry["anchor"], entry["date"],
                 fingerprint[:12] if fingerprint else "-",
-                headline,
+                machine or "-", headline,
             ])
     return format_table(
-        ["bench", "anchor", "date", "fingerprint", "metrics"], rows,
+        ["bench", "anchor", "date", "fingerprint", "machine", "metrics"],
+        rows,
         title="perf trajectory (BENCH_*.json, schema v"
               f"{BENCH_SCHEMA_VERSION})")

@@ -35,6 +35,7 @@ output is stable and testable.
 from __future__ import annotations
 
 import argparse
+from contextlib import nullcontext
 from typing import Sequence
 
 from repro.analysis.report import format_table
@@ -43,13 +44,15 @@ from repro.baselines.per_device import PerDeviceManager
 from repro.baselines.slot_based import SlotBasedManager
 from repro.cluster.cluster import make_cluster
 from repro.compiler.flow import CompilationFlow
+from repro.compiler.service import pool_workers
 from repro.fabric.devices import DEVICE_CATALOG, device_by_name
 from repro.fabric.partition import PartitionConstraints, PartitionPlanner
 from repro.hls.kernels import BENCHMARKS, benchmark
 from repro.interconnect.links import LINKS, LinkClass
 from repro.interconnect.simulator import measure_channel_bandwidth
 from repro.runtime.controller import SystemController
-from repro.sim.experiment import compile_benchmarks, run_experiment
+from repro.sim.experiment import compile_benchmarks, run_experiment, \
+    specs_for
 from repro.sim.workload import COMPOSITIONS, WorkloadGenerator
 
 __all__ = ["main", "build_parser"]
@@ -381,6 +384,33 @@ def _cmd_links(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _compile_replayed(cluster, specs, profiler) -> dict:
+    """Compile the designs a run replays, in a pool when that pays.
+
+    The worker count comes from the shared pool rule
+    (:func:`~repro.compiler.service.pool_workers`); artifacts are pure
+    functions of (spec, fabric, flow), so the apps -- and every report
+    built on them -- are the same bytes either way.
+    """
+    with (profiler.phase("compile") if profiler is not None
+          else nullcontext()):
+        return compile_benchmarks(cluster, specs=specs,
+                                  jobs=pool_workers(len(specs)))
+
+
+def _check_simulate_args(args: argparse.Namespace) -> "str | None":
+    if args.boards < 1:
+        return f"--boards must be at least 1, got {args.boards}"
+    if args.requests < 1:
+        return f"--requests must be at least 1, got {args.requests}"
+    if not 0.0 < args.interarrival < float("inf"):
+        return (f"--interarrival must be a positive number of seconds, "
+                f"got {args.interarrival:g}")
+    if args.faults == "demo" and args.boards < 2:
+        return "--faults demo needs at least 2 boards"
+    return None
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     names = [n.strip() for n in args.managers.split(",") if n.strip()]
     unknown = [n for n in names if n not in _MANAGERS]
@@ -388,16 +418,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"unknown managers: {', '.join(unknown)} "
               f"(choose from {', '.join(_MANAGERS)})")
         return 2
-    profiler = None
-    if args.profile or args.profile_out:
-        from repro.obs.profile import PhaseProfiler
-        profiler = PhaseProfiler()
-    cluster = make_cluster(num_boards=args.boards)
-    if profiler is not None:
-        with profiler.phase("compile"):
-            apps = compile_benchmarks(cluster)
-    else:
-        apps = compile_benchmarks(cluster)
+    error = _check_simulate_args(args)
+    if error:
+        print(error)
+        return 2
+    health = (args.health or args.timeline_out is not None
+              or args.slo_rules is not None)
+    if health:
+        from repro.obs.slo import parse_slo
+        try:
+            for rule in args.slo_rules or ():
+                parse_slo(rule)
+        except ValueError as exc:
+            print(f"bad SLO rule: {exc}")
+            return 2
+    # the request stream first: only the designs it names compile
     if args.from_trace:
         from repro.sim.trace import load_trace
         try:
@@ -405,14 +440,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         except (OSError, ValueError, KeyError) as exc:
             print(f"cannot replay {args.from_trace}: {exc}")
             return 2
+        if not requests:
+            print(f"cannot replay {args.from_trace}: no requests")
+            return 2
         source = f"trace {args.from_trace}"
     else:
         requests = WorkloadGenerator(seed=args.seed).generate(
             args.set_index, num_requests=args.requests,
             mean_interarrival_s=args.interarrival)
         source = f"workload set #{args.set_index}"
-    health = (args.health or args.timeline_out is not None
-              or args.slo_rules is not None)
+    profiler = None
+    if args.profile or args.profile_out:
+        from repro.obs.profile import PhaseProfiler
+        profiler = PhaseProfiler()
+    cluster = make_cluster(num_boards=args.boards)
+    apps = _compile_replayed(cluster, specs_for(requests), profiler)
     tracer = metrics = faults = None
     if args.trace_out:
         from repro.obs import Tracer
@@ -422,18 +464,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         metrics = MetricsRegistry()
     if args.faults == "demo":
         from repro.faults.schedule import FaultSchedule
-        if args.boards < 2:
-            print("--faults demo needs at least 2 boards")
-            return 2
         faults = FaultSchedule.demo(args.boards)
-    if health:
-        from repro.obs.slo import parse_slo
-        try:
-            for rule in args.slo_rules or ():
-                parse_slo(rule)
-        except ValueError as exc:
-            print(f"bad SLO rule: {exc}")
-            return 2
     rows = []
     slo_rows = []
     verdicts = []
@@ -446,7 +477,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             from repro.obs import SLOEngine, TimelineAggregator
             timeline = TimelineAggregator(interval_s=args.bucket_s)
             slo = SLOEngine(args.slo_rules)
-        from contextlib import nullcontext
         with (profiler.phase("simulate") if profiler is not None
               else nullcontext()):
             summary = run_experiment(_MANAGERS[name](cluster),
@@ -674,6 +704,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
     from repro.sim.chaos import (ChaosInvariantError, run_scenario,
+                                 specs_by_board_count,
                                  standard_scenarios)
     scenarios = standard_scenarios()
     if args.list:
@@ -697,22 +728,19 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.trace_out:
         from repro.obs import Tracer
         tracer = Tracer()
-    from contextlib import nullcontext
     profiler = None
     if args.profile or args.profile_out:
         from repro.obs.profile import PhaseProfiler
         profiler = PhaseProfiler()
     results = []
+    specs = specs_by_board_count(scenarios)
     clusters: dict[int, tuple] = {}
     for scenario in scenarios:
         cached = clusters.get(scenario.num_boards)
         if cached is None:
             cluster = make_cluster(num_boards=scenario.num_boards)
-            if profiler is not None:
-                with profiler.phase("compile"):
-                    cached = (cluster, compile_benchmarks(cluster))
-            else:
-                cached = (cluster, compile_benchmarks(cluster))
+            cached = (cluster, _compile_replayed(
+                cluster, specs[scenario.num_boards], profiler))
             clusters[scenario.num_boards] = cached
         cluster, apps = cached
         try:

@@ -13,6 +13,13 @@ this package:
    the reference path for determinism debugging) or on a
    ``ProcessPoolExecutor`` (``jobs>1``).
 
+Whether a pool is worth its startup is decided in one place,
+:func:`pool_workers` (at least :data:`POOL_MIN_MISSES` misses and more
+than one schedulable CPU); the CLI asks it how many workers to compile
+with, and the campaign runner asks it the same question for scenario
+runs.  :meth:`CompileService.compile_many` itself does what ``jobs``
+says.
+
 Workers ship artifacts back in the canonical
 :meth:`~repro.compiler.bitstream.CompiledApp.to_dict` form -- a pure
 function of the compile inputs -- plus their measured wall clocks as
@@ -28,6 +35,7 @@ byte, modulo the ``cache.*`` lookup events.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -38,7 +46,7 @@ from repro.fabric.partition import FabricPartition
 from repro.hls.kernels import KernelSpec
 from repro.obs.tracer import Tracer
 
-__all__ = ["CompileService"]
+__all__ = ["CompileService", "POOL_MIN_MISSES", "pool_workers"]
 
 
 def _mp_context():
@@ -47,6 +55,37 @@ def _mp_context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
+
+
+#: smallest miss count worth a process pool.  Fork/spawn + per-worker
+#: set-up costs tens to hundreds of milliseconds, which a handful of
+#: short jobs never earns back (the campaign benchmark measured jobs=4
+#: at 0.83x of jobs=1 on the 24-config scenario grid); below the
+#: threshold the misses run inline.  Results are byte-identical either
+#: way.
+POOL_MIN_MISSES = 8
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may actually schedule on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def pool_workers(misses: int, jobs: "int | None" = None) -> int:
+    """Worker processes the shared pool rule grants ``misses`` jobs.
+
+    A pool only when there are at least :data:`POOL_MIN_MISSES` misses
+    and more than one schedulable CPU; then one worker per miss, capped
+    by the CPUs and by ``jobs`` (``None``: no cap beyond the CPUs).
+    Returns 1 -- run inline -- otherwise.
+    """
+    workers = min(misses, _usable_cpus())
+    if jobs is not None:
+        workers = min(workers, jobs)
+    return workers if workers > 1 and misses >= POOL_MIN_MISSES else 1
 
 
 #: per-worker flow, built once by the pool initializer so repeated

@@ -31,6 +31,7 @@ from repro.sim.experiment import (
     run_experiment,
     compile_benchmarks,
     compare_managers,
+    specs_for,
     MANAGER_FACTORIES,
 )
 from repro.sim.campaign import (
@@ -67,6 +68,7 @@ __all__ = [
     "run_experiment",
     "compile_benchmarks",
     "compare_managers",
+    "specs_for",
     "MANAGER_FACTORIES",
     "CAMPAIGN_VERSION",
     "CampaignCache",

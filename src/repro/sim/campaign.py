@@ -52,7 +52,8 @@ from repro.cluster.cluster import make_cluster, make_heterogeneous_cluster
 from repro.compiler.bitstream import CompiledApp
 from repro.compiler.cache import CompileCache
 from repro.compiler.flow import FLOW_VERSION
-from repro.compiler.service import _mp_context
+from repro.compiler.service import POOL_MIN_MISSES, _mp_context, \
+    pool_workers
 from repro.faults.domains import FailureDomainMap, correlated_outages, \
     gray_faults
 from repro.faults.schedule import FaultSchedule
@@ -65,7 +66,8 @@ from repro.runtime.hetero import HeterogeneousManagerAdapter
 from repro.runtime.policy import CommunicationAwarePolicy
 from repro.sim.arrivals import BurstyArrivals, DiurnalArrivals, \
     FlashCrowdArrivals, PoissonArrivals
-from repro.sim.experiment import compile_benchmarks, run_experiment
+from repro.sim.experiment import compile_benchmarks, run_experiment, \
+    specs_for
 from repro.sim.workload import COMPOSITIONS, WorkloadGenerator
 
 __all__ = [
@@ -262,14 +264,16 @@ def run_config(config: CampaignConfig,
         policy = CommunicationAwarePolicy(max_boards=config.max_boards) \
             if config.max_boards is not None else None
         manager = SystemController(cluster, policy=policy)
-    if apps is None:
-        # artifacts depend on the partition geometry, not the cluster
-        # size or device mix -- one homogeneous board compiles the set
-        apps = compile_benchmarks(make_cluster(num_boards=1))
     requests = WorkloadGenerator(seed=config.seed).generate(
         config.set_index, num_requests=config.num_requests,
         mean_interarrival_s=config.mean_interarrival_s,
         arrival_process=_arrival_process(config))
+    if apps is None:
+        # artifacts depend on the partition geometry, not the cluster
+        # size or device mix -- one homogeneous board compiles the
+        # designs this run replays
+        apps = compile_benchmarks(make_cluster(num_boards=1),
+                                  specs=specs_for(requests))
     schedule = _fault_schedule(config)
     guard = DegradedModeGuard() if config.guard else None
     slo = SLOEngine(list(config.slo_rules)) if config.slo_rules \
@@ -443,25 +447,6 @@ def _campaign_worker_run(config_doc: dict) -> tuple[dict, float]:
     return result, time.perf_counter() - t0
 
 
-#: smallest miss count worth a process pool.  Fork/spawn + per-worker
-#: app rebuild costs tens to hundreds of milliseconds, which a handful
-#: of sub-100ms scenario runs never earns back (the pr9 bench measured
-#: jobs=4 at 0.83x of jobs=1 on the 24-config grid); below the
-#: threshold ``run_many`` runs the misses inline regardless of
-#: ``jobs``.  Results are byte-identical either way.
-POOL_MIN_MISSES = 8
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may actually schedule on."""
-    try:
-        import os
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        import os
-        return os.cpu_count() or 1
-
-
 class CampaignRunner:
     """Cache-first scenario executor (inline or process-parallel).
 
@@ -529,9 +514,11 @@ class CampaignRunner:
         """Resolve every config (cache first), in input order.
 
         ``jobs>1`` farms the cache misses across worker processes --
-        but only when there are at least :data:`POOL_MIN_MISSES` of
-        them and more than one schedulable CPU; smaller (or warm)
-        sweeps run inline to skip pool startup entirely.  The merged
+        but only when the shared pool rule
+        (:func:`~repro.compiler.service.pool_workers`: at least
+        :data:`POOL_MIN_MISSES` misses, more than one schedulable CPU)
+        grants more than one worker; smaller (or warm) sweeps run
+        inline to skip pool startup entirely.  The merged
         result list is byte-identical to ``jobs=1`` (asserted by the
         determinism tests, guaranteed by fresh-cluster runs and
         canonical payloads).
@@ -561,15 +548,14 @@ class CampaignRunner:
                 results[i] = hit
 
         # pass 2: run the misses (cache hits never pay a compile).
-        # The pool spawns lazily and only when it can win: enough
-        # misses to amortize worker startup (POOL_MIN_MISSES) and more
-        # than one schedulable CPU -- tiny or warm sweeps (and 1-CPU
-        # boxes, where workers only add overhead) run inline whatever
+        # The pool spawns lazily and only when the shared pool rule
+        # says it can win -- tiny or warm sweeps (and 1-CPU boxes,
+        # where workers only add overhead) run inline whatever
         # ``jobs`` says.
         if misses:
             apps = self._ensure_apps()
-            workers = min(jobs, len(misses), _usable_cpus())
-            if workers > 1 and len(misses) >= POOL_MIN_MISSES:
+            workers = pool_workers(len(misses), jobs)
+            if workers > 1:
                 payloads = {name: app.to_dict()
                             for name, app in apps.items()}
                 with ProcessPoolExecutor(

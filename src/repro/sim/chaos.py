@@ -45,7 +45,8 @@ from repro.cluster.board import BoardHealth
 from repro.runtime.controller import SystemController
 from repro.runtime.defrag import DefragConfig
 from repro.runtime.guard import DegradedModeGuard, GuardConfig
-from repro.sim.experiment import compile_benchmarks, run_experiment
+from repro.sim.experiment import compile_benchmarks, run_experiment, \
+    specs_for
 from repro.sim.metrics import SummaryMetrics
 from repro.sim.workload import WorkloadGenerator
 
@@ -60,6 +61,7 @@ __all__ = [
     "simulate_warm_restart",
     "run_scenario",
     "run_campaign",
+    "specs_by_board_count",
 ]
 
 
@@ -359,6 +361,21 @@ def _with_restart(controller: SystemController, restart_at: float,
 # ----------------------------------------------------------------------
 # runners
 # ----------------------------------------------------------------------
+def specs_by_board_count(scenarios) -> dict[int, list]:
+    """Per board count, the designs the scenarios sharing it replay.
+
+    Scenarios of one board count share one cluster and one app set
+    (:func:`run_campaign`, ``repro chaos``), so that set is the union
+    of their workloads' designs, in catalog order.
+    """
+    streams: dict[int, list] = {}
+    for scenario in scenarios:
+        streams.setdefault(scenario.num_boards, []).extend(
+            scenario.workload())
+    return {boards: specs_for(requests)
+            for boards, requests in streams.items()}
+
+
 @dataclass(slots=True)
 class ScenarioResult:
     """Outcome of one scenario run (JSON-able via :meth:`as_dict`)."""
@@ -414,7 +431,8 @@ def run_scenario(scenario: ChaosScenario,
     ``with_guard=False`` runs the PR 1 recovery-only baseline (same
     cluster, workload, and schedule; no breaker, no shedding) -- the
     comparison the robustness benchmark records.  Pass ``apps`` /
-    ``cluster`` to amortize compilation across scenarios.
+    ``cluster`` to amortize compilation across scenarios; without
+    ``apps`` only the designs the scenario's workload names compile.
     """
     cluster = cluster if cluster is not None \
         else make_cluster(num_boards=scenario.num_boards)
@@ -422,7 +440,9 @@ def run_scenario(scenario: ChaosScenario,
         raise ValueError(
             f"cluster has {len(cluster.boards)} boards, scenario "
             f"{scenario.name!r} needs {scenario.num_boards}")
-    apps = apps if apps is not None else compile_benchmarks(cluster)
+    requests = scenario.workload()
+    if apps is None:
+        apps = compile_benchmarks(cluster, specs=specs_for(requests))
     schedule = scenario.schedule()
     schedule.validate_for(scenario.num_boards)
     scenario.domain_map().validate_for(scenario.num_boards)
@@ -438,7 +458,7 @@ def run_scenario(scenario: ChaosScenario,
         probe = _with_restart(controller, scenario.restart_at, probe)
 
     result = run_experiment(
-        controller, scenario.workload(), apps,
+        controller, requests, apps,
         faults=schedule, recovery=scenario.recovery,
         tracer=tracer, timeline=timeline, slo=slo,
         guard=guard, probe=probe,
@@ -475,16 +495,22 @@ def run_campaign(scenarios: "list[ChaosScenario] | None" = None,
                  with_guard: bool = True,
                  guard_config: "GuardConfig | None" = None,
                  ) -> CampaignResult:
-    """Run a scenario matrix; one cluster/app set per board count."""
+    """Run a scenario matrix; one cluster/app set per board count.
+
+    Each app set holds the designs the scenarios sharing that board
+    count replay (:func:`specs_by_board_count`).
+    """
     scenarios = scenarios if scenarios is not None \
         else standard_scenarios()
+    specs = specs_by_board_count(scenarios)
     campaign = CampaignResult()
     clusters: dict[int, tuple] = {}
     for scenario in scenarios:
         cached = clusters.get(scenario.num_boards)
         if cached is None:
             cluster = make_cluster(num_boards=scenario.num_boards)
-            cached = (cluster, compile_benchmarks(cluster))
+            cached = (cluster, compile_benchmarks(
+                cluster, specs=specs[scenario.num_boards]))
             clusters[scenario.num_boards] = cached
         cluster, apps = cached
         campaign.results.append(run_scenario(

@@ -62,8 +62,23 @@ __all__ = [
     "run_experiment",
     "compile_benchmarks",
     "compare_managers",
+    "specs_for",
     "MANAGER_FACTORIES",
 ]
+
+
+def specs_for(requests) -> list:
+    """The Table-2 specs a request stream names, in catalog order.
+
+    Callers that know their stream before compiling pass this to
+    :func:`compile_benchmarks` so only the replayed designs compile;
+    ordered as :func:`~repro.hls.kernels.all_benchmarks` is, the
+    resulting ``apps`` dict is a sub-dict of the full set's, key order
+    included.  ``requests`` may be any iterable of requests (chain
+    several streams for their union).
+    """
+    names = {request.spec.name for request in requests}
+    return [spec for spec in all_benchmarks() if spec.name in names]
 
 
 def compile_benchmarks(cluster: FPGACluster,
@@ -239,6 +254,17 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
     """
     if discipline not in ("fifo", "backfill", "sjf"):
         raise ValueError(f"unknown discipline {discipline!r}")
+    # before any observer attaches or the manager is touched: a design
+    # the stream names but ``apps`` lacks would otherwise surface as a
+    # bare KeyError mid-run, after earlier requests already deployed
+    missing = {request.spec.name for request in requests}.difference(
+        apps)
+    if missing:
+        raise KeyError(
+            f"the request stream names {len(missing)} design(s) missing "
+            f"from apps: {', '.join(sorted(missing))}; compile them "
+            "first, e.g. compile_benchmarks(cluster, "
+            "specs=specs_for(requests))")
     backfill = discipline == "backfill"
     # computed before the internal tracer plumbing below: timeline /
     # SLO monitoring create a non-retaining tracer with *event sinks*
@@ -797,11 +823,15 @@ def compare_managers(workload_sets: dict[int, list[list[Request]]],
     ``workload_sets`` maps set index -> list of replica request lists.
     Returns ``{manager: {set_index: averaged summary}}``; summaries are
     averaged field-wise over replicas.  When ``apps`` is not supplied,
-    the benchmark set is compiled through ``cache`` / ``jobs`` (see
-    :func:`compile_benchmarks`).
+    the designs the workload sets name are compiled through ``cache``
+    / ``jobs`` (see :func:`compile_benchmarks`).
     """
     cluster = cluster or make_cluster()
-    apps = apps or compile_benchmarks(cluster, cache=cache, jobs=jobs)
+    apps = apps or compile_benchmarks(
+        cluster,
+        specs=specs_for(request for replicas in workload_sets.values()
+                        for requests in replicas for request in requests),
+        cache=cache, jobs=jobs)
     managers = managers or MANAGER_FACTORIES
 
     out: dict[str, dict[int, SummaryMetrics]] = {}

@@ -62,6 +62,30 @@ class TestSchema:
         assert errors
         assert any(match in e for e in errors)
 
+    def test_machine_descriptor_accepts_strings_and_numbers(self):
+        assert validate_entry(entry(machine={
+            "cpu": "Xeon 2.1 GHz", "nproc": 2, "cpu_ghz": 2.1,
+            "python": "3.11.7"})) == []
+
+    @pytest.mark.parametrize("machine", [
+        {}, "box", {"nproc": True}, {"nproc": None},
+        {"cpu_ghz": float("nan")}, {"python": ""}, {"": "x"},
+        {"nested": {"a": 1}},
+    ])
+    def test_broken_machine_descriptors_are_listed(self, machine):
+        errors = validate_entry(entry(machine=machine))
+        assert errors
+        assert all("machine" in e for e in errors)
+
+    def test_committed_machine_descriptors_live_outside_metrics(self):
+        entries = load_bench(REPO_ROOT / "BENCH_perf.json")["entries"]
+        described = [e for e in entries if "machine" in e]
+        assert len(described) >= 2
+        for found in described:
+            assert found["fingerprint"]
+            assert found["machine"]["nproc"] >= 1
+        assert not any("machine" in e["metrics"] for e in entries)
+
     def test_nan_and_inf_rejected(self):
         assert validate_entry(entry(metrics={"x": float("nan")}))
         assert validate_entry(entry(metrics={"x": float("inf")}))
@@ -192,3 +216,10 @@ class TestFormat:
         assert "other" in text
         assert "abababababab" in text
         assert "wall_s=1.5" in text
+
+    def test_machine_column(self):
+        text = format_trajectory([doc(
+            entry(machine={"nproc": 2, "python": "3.11.7"}),
+            entry(anchor="bare"))])
+        assert "machine" in text
+        assert "nproc=2, python=3.11.7" in text

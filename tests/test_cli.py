@@ -391,6 +391,59 @@ class TestBoardIdValidation:
         assert "board 5" in capsys.readouterr().out
 
 
+class TestSimulateValidation:
+    """Bad ``simulate`` arguments exit 2 with a one-line message -- no
+    traceback, and before a single design compiles."""
+
+    @pytest.fixture(autouse=True)
+    def no_compile(self, monkeypatch):
+        from repro.compiler.service import CompileService
+
+        def compile_many(*args, **kwargs):
+            raise AssertionError("compiled before validating arguments")
+        monkeypatch.setattr(CompileService, "compile_many", compile_many)
+
+    def _rejected(self, capsys, *argv) -> str:
+        assert main(["simulate", "--managers", "vital", *argv]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        return out
+
+    def test_zero_requests(self, capsys):
+        out = self._rejected(capsys, "--requests", "0")
+        assert "--requests must be at least 1, got 0" in out
+
+    def test_zero_boards(self, capsys):
+        out = self._rejected(capsys, "--boards", "0")
+        assert "--boards must be at least 1, got 0" in out
+
+    def test_zero_interarrival(self, capsys):
+        out = self._rejected(capsys, "--interarrival", "0")
+        assert "--interarrival must be a positive number" in out
+
+    def test_negative_interarrival(self, capsys):
+        out = self._rejected(capsys, "--interarrival", "-1")
+        assert "got -1" in out
+
+    def test_malformed_trace_fails_before_compiling(self, capsys,
+                                                    tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert "cannot replay" in self._rejected(
+            capsys, "--from-trace", str(bad))
+
+    def test_empty_trace_fails_before_compiling(self, capsys, tmp_path):
+        from repro.sim.trace import dump_trace
+        empty = tmp_path / "empty.json"
+        dump_trace([], empty)
+        assert "no requests" in self._rejected(
+            capsys, "--from-trace", str(empty))
+
+    def test_faults_demo_on_one_board(self, capsys):
+        out = self._rejected(capsys, "--boards", "1", "--faults", "demo")
+        assert "at least 2 boards" in out
+
+
 class TestChaosCommand:
     def test_list_prints_the_matrix(self, capsys):
         assert main(["chaos", "--list"]) == 0

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.compiler import service as service_mod
 from repro.obs.tracer import Tracer
 from repro.sim import campaign as campaign_mod
 from repro.sim.campaign import (CAMPAIGN_VERSION, FAULT_PROFILES,
@@ -308,7 +309,7 @@ class TestPoolThreshold:
     def test_small_grid_never_spawns_pool(self, apps, monkeypatch):
         monkeypatch.setattr(campaign_mod, "ProcessPoolExecutor",
                             _PoolBomb)
-        monkeypatch.setattr(campaign_mod, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(service_mod, "_usable_cpus", lambda: 8)
         configs = _grid(campaign_mod.POOL_MIN_MISSES - 1)
         runner = CampaignRunner(cache=CampaignCache(), apps=apps)
         results = runner.run_many(configs, jobs=4)
@@ -320,14 +321,14 @@ class TestPoolThreshold:
         cold = runner.run_many(configs, jobs=1)
         monkeypatch.setattr(campaign_mod, "ProcessPoolExecutor",
                             _PoolBomb)
-        monkeypatch.setattr(campaign_mod, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(service_mod, "_usable_cpus", lambda: 8)
         warm = runner.run_many(configs, jobs=4)
         assert canonical_json(cold) == canonical_json(warm)
 
     def test_single_cpu_box_never_spawns_pool(self, apps, monkeypatch):
         monkeypatch.setattr(campaign_mod, "ProcessPoolExecutor",
                             _PoolBomb)
-        monkeypatch.setattr(campaign_mod, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(service_mod, "_usable_cpus", lambda: 1)
         configs = _grid(campaign_mod.POOL_MIN_MISSES + 2)
         runner = CampaignRunner(cache=CampaignCache(), apps=apps)
         assert len(runner.run_many(configs, jobs=4)) == len(configs)
@@ -336,7 +337,7 @@ class TestPoolThreshold:
             self, apps, monkeypatch):
         monkeypatch.setattr(campaign_mod, "ProcessPoolExecutor",
                             _FakePool)
-        monkeypatch.setattr(campaign_mod, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(service_mod, "_usable_cpus", lambda: 8)
         _FakePool.created = 0
         configs = _grid(campaign_mod.POOL_MIN_MISSES)
         pooled = CampaignRunner(cache=CampaignCache(), apps=apps)

@@ -214,3 +214,32 @@ class TestCompareManagers:
             {1: [r1, r2]}, cluster=cluster, apps=compiled_apps,
             managers={"vital": SystemController})
         assert out["vital"][1].num_requests == 4
+
+
+class TestMissingDesigns:
+    """A stream naming designs ``apps`` lacks fails before the run starts,
+    naming every missing design and the fix -- not with a bare KeyError
+    after earlier requests already deployed."""
+
+    def test_names_every_missing_design_before_touching_the_manager(
+            self, cluster, compiled_small, compiled_medium,
+            compiled_large):
+        from repro.obs.tracer import Tracer
+        reqs = requests_for(
+            [compiled_small, compiled_medium, compiled_large],
+            [1.0, 2.0, 3.0])
+        controller = SystemController(cluster)
+        tracer = Tracer()
+        with pytest.raises(KeyError) as err:
+            run_experiment(controller, reqs,
+                           {compiled_small.name: compiled_small},
+                           tracer=tracer)
+        message = str(err.value)
+        assert compiled_medium.name in message
+        assert compiled_large.name in message
+        assert "compile_benchmarks(cluster, specs=" in message
+        # nothing ran, nothing was attached
+        assert not controller.deployments
+        assert len(controller.audit) == 0
+        assert controller.tracer is None
+        assert len(tracer) == 0
