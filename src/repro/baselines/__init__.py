@@ -1,9 +1,9 @@
 """Baseline cluster managers the paper compares against (Section 5.2/5.5).
 
-All managers implement the same duck-typed interface as
-:class:`repro.runtime.controller.SystemController` -- ``try_deploy`` /
-``release`` / ``busy_blocks`` / ``capacity_blocks`` -- so the simulator
-can swap them freely:
+All managers subclass :class:`ClusterManager`, as
+:class:`repro.runtime.controller.SystemController` does -- ``try_deploy``
+/ ``release`` / ``busy_blocks`` / ``capacity_blocks`` plus the base
+class's defaults -- so the simulator can swap them freely:
 
 - :class:`PerDeviceManager` -- the evaluation's baseline: one whole FPGA
   exhaustively allocated per application (AWS F1-style, Fig. 2a);

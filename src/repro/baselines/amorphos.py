@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.baselines.base import ClusterManager
 from repro.cluster.cluster import FPGACluster
 from repro.compiler.bitstream import CompiledApp
 from repro.fabric.resources import ResourceVector
@@ -55,7 +56,7 @@ class _Board:
         return 1.0 - after.utilization_of(self.capacity)
 
 
-class AmorphOSManager:
+class AmorphOSManager(ClusterManager):
     """High-throughput-mode scheduler over one cluster."""
 
     name = "amorphos-ht"
@@ -153,3 +154,6 @@ class AmorphOSManager:
     @property
     def combination_count(self) -> int:
         return len(self.combinations_seen)
+
+    def extras(self) -> dict[str, float]:
+        return {"combinations": float(self.combination_count)}

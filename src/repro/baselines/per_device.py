@@ -11,6 +11,7 @@ full-device reconfiguration.
 
 from __future__ import annotations
 
+from repro.baselines.base import ClusterManager
 from repro.cluster.cluster import FPGACluster
 from repro.compiler.bitstream import CompiledApp
 from repro.runtime.types import Deployment, Placement
@@ -18,7 +19,7 @@ from repro.runtime.types import Deployment, Placement
 __all__ = ["PerDeviceManager"]
 
 
-class PerDeviceManager:
+class PerDeviceManager(ClusterManager):
     """Whole-FPGA-per-application manager."""
 
     name = "per-device"
@@ -94,6 +95,8 @@ class PerDeviceManager:
         return [self._live.pop(owner)]
 
     def repair_board(self, board_id: int, now: float = 0.0) -> None:
+        if board_id not in self._board_owner:
+            raise KeyError(f"no board {board_id} in this cluster")
         self._failed.discard(board_id)
 
     def failed_boards(self) -> list[int]:

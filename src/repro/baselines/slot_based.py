@@ -12,6 +12,7 @@ offers simply takes every slot of one device.
 
 from __future__ import annotations
 
+from repro.baselines.base import ClusterManager
 from repro.cluster.cluster import FPGACluster
 from repro.compiler.bitstream import CompiledApp
 from repro.fabric.resources import ResourceVector
@@ -20,7 +21,7 @@ from repro.runtime.types import Deployment, Placement
 __all__ = ["SlotBasedManager"]
 
 
-class SlotBasedManager:
+class SlotBasedManager(ClusterManager):
     """Fixed identical slots, single-FPGA placements."""
 
     name = "slot-based"

@@ -2,10 +2,12 @@
 
 The injector is manager-agnostic on purpose: the availability benchmark
 subjects ViTAL *and* the baselines to one schedule, so the comparison is
-apples-to-apples.  A manager advertises fault support structurally --
-``fail_board``/``repair_board`` for fail-stop events,
-``inject_reconfig_fault`` for transient ICAP faults, a ``cluster``
-attribute for ring-link events.  Events a manager cannot express are
+apples-to-apples.  Every :class:`~repro.baselines.base.ClusterManager`
+has the fault hooks -- ``fail_board``/``repair_board`` for fail-stop
+events, ``inject_reconfig_fault`` / ``degrade_icap`` / ``restore_icap``
+for ICAP faults -- and a ``cluster`` whose ring takes link events.  A
+hook the manager does not implement raises ``NotImplementedError``, and
+an event it cannot express (or a link event without a cluster) is
 counted in :attr:`FaultInjector.unsupported` rather than raised: a
 baseline without an ICAP queue model simply doesn't feel ICAP faults,
 exactly as it doesn't feel them in its own service model.
@@ -18,6 +20,7 @@ never leak into the next run.
 
 from __future__ import annotations
 
+from repro.baselines.base import ClusterManager
 from repro.faults.schedule import (
     BoardDown,
     BoardUp,
@@ -38,10 +41,10 @@ __all__ = ["FaultInjector"]
 class FaultInjector:
     """Drives one manager (and its cluster) with fault events."""
 
-    def __init__(self, manager) -> None:
+    def __init__(self, manager: ClusterManager) -> None:
         self.manager = manager
-        self.network = getattr(
-            getattr(manager, "cluster", None), "network", None)
+        self.network = manager.cluster.network \
+            if manager.cluster is not None else None
         #: events the manager could not express, by event type name
         self.unsupported: dict[str, int] = {}
         self._degraded_segments: set[int] = set()
@@ -57,66 +60,52 @@ class FaultInjector:
         if not isinstance(event, FaultEvent):
             raise TypeError(f"unknown fault event {event!r}")
         now = event.time_s if now is None else now
+        try:
+            return self._apply(event, now)
+        except NotImplementedError:
+            return self._skip(event)
+
+    def _apply(self, event: FaultEvent, now: float) -> list[Deployment]:
+        manager = self.manager
         if isinstance(event, BoardDown):
-            fail = getattr(self.manager, "fail_board", None)
-            if fail is None:
-                return self._skip(event)
+            evicted = list(manager.fail_board(event.board, now))
             self._failed_boards.add(event.board)
-            return list(fail(event.board, now))
+            return evicted
         if isinstance(event, BoardUp):
-            repair = getattr(self.manager, "repair_board", None)
-            if repair is None:
-                return self._skip(event)
+            manager.repair_board(event.board, now)
             self._failed_boards.discard(event.board)
-            repair(event.board, now)
             return []
+        network = self.network
+        if isinstance(event, (LinkDegraded, LinkRestored, LinkFlaky,
+                              LinkStable)) and network is None:
+            return self._skip(event)
         if isinstance(event, LinkDegraded):
-            if self.network is None:
-                return self._skip(event)
-            self.network.degrade_segment(event.segment,
-                                         event.capacity_fraction)
+            network.degrade_segment(event.segment, event.capacity_fraction)
             self._degraded_segments.add(event.segment)
             return []
         if isinstance(event, LinkRestored):
-            if self.network is None:
-                return self._skip(event)
-            self.network.restore_segment(event.segment)
+            network.restore_segment(event.segment)
             self._degraded_segments.discard(event.segment)
             return []
         if isinstance(event, LinkFlaky):
-            if self.network is None or not hasattr(
-                    self.network, "set_segment_flakiness"):
-                return self._skip(event)
-            self.network.set_segment_flakiness(event.segment,
-                                               event.drop_probability)
+            network.set_segment_flakiness(event.segment,
+                                          event.drop_probability)
             self._flaky_segments.add(event.segment)
             return []
         if isinstance(event, LinkStable):
-            if self.network is None or not hasattr(
-                    self.network, "clear_segment_flakiness"):
-                return self._skip(event)
-            self.network.clear_segment_flakiness(event.segment)
+            network.clear_segment_flakiness(event.segment)
             self._flaky_segments.discard(event.segment)
             return []
         if isinstance(event, IcapDegraded):
-            degrade = getattr(self.manager, "degrade_icap", None)
-            if degrade is None:
-                return self._skip(event)
-            degrade(event.board, event.latency_multiplier)
+            manager.degrade_icap(event.board, event.latency_multiplier)
             self._degraded_icap.add(event.board)
             return []
         if isinstance(event, IcapRestored):
-            restore = getattr(self.manager, "restore_icap", None)
-            if restore is None:
-                return self._skip(event)
-            restore(event.board)
+            manager.restore_icap(event.board)
             self._degraded_icap.discard(event.board)
             return []
         if isinstance(event, ReconfigTransientFault):
-            arm = getattr(self.manager, "inject_reconfig_fault", None)
-            if arm is None:
-                return self._skip(event)
-            arm(event.board, event.attempts)
+            manager.inject_reconfig_fault(event.board, event.attempts)
             return []
         raise TypeError(f"unknown fault event {event!r}")
 
@@ -141,15 +130,13 @@ class FaultInjector:
                 self.network.clear_segment_flakiness(segment)
         self._degraded_segments.clear()
         self._flaky_segments.clear()
-        restore_icap = getattr(self.manager, "restore_icap", None)
-        if restore_icap is not None:
-            for board in sorted(self._degraded_icap):
-                restore_icap(board)
+        # only events the manager applied are tracked, so its hooks for
+        # undoing them exist
+        for board in sorted(self._degraded_icap):
+            self.manager.restore_icap(board)
         self._degraded_icap.clear()
-        repair = getattr(self.manager, "repair_board", None)
-        if repair is not None:
-            for board in sorted(self._failed_boards):
-                repair(board, now)
+        for board in sorted(self._failed_boards):
+            self.manager.repair_board(board, now)
         self._failed_boards.clear()
 
     # ------------------------------------------------------------------

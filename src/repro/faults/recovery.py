@@ -66,30 +66,27 @@ class MigrateOnFailurePolicy:
       use the manager's first-class ``migrate`` operation -- the state
       checkpoint moves with it and progress survives by construction;
     - the deployment was already evicted (the fail-stop wiped its
-      board): use the manager's ``redeploy_evicted`` relocation path
-      (ViTAL's controllers have one; per-device baselines cannot
-      relocate a bitstream compiled for one board onto another without
-      recompiling, so they fall back to re-queueing -- which is exactly
-      the comparison the availability benchmark draws).
+      board; ``migrate`` raises ``KeyError``) or the manager cannot
+      migrate (``NotImplementedError``): use its ``redeploy_evicted``
+      relocation path (ViTAL's controllers have one; per-device
+      baselines cannot relocate a bitstream compiled for one board onto
+      another without recompiling, so the base class's ``None`` sends
+      them back to the queue -- which is exactly the comparison the
+      availability benchmark draws).
     """
 
     name = "migrate-on-failure"
 
     def recover(self, manager, deployment: Deployment,
                 now: float) -> Deployment | None:
-        migrate = getattr(manager, "migrate", None)
-        live = getattr(manager, "deployments", None)
-        if (migrate is not None and live is not None
-                and deployment.request_id in live):
-            pause = migrate(deployment.request_id, now=now,
-                            reason="proactive-recovery")
-            if pause is not None:
-                return live[deployment.request_id]
+        try:
+            pause = manager.migrate(deployment.request_id, now=now,
+                                    reason="proactive-recovery")
+        except (KeyError, NotImplementedError):
+            return manager.redeploy_evicted(deployment, now)
+        if pause is None:
             return None
-        redeploy = getattr(manager, "redeploy_evicted", None)
-        if redeploy is None:
-            return None
-        return redeploy(deployment, now)
+        return manager.deployments[deployment.request_id]
 
 
 def resolve_recovery_policy(

@@ -18,10 +18,11 @@ the paper's "<0.03% latency overhead" observation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.baselines.base import ClusterManager
 from repro.cluster.board import BoardHealth
 from repro.cluster.cluster import FPGACluster
 from repro.compiler.bitstream import CompiledApp
@@ -85,7 +86,7 @@ class _Allocatable:
                    np.nonzero(~mask)[0])
 
 
-class SystemController:
+class SystemController(ClusterManager):
     """Runtime manager of one FPGA cluster."""
 
     name = "vital"
@@ -175,10 +176,9 @@ class SystemController:
     def attach_tracer(self, tracer: Tracer | None) -> None:
         """Wire ``tracer`` into this controller and its policy."""
         self.tracer = tracer
-        if hasattr(self.policy, "tracer"):
-            self.policy.tracer = tracer
+        self.policy.tracer = tracer
 
-    def attach_guard(self, guard) -> None:
+    def attach_guard(self, guard) -> bool:
         """Wire a :class:`repro.runtime.guard.DegradedModeGuard` into
         this controller: the guard's circuit breakers narrow the
         allocatable board set, and its retry budget replaces the fixed
@@ -187,6 +187,7 @@ class SystemController:
         if guard is not None:
             guard.bind(self)
         self._refresh_allocatable()
+        return True
 
     def attach_metrics(self, registry) -> None:
         """Expose live controller state through ``registry``.
@@ -231,21 +232,9 @@ class SystemController:
                     needed=app.num_blocks)
             return None
 
-        # one search, watched or not: the exact communication-aware
-        # policy runs over the resource DB's count vector (subclasses
-        # that override ``allocate`` and the ablation policies get the
-        # candidate map their protocol entry takes); a tracer only adds
-        # records
-        policy = self.policy
+        # one search, watched or not: a tracer only adds records
         view = self._allocatable_for(app)
-        if type(policy) is CommunicationAwarePolicy:
-            placement = policy.allocate_fast(
-                app, self.resource_db, self.cluster.network,
-                view.excluded)
-        else:
-            placement = policy.allocate(
-                app, self._allocatable_blocks(app),
-                self.cluster.network)
+        placement = self._place(app, view)
         if placement is None:
             self.audit.record(now, AuditEvent.REJECT, request_id,
                               tenant, app=app_name,
@@ -263,7 +252,7 @@ class SystemController:
                     free_blocks=(self.resource_db.total_blocks
                                  - self.resource_db.allocated_count()
                                  - self.resource_db.failed_count()),
-                    search=getattr(policy, "last_search", None))
+                    search=self.policy.last_search)
             return None
         # the view as searched: programming faults inside
         # _finalize_deploy may quarantine a board before ctrl.deploy
@@ -479,18 +468,43 @@ class SystemController:
             view.ids,
             self.resource_db.free_counts_vector()[view.rows].tolist()))
 
-    def _allocatable_blocks(self, app: CompiledApp,
-                            ) -> dict[int, list[int]]:
-        """Candidate map (board -> free blocks) over the allocatable
-        boards, for :meth:`AllocationPolicy.allocate` callers."""
-        free_on = self.resource_db.free_by_board_one
-        return {board: free_on(board)
-                for board in self._allocatable_for(app).ids}
+    def _place(self, app: CompiledApp, view: _Allocatable,
+               probe: bool = False) -> Placement | None:
+        """The one placement search, over ``view``'s boards.
+
+        The stock policy searches the resource DB's count vector with
+        every row outside the view read as zero; other policies (the
+        ablations, subclasses overriding ``allocate``) get the candidate
+        map their protocol entry takes.  Both write the same records.
+        A ``probe`` -- a migration's target search, the defragmenter's
+        look-ahead -- is not a request's own search, so the policy's
+        ``last_search``, which a later ``ctrl.reject`` reports, is
+        restored after it.
+        """
+        policy = self.policy
+        saved_search = policy.last_search
+        if type(policy) is CommunicationAwarePolicy:
+            placement = policy.allocate_fast(
+                app, self.resource_db, self.cluster.network,
+                view.excluded)
+        else:
+            free_on = self.resource_db.free_by_board_one
+            placement = policy.allocate(
+                app, {board: free_on(board) for board in view.ids},
+                self.cluster.network)
+        if probe:
+            policy.last_search = saved_search
+        return placement
+
+    def fit_capacity(self) -> int:
+        """The resource DB's optimistic bound under the policy's span
+        cap (see :meth:`ResourceDB.fit_capacity`)."""
+        return self.resource_db.fit_capacity(self.policy.max_boards)
 
     def _finalize_deploy(self, app: CompiledApp, request_id: int,
                          now: float, tenant: str,
                          placement: Placement,
-                         candidates: list[int] | None = None,
+                         candidates: list[int],
                          ) -> Deployment | None:
         # runtime relocation: bind every image to its physical block
         # (validation memoized per (image, block) -- see __init__)
@@ -764,10 +778,10 @@ class SystemController:
         rebind its images onto new physical blocks, reprogram them
         through the ICAP (paying the same port-queue / gray-multiplier
         model as a deploy), move the DRAM segments and demand, re-key
-        the ring flows, and resume.  Candidate boards go through
-        :meth:`_allocatable_blocks` -- failed, quarantined, and
-        (for heterogeneous clusters) out-of-footprint boards are never
-        migration targets -- optionally narrowed to ``to_boards``.
+        the ring flows, and resume.  Candidate boards are the
+        allocatable view -- failed, quarantined, and (for heterogeneous
+        clusters) out-of-footprint boards are never migration targets
+        -- optionally narrowed to ``to_boards``.
 
         Returns the pause charged to the request (capture + rewrite +
         reconfiguration + restore seconds), or ``None`` when no
@@ -781,22 +795,14 @@ class SystemController:
             raise KeyError(f"request {request_id} is not deployed")
         if self.guard is not None:
             self.guard.advance(now)
-        candidates = self._allocatable_blocks(deployment.app)
+        view = self._allocatable_for(deployment.app)
         if to_boards is not None:
-            allowed = set(to_boards)
-            candidates = {b: blocks
-                          for b, blocks in candidates.items()
-                          if b in allowed}
-        # the internal search must not clobber the policy's failed-
-        # search telemetry: a later ctrl.reject reports last_search,
-        # and a migration probe is not that request's search
-        policy = self.policy
-        had_search = hasattr(policy, "last_search")
-        saved_search = policy.last_search if had_search else None
-        placement = policy.allocate(deployment.app, candidates,
-                                    self.cluster.network)
-        if had_search:
-            policy.last_search = saved_search
+            ids = self.resource_db.board_ids_array()
+            mask = np.zeros(len(ids), dtype=bool)
+            mask[view.rows] = True
+            view = _Allocatable.from_mask(
+                mask & np.isin(ids, to_boards), ids)
+        placement = self._place(deployment.app, view, probe=True)
         if placement is None:
             return None
         state = self.checkpoint(request_id)

@@ -90,24 +90,16 @@ class DefragmentingController(SystemController):
             return super().try_deploy(app, request_id, now,
                                       tenant=tenant)
 
-        # probe through the shared availability filter -- failed and
-        # quarantined boards must not look placeable -- and shield the
-        # policy's last_search tuple: this probe is not the request's
-        # real search, and a later ctrl.reject must not report it
-        candidates = self._allocatable_blocks(app)
-        policy = self.policy
-        had_search = hasattr(policy, "last_search")
-        saved_search = policy.last_search if had_search else None
-        probe = policy.allocate(app, candidates, self.cluster.network)
-        if had_search:
-            policy.last_search = saved_search
-
+        # probe over the allocatable view -- failed and quarantined
+        # boards must not look placeable
+        view = self._allocatable_for(app)
+        probe = self._place(app, view, probe=True)
         if probe is not None and not probe.spans_boards:
             # single-board probe: that IS the placement -- finalize it
             # directly instead of searching a second time
             return self._finalize_deploy(app, request_id, now,
                                          actual_tenant, probe,
-                                         candidates=list(candidates))
+                                         candidates=view.ids)
 
         penalties: dict[int, float] = {}
         plan = self.plan_migration(app)

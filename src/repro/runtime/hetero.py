@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.base import ClusterManager
 from repro.cluster.cluster import FPGACluster
 from repro.compiler.bitstream import CompiledApp
 from repro.compiler.flow import CompilationFlow
@@ -142,13 +143,14 @@ class HeterogeneousStack:
         self.controller.release(deployment, now)
 
 
-class HeterogeneousManagerAdapter:
-    """Drives a mixed cluster through the simulator's manager protocol.
+class HeterogeneousManagerAdapter(ClusterManager):
+    """Drives a mixed cluster through the simulator's manager interface.
 
     The simulator hands over homogeneous-cluster artifacts; this adapter
     re-keys by kernel *specification*, compiles per footprint group on
     first sight, and delegates to the heterogeneous stack -- so the same
-    Table 3 workloads replay unchanged on mixed clusters.
+    Table 3 workloads replay unchanged on mixed clusters.  Everything
+    beyond the four abstract methods keeps the base class's defaults.
     """
 
     name = "vital-hetero"

@@ -37,8 +37,8 @@ scatters blocks round-robin across boards (maximum communication).
 from __future__ import annotations
 
 import itertools
+from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Protocol
 
 import numpy as np
 
@@ -55,17 +55,33 @@ __all__ = [
 ]
 
 
-class AllocationPolicy(Protocol):
-    """Strategy interface: pick physical blocks for an application."""
+class AllocationPolicy(ABC):
+    """Strategy base: pick physical blocks for an application.
+
+    The attribute defaults are what a policy without search telemetry
+    or a span cap reads as; the controller sets and reads them on every
+    policy alike.
+    """
 
     name: str
+    #: optional :class:`repro.obs.tracer.Tracer` (``attach_tracer``);
+    #: when set, a successful search records rounds attempted and
+    #: subsets visited vs. pruned.  ``None`` costs one falsy check.
+    tracer = None
+    #: failed-search telemetry ``(reason, rounds, visited, pruned)``,
+    #: refreshed on every tracing failure: a saturated loop rejects the
+    #: queue head on every event, so the controller folds this tuple
+    #: into its one ``ctrl.reject`` record instead of a record per search
+    last_search: "tuple | None" = None
+    #: cap on boards per placement (``None``: unbounded)
+    max_boards: "int | None" = None
 
+    @abstractmethod
     def allocate(self, app: CompiledApp,
                  free_by_board: dict[int, list[int]],
                  network: RingNetwork) -> Placement | None:
         """Return a placement using currently free blocks, or ``None``
         when the application cannot be deployed right now."""
-        ...
 
 
 #: flow-adjacency constructions, ever: one per cold
@@ -232,7 +248,7 @@ def _build_placement(app: CompiledApp,
     return placement
 
 
-class CommunicationAwarePolicy:
+class CommunicationAwarePolicy(AllocationPolicy):
     """The paper's multi-round, span-minimizing policy.
 
     Each round is an exact branch-and-bound (:meth:`_best_subset_array`)
@@ -258,19 +274,6 @@ class CommunicationAwarePolicy:
         if max_boards is not None and max_boards < 1:
             raise ValueError("max_boards must be >= 1")
         self.max_boards = max_boards
-        #: optional :class:`repro.obs.tracer.Tracer`; when set (and
-        #: enabled) each successful ``allocate`` records rounds
-        #: attempted and subsets visited vs. pruned -- the
-        #: search-effort telemetry the scalability claims lean on.
-        #: ``None`` costs one falsy check per call.
-        self.tracer = None
-        #: failed-search telemetry ``(reason, rounds, visited,
-        #: pruned)``, refreshed on every tracing failure.  A saturated
-        #: loop rejects the queue head on every event, so failures
-        #: deposit a tuple here instead of a trace entry of their own;
-        #: the controller folds it into its single ``ctrl.reject``
-        #: event.
-        self.last_search: tuple | None = None
 
     def allocate(self, app: CompiledApp,
                  free_by_board: dict[int, list[int]],
@@ -475,7 +478,7 @@ class CommunicationAwarePolicy:
         return quotas
 
 
-class FirstFitPolicy:
+class FirstFitPolicy(AllocationPolicy):
     """Ablation: grab free blocks in address order, boards ignored."""
 
     name = "first-fit"
@@ -501,7 +504,7 @@ class FirstFitPolicy:
         return _build_placement(app, quotas, chosen_by_board)
 
 
-class SpreadPolicy:
+class SpreadPolicy(AllocationPolicy):
     """Ablation: round-robin blocks across boards (max communication)."""
 
     name = "spread"

@@ -181,12 +181,12 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
     default, or ``"migrate"`` / a :class:`RecoveryPolicy` instance).
 
     ``tracer`` records the event loop's decisions (arrivals, deploys,
-    completions, faults, evictions) with sim-time timestamps; if the
-    manager can carry a tracer (``attach_tracer`` or a ``tracer``
-    attribute, as :class:`SystemController` and its policy do), it is
-    attached for the run so controller-level decisions land in the same
-    stream.  ``metrics`` accumulates counters/histograms labeled by
-    manager name.  Both default to ``None`` -- the simulation's results
+    completions, faults, evictions) with sim-time timestamps; it is
+    handed to the manager's ``attach_tracer`` (a no-op unless, like
+    :class:`SystemController` and its policy, the manager records
+    decisions) so controller-level decisions land in the same stream.
+    ``metrics`` accumulates counters/histograms labeled by manager
+    name.  Both default to ``None`` -- the simulation's results
     are identical with or without them; they only observe.
 
     ``timeline`` streams the run into a
@@ -203,9 +203,10 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
 
     ``guard`` attaches a
     :class:`~repro.runtime.guard.DegradedModeGuard` when the manager
-    supports one (``attach_guard``; others ignore it): quarantined
-    boards leave the allocatable set, reconfig retries use the guard's
-    jittered budget, and after every arrival or fault the guard may
+    takes one (``attach_guard`` returns True; others ignore it):
+    quarantined boards leave the allocatable set, reconfig retries use
+    the guard's jittered budget, and after every arrival or fault the
+    guard may
     shed queued requests (recorded per request and in the summary's
     ``shed_requests``).  If ``slo`` is also given, sustained SLO
     violations become a shedding trigger.  ``probe(now, manager)``
@@ -213,10 +214,10 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
     to assert invariants mid-run; it must not mutate anything.
 
     ``defrag`` attaches a background
-    :class:`~repro.runtime.defrag.Defragmenter` when the manager
-    supports live migration (``migrate``; baselines ignore it): after
-    each drain the defragmenter may consolidate the cluster toward the
-    queue head's footprint, its migration pauses land on the moved
+    :class:`~repro.runtime.defrag.Defragmenter` when the manager is a
+    :class:`SystemController` (baselines ignore it): after each drain
+    the defragmenter may consolidate the cluster toward the queue
+    head's footprint, its migration pauses land on the moved
     requests as rescheduled completions, and a request that deploys
     right after a pass is counted in ``readmitted_requests``.  Pass
     ``True`` for defaults, a :class:`DefragConfig` to tune, or a
@@ -243,8 +244,8 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
     are unchanged -- only the controller's internal audit log records
     fewer redundant retry rejections.  The same observability gate
     also enables a vectorized admission prefilter for ``backfill``
-    scans: a one-shot :meth:`~repro.runtime.resource_db.ResourceDB`
-    capacity bound over the queue's own demand vector (kept by
+    scans: the manager's one-shot capacity bound (``fit_capacity``) over
+    the queue's own demand vector (kept by
     :class:`~repro.sim.request_queue.RequestQueue`, never rebuilt)
     culls queued requests that cannot fit anywhere before their
     per-request policy search runs.  These two loop-level shortcuts are
@@ -284,7 +285,7 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
             # without retaining entries
             tracer = Tracer(retain=False)
         if not timeline.configured:
-            cluster = getattr(manager, "cluster", None)
+            cluster = manager.cluster
             timeline.configure(
                 manager.capacity_blocks(),
                 num_boards=len(cluster.boards)
@@ -305,37 +306,28 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
         profile.attach_tracer(tracer)
 
     if tracer is not None:
-        if hasattr(manager, "attach_tracer"):
-            manager.attach_tracer(tracer)
-        elif hasattr(manager, "tracer"):
-            manager.tracer = tracer
-    if metrics is not None and hasattr(manager, "attach_metrics"):
+        manager.attach_tracer(tracer)
+    if metrics is not None:
         manager.attach_metrics(metrics)
     if guard is not None:
-        if hasattr(manager, "attach_guard"):
-            manager.attach_guard(guard)
-            if slo is not None:
-                guard.bind_slo(slo)
-        else:
+        if not manager.attach_guard(guard):
             guard = None  # managers without guard hooks ignore it
+        elif slo is not None:
+            guard.bind_slo(slo)
     defragmenter: Defragmenter | None = None
     if defrag is not None and defrag is not False:
         if isinstance(defrag, Defragmenter):
             defragmenter = defrag
-        elif hasattr(manager, "migrate"):
+        elif isinstance(manager, SystemController):
             config = defrag if isinstance(defrag, DefragConfig) \
                 else None
             defragmenter = Defragmenter(manager, config)
     mx = _ExperimentMetrics(metrics, manager.name) if metrics is not None \
         else None
 
-    # fast-path gates (see the docstring's last paragraph).  The
-    # admission prefilter needs a ResourceDB's flat mirrors and no
-    # observer of the per-request search stream.
-    prefilter_db = None if trace_observed \
-        else getattr(manager, "resource_db", None)
-    policy_max_boards = getattr(getattr(manager, "policy", None),
-                                "max_boards", None)
+    # fast-path gate (see the docstring's last paragraph): the admission
+    # prefilter needs no observer of the per-request search stream
+    prefilter = backfill and not trace_observed
 
     events = ArrayEventQueue()
     events.push_many((request.arrival_s, "arrival", request)
@@ -397,7 +389,9 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
     def try_drain(now: float) -> None:
         while queue:
             progressed = False
-            if backfill and prefilter_db is not None and len(queue) > 2:
+            bound = manager.fit_capacity() \
+                if prefilter and len(queue) > 2 else None
+            if bound is not None:
                 # vectorized admission prefilter: one capacity bound
                 # over the whole cohort culls requests that cannot fit
                 # anywhere (more blocks than free, or more than the
@@ -407,8 +401,7 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
                 # shrink feasibility -- so every culled search would
                 # have failed; recomputed per pass since deploys free
                 # nothing but consume capacity monotonically.
-                scan = prefilter_db.fit_mask_requests(
-                    queue.demand, policy_max_boards).nonzero()[0]
+                scan = (queue.demand <= bound).nonzero()[0]
             else:
                 scan = range(len(queue)) if backfill else range(1)
             for i in scan:
@@ -783,18 +776,16 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
             summary,
             quarantines=float(guard.quarantine_count),
             probations=float(guard.probation_count))
-    migrations = float(getattr(manager, "migrations_performed", 0) or 0)
+    migrations = float(manager.migrations_performed)
     if migrations or defragmenter is not None:
         summary = replace(
             summary,
             migrations=migrations,
-            migration_pause_s=float(
-                getattr(manager, "migration_pause_s", 0.0) or 0.0))
+            migration_pause_s=float(manager.migration_pause_s))
     result = ExperimentResult(manager_name=manager.name,
                               summary=summary,
-                              records=list(collector.records.values()))
-    if isinstance(manager, AmorphOSManager):
-        result.extras["combinations"] = float(manager.combination_count)
+                              records=list(collector.records.values()),
+                              extras=manager.extras())
     if finalize is not None:
         finalize.__exit__(None, None, None)
     return result

@@ -6,8 +6,10 @@ before the optimization that replaced it, moved here verbatim
 (test-only: no oracle and no switch between implementations lives under
 ``src/``):
 
-- :class:`RescanResourceDB` -- every query rescans the block table, as
-  the database did before the incremental indices;
+- :class:`RescanResourceDB` -- the dict-per-block database (one
+  state + owner entry per block, nothing beside it), every query a
+  rescan of that table, as the database was before its incremental
+  indices;
 - :class:`ExhaustivePolicy` -- ``allocate`` enumerates every board
   subset of every round (what ``CommunicationAwarePolicy(prune=False)``
   selected), tracer event and ``last_search`` included;
@@ -33,6 +35,7 @@ exactly.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,7 +48,7 @@ from repro.runtime.guard import BreakerState
 from repro.runtime.hetero import HeterogeneousController
 from repro.runtime.policy import CommunicationAwarePolicy, \
     _build_placement, _flow_adjacency
-from repro.runtime.resource_db import BlockState, ResourceDB
+from repro.runtime.resource_db import BlockState
 from repro.runtime.types import BlockAddress, Placement
 
 __all__ = ["RescanResourceDB", "ExhaustivePolicy", "ScalarPolicy",
@@ -53,13 +56,35 @@ __all__ = ["RescanResourceDB", "ExhaustivePolicy", "ScalarPolicy",
            "CandidateMapController", "CandidateMapHeteroController"]
 
 
-class RescanResourceDB(ResourceDB):
-    """The pre-incremental reference implementation.
+@dataclass(slots=True)
+class _Entry:
+    state: BlockState = BlockState.FREE
+    owner: int | None = None  # request id
 
-    Every query rescans ``_entries`` exactly as the original database
-    did (transitions still maintain the indices, so the two
-    implementations can be compared in place).
+
+class RescanResourceDB:
+    """The dict-per-block reference database.
+
+    One ``_Entry`` (state + owner) per block address and nothing beside
+    it; every query and transition rescans ``_entries``.  It shares no
+    state or code with ``ResourceDB``; its error messages are the ones
+    the production database keeps.
     """
+
+    def __init__(self, cluster) -> None:
+        self.cluster = cluster
+        self._entries: dict[BlockAddress, _Entry] = {
+            addr: _Entry() for addr in cluster.all_addresses()}
+
+    @property
+    def total_blocks(self) -> int:
+        return len(self._entries)
+
+    def state_of(self, address: BlockAddress) -> BlockState:
+        return self._entries[address].state
+
+    def owner_of(self, address: BlockAddress) -> int | None:
+        return self._entries[address].owner
 
     def free_blocks(self) -> list[BlockAddress]:
         return [a for a, e in self._entries.items()
@@ -85,15 +110,77 @@ class RescanResourceDB(ResourceDB):
         return {board for (board, _), e in self._entries.items()
                 if e.state is BlockState.FAILED}
 
+    def utilization(self) -> float:
+        return self.allocated_count() / self.total_blocks
+
     def blocks_of(self, request_id: int) -> list[BlockAddress]:
         return [a for a, e in self._entries.items()
                 if e.owner == request_id]
 
+    def allocate(self, request_id: int,
+                 addresses: list[BlockAddress]) -> None:
+        for address in addresses:
+            entry = self._entries[address]
+            if entry.state is BlockState.FAILED:
+                raise RuntimeError(
+                    f"block {address} is on a failed board")
+            if entry.state is not BlockState.FREE:
+                raise RuntimeError(
+                    f"block {address} already allocated to "
+                    f"request {entry.owner}")
+        if len(set(addresses)) != len(addresses):
+            raise RuntimeError(
+                f"request {request_id} lists a block twice")
+        for address in addresses:
+            entry = self._entries[address]
+            entry.state = BlockState.ALLOCATED
+            entry.owner = request_id
+
     def release(self, request_id: int) -> list[BlockAddress]:
-        # pay the original scan cost, then transition through the
-        # index-maintaining path so both representations stay usable
-        self.blocks_of(request_id)
-        return super().release(request_id)
+        freed = sorted(self.blocks_of(request_id))
+        if not freed:
+            raise RuntimeError(
+                f"request {request_id} owns no blocks to release")
+        for address in freed:
+            entry = self._entries[address]
+            entry.state = BlockState.FREE
+            entry.owner = None
+        return freed
+
+    def _on_board(self, board_id: int,
+                  ) -> list[tuple[BlockAddress, _Entry]]:
+        on_board = [(a, e) for a, e in self._entries.items()
+                    if a[0] == board_id]
+        if not on_board:
+            raise KeyError(f"no blocks on board {board_id}")
+        return on_board
+
+    def set_board_failed(self, board_id: int) -> None:
+        on_board = self._on_board(board_id)
+        for address, entry in on_board:
+            if entry.state is BlockState.ALLOCATED:
+                raise RuntimeError(
+                    f"block {address} still allocated to request "
+                    f"{entry.owner}; evict deployments before failing "
+                    "the board")
+        for _, entry in on_board:
+            entry.state = BlockState.FAILED
+
+    def set_board_repaired(self, board_id: int) -> None:
+        for _, entry in self._on_board(board_id):
+            if entry.state is BlockState.FAILED:
+                entry.state = BlockState.FREE
+                entry.owner = None
+
+    def verify(self) -> None:
+        """The one invariant a table with nothing beside it can break:
+        an owner exactly on allocated blocks."""
+        for address, entry in self._entries.items():
+            if (entry.owner is not None) \
+                    != (entry.state is BlockState.ALLOCATED):
+                raise RuntimeError(
+                    f"block {address}: state {entry.state} inconsistent "
+                    f"with owner {entry.owner}")
 
 
 class ExhaustivePolicy(CommunicationAwarePolicy):
@@ -365,9 +452,15 @@ class _CandidateMapDeployPath:
             self.resource_db.free_by_board())
 
     def _allocatable_for(self, app: CompiledApp):
-        # try_deploy reads only ``ids`` off the view on the
-        # protocol-entry branch (candidate count and candidate list)
-        return SimpleNamespace(ids=list(self._allocatable_blocks(app)))
+        # try_deploy reads only ``ids`` off the view (candidate count
+        # and candidate list); ``_place`` below searches the map
+        blocks = self._allocatable_blocks(app)
+        return SimpleNamespace(ids=list(blocks), blocks=blocks)
+
+    def _place(self, app: CompiledApp, view, probe: bool = False):
+        # the deploy path only: no migration or defrag probe runs here
+        return self.policy.allocate(app, view.blocks,
+                                    self.cluster.network)
 
 
 class CandidateMapController(_CandidateMapDeployPath, SystemController):

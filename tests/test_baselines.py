@@ -52,6 +52,17 @@ class TestPerDevice:
         with pytest.raises(RuntimeError):
             mgr.release(d)
 
+    def test_unknown_board_fault_hooks_raise(self, cluster):
+        """``repair_board`` on a board outside the cluster used to
+        succeed silently; both hooks raise like the controller's."""
+        mgr = PerDeviceManager(cluster)
+        unknown = len(cluster.boards) + 5
+        for hook in (mgr.fail_board, mgr.repair_board):
+            with pytest.raises(KeyError, match="no board"):
+                hook(unknown)
+        assert mgr.failed_boards() == []
+        assert mgr.free_boards() == len(cluster.boards)
+
 
 class TestSlotBased:
     def test_small_app_takes_one_slot(self, cluster, compiled_small):

@@ -1,14 +1,14 @@
-"""Differential tests for the incremental resource-database indices.
+"""Differential tests for the resource database.
 
-The System-Layer hot path replaced full-table rescans with indices
-maintained on every transition (see ``runtime/resource_db.py``).  These
-tests pin the equivalence: a randomized operation mix is applied to both
-:class:`ResourceDB` (incremental) and ``RescanResourceDB`` (the
-original scan-per-query semantics, ``tests/reference_runtime.py``), every
-query is compared after every
-transition, and ``verify()`` cross-checks the indices against a rescan
-of the block table.  A second group checks that ``verify()`` actually
-detects corruption, so the cross-check itself cannot rot silently.
+The production database keeps one owner row per board plus the count
+vector and counters the hot path reads (see ``runtime/resource_db.py``).
+These tests pin it to ``RescanResourceDB`` (the dict-per-block table
+with scan-per-query semantics, ``tests/reference_runtime.py``): a
+randomized operation mix is applied to both, every query is compared
+after every transition, and ``verify()`` rescans the owner rows against
+every summary.  A second group checks that ``verify()`` actually
+detects corruption -- one tamper per check -- so the cross-check itself
+cannot rot silently.
 
 The same treatment covers the allocation policy: the pruned subset
 search of :class:`CommunicationAwarePolicy` must pick the placement the
@@ -24,7 +24,7 @@ import pytest
 
 from repro.cluster.cluster import make_cluster
 from repro.runtime.policy import CommunicationAwarePolicy
-from repro.runtime.resource_db import BlockState, ResourceDB
+from repro.runtime.resource_db import FAILED, FREE, ResourceDB
 from tests.reference_runtime import ExhaustivePolicy, RescanResourceDB
 
 
@@ -102,17 +102,24 @@ class TestIncrementalMatchesRescan:
     def test_unknown_board_rejected_before_any_state_moves(self,
                                                            cluster):
         """Repairing a board that does not exist used to succeed and
-        plant a phantom ``_free_view`` key; it must raise like
-        ``set_board_failed`` and leave the database untouched."""
+        plant phantom state; it must raise like ``set_board_failed``
+        and leave the database untouched."""
         unknown = len(cluster.boards) + 97
         for db in (ResourceDB(cluster), RescanResourceDB(cluster)):
             with pytest.raises(KeyError, match="no blocks on board"):
                 db.set_board_failed(unknown)
             with pytest.raises(KeyError, match="no blocks on board"):
                 db.set_board_repaired(unknown)
-            assert unknown not in db._free_view
             assert unknown not in db.failed_boards()
             db.verify()
+
+    def test_negative_request_ids_rejected(self, cluster):
+        """Negative owner values are the free / failed sentinels."""
+        db = ResourceDB(cluster)
+        with pytest.raises(ValueError, match="negative"):
+            db.allocate(-1, [(0, 0)])
+        assert db.allocated_count() == 0
+        db.verify()
 
 
 class TestVerifyDetectsTampering:
@@ -130,24 +137,19 @@ class TestVerifyDetectsTampering:
     def test_clean_database_verifies(self, db):
         db.verify()
 
+    def test_detects_free_count_vector_drift(self, db):
+        db._free_counts[2] -= 1
+        with pytest.raises(RuntimeError, match="free-count vector"):
+            db.verify()
+
+    def test_detects_total_free_counter_drift(self, db):
+        db._total_free += 1
+        with pytest.raises(RuntimeError, match="total-free counter"):
+            db.verify()
+
     def test_detects_allocated_counter_drift(self, db):
         db._allocated += 1
         with pytest.raises(RuntimeError, match="allocated counter"):
-            db.verify()
-
-    def test_detects_failed_counter_drift(self, db):
-        db._failed += 1
-        with pytest.raises(RuntimeError, match="failed counter"):
-            db.verify()
-
-    def test_detects_phantom_failed_board(self, db):
-        db._failed_boards.add(3)
-        with pytest.raises(RuntimeError, match="failed-board set"):
-            db.verify()
-
-    def test_detects_free_set_divergence(self, db):
-        db._free[0].add(1)  # (0, 1) is allocated to request 8
-        with pytest.raises(RuntimeError, match="free sets diverge"):
             db.verify()
 
     def test_detects_owner_index_divergence(self, db):
@@ -155,20 +157,28 @@ class TestVerifyDetectsTampering:
         with pytest.raises(RuntimeError, match="owner index diverges"):
             db.verify()
 
-    def test_detects_stale_free_view(self, db):
-        db.free_by_board()  # materialize the cached views
-        db._free_view[0] = [999]
-        with pytest.raises(RuntimeError, match="stale free view"):
+    def test_detects_partly_failed_row(self, db):
+        db._owner[3][0] = FAILED
+        with pytest.raises(RuntimeError, match="partly failed"):
             db.verify()
 
-    def test_detects_phantom_free_view_key(self, db):
-        db._free_view[99] = None
-        with pytest.raises(RuntimeError, match="free views keyed by"):
+    def test_detects_phantom_failed_board(self, db):
+        # a whole row failed behind the summaries' back: the board
+        # reads as failed while its free count says in service
+        db._owner[3][:] = [FAILED] * len(db._owner[3])
+        with pytest.raises(RuntimeError, match="free-count vector"):
+            db.verify()
+
+    def test_detects_free_set_divergence(self, db):
+        # (0, 1) is allocated to request 8; its row now calls it free
+        db._owner[0][1] = FREE
+        with pytest.raises(RuntimeError, match="free-count vector"):
             db.verify()
 
     def test_detects_state_owner_inconsistency(self, db):
-        db._entries[(0, 1)].state = BlockState.FREE
-        with pytest.raises(RuntimeError):
+        # the row names a different owner than the owner index
+        db._owner[0][1] = 9
+        with pytest.raises(RuntimeError, match="owner index diverges"):
             db.verify()
 
 

@@ -37,6 +37,20 @@ class TestCheckpoint:
 
 
 class TestMigrate:
+    def test_target_search_leaves_last_search_alone(self, controller,
+                                                    compiled_medium):
+        """A migration's target search is a probe, not a request's own
+        search: a later ``ctrl.reject`` must still report the last
+        real one."""
+        controller.attach_tracer(Tracer())
+        controller.try_deploy(compiled_medium, 1, 0.0)
+        real = ("no-feasible-subset", 4, 17, 9)
+        controller.policy.last_search = real
+        # an empty target set: the probe fails and would record
+        # ("insufficient-capacity", 0, 0, 0)
+        assert controller.migrate(1, to_boards=[], now=1.0) is None
+        assert controller.policy.last_search == real
+
     def test_migrate_moves_everything(self, controller,
                                       compiled_medium):
         d = controller.try_deploy(compiled_medium, 1, 0.0)

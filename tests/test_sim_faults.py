@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.base import ClusterManager
 from repro.baselines.per_device import PerDeviceManager
 from repro.faults import (
     BoardDown,
@@ -234,8 +235,22 @@ class TestReconfigFaultsInSim:
 
 class TestInjectorCapabilities:
     def test_unsupported_events_counted_not_raised(self):
-        class Inert:
-            pass
+        class Inert(ClusterManager):
+            """The four abstract methods only: no cluster, no hooks."""
+
+            name = "inert"
+
+            def try_deploy(self, app, request_id, now):
+                return None
+
+            def release(self, deployment, now):
+                pass
+
+            def busy_blocks(self):
+                return 0.0
+
+            def capacity_blocks(self):
+                return 1.0
 
         injector = FaultInjector(Inert())
         assert injector.apply(BoardDown(time_s=0.0, board=0)) == []
