@@ -44,6 +44,7 @@ import hashlib
 import json
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -252,34 +253,30 @@ def run_config(config: CampaignConfig,
     run order, process layout, and cache state cannot leak in.  The
     returned dict round-trips through :func:`canonical_json` unchanged.
     """
-    build_phase = profile.phase("campaign.build", nested=True) \
-        if profile is not None else None
-    if build_phase is not None:
-        build_phase.__enter__()
-    if config.devices is not None:
-        cluster = make_heterogeneous_cluster(list(config.devices))
-        manager = HeterogeneousManagerAdapter(cluster)
-    else:
-        cluster = make_cluster(num_boards=config.num_boards)
-        policy = CommunicationAwarePolicy(max_boards=config.max_boards) \
-            if config.max_boards is not None else None
-        manager = SystemController(cluster, policy=policy)
-    requests = WorkloadGenerator(seed=config.seed).generate(
-        config.set_index, num_requests=config.num_requests,
-        mean_interarrival_s=config.mean_interarrival_s,
-        arrival_process=_arrival_process(config))
-    if apps is None:
-        # artifacts depend on the partition geometry, not the cluster
-        # size or device mix -- one homogeneous board compiles the
-        # designs this run replays
-        apps = compile_benchmarks(make_cluster(num_boards=1),
-                                  specs=specs_for(requests))
-    schedule = _fault_schedule(config)
-    guard = DegradedModeGuard() if config.guard else None
-    slo = SLOEngine(list(config.slo_rules)) if config.slo_rules \
-        else None
-    if build_phase is not None:
-        build_phase.__exit__(None, None, None)
+    with (profile.phase("campaign.build", nested=True)
+          if profile is not None else nullcontext()):
+        if config.devices is not None:
+            cluster = make_heterogeneous_cluster(list(config.devices))
+            manager = HeterogeneousManagerAdapter(cluster)
+        else:
+            cluster = make_cluster(num_boards=config.num_boards)
+            policy = CommunicationAwarePolicy(max_boards=config.max_boards) \
+                if config.max_boards is not None else None
+            manager = SystemController(cluster, policy=policy)
+        requests = WorkloadGenerator(seed=config.seed).generate(
+            config.set_index, num_requests=config.num_requests,
+            mean_interarrival_s=config.mean_interarrival_s,
+            arrival_process=_arrival_process(config))
+        if apps is None:
+            # artifacts depend on the partition geometry, not the cluster
+            # size or device mix -- one homogeneous board compiles the
+            # designs this run replays
+            apps = compile_benchmarks(make_cluster(num_boards=1),
+                                      specs=specs_for(requests))
+        schedule = _fault_schedule(config)
+        guard = DegradedModeGuard() if config.guard else None
+        slo = SLOEngine(list(config.slo_rules)) if config.slo_rules \
+            else None
 
     result = run_experiment(
         manager, requests, apps,
@@ -494,16 +491,12 @@ class CampaignRunner:
 
     def _ensure_apps(self) -> "dict[str, CompiledApp]":
         if self._apps is None:
-            phase = self.profile.phase("campaign.compile") \
-                if self.profile is not None else None
-            if phase is not None:
-                phase.__enter__()
-            cluster = make_cluster(num_boards=1)
-            self._apps = self._normalize(compile_benchmarks(
-                cluster, cache=self.compile_cache,
-                tracer=self.tracer))
-            if phase is not None:
-                phase.__exit__(None, None, None)
+            with (self.profile.phase("campaign.compile")
+                  if self.profile is not None else nullcontext()):
+                cluster = make_cluster(num_boards=1)
+                self._apps = self._normalize(compile_benchmarks(
+                    cluster, cache=self.compile_cache,
+                    tracer=self.tracer))
         return self._apps
 
     # ------------------------------------------------------------------

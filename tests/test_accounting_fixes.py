@@ -17,6 +17,7 @@ Each test pins one fix:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -80,6 +81,28 @@ class TestAverageSummariesAveragesRequestCount:
     def test_single_replica_passthrough(self):
         only = _summary(42, 5.0)
         assert _average_summaries([only]) is only
+
+    def test_every_field_is_the_mean_or_the_max(self):
+        """Distinct values per field and replica: ``manager`` comes from
+        replica 0, ``peak_*`` / ``max_*`` take the maximum, every other
+        field the replica mean, in the ``sum(...) / n`` float order."""
+        names = [f.name for f in dataclasses.fields(SummaryMetrics)]
+        replicas = [
+            SummaryMetrics(manager=f"m{r}", **{
+                name: (i + 1) * 10.0 + (r * 7 + i) % 5 * 0.1
+                for i, name in enumerate(names) if name != "manager"})
+            for r in range(3)]
+        averaged = _average_summaries(replicas)
+        assert averaged.manager == "m0"
+        for name in names[1:]:
+            column = [getattr(s, name) for s in replicas]
+            assert len(set(column)) == 3, name
+            expected = max(column) \
+                if name.startswith(("peak_", "max_")) \
+                else sum(getattr(s, name) for s in replicas) / 3
+            assert getattr(averaged, name) == expected, name
+        assert {"peak_concurrency", "peak_queue_len",
+                "max_latency_overhead"} < set(names)
 
 
 class TestRequeueAccumulatesReconfigTime:

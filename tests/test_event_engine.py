@@ -149,6 +149,24 @@ class TestEngineEquivalence:
             assert summary.interruptions > summary.recoveries == 0
             assert bool(summary.shed_requests) == bool(guard_config)
 
+    def test_profiled_saturated_fifo_takes_the_cohort_path(
+            self, compiled_apps):
+        """The profiler keeps the cohort shortcut on (its tracer only
+        folds counters): a saturated untraced FIFO run pops whole
+        arrival runs, counts every event once, and matches the same run
+        with a no-op probe, which forces per-event dispatch."""
+        from repro.obs.profile import PhaseProfiler
+        requests = _requests(compiled_apps, num=240, interarrival=0.1)
+        profiler = PhaseProfiler(keep_samples=False)
+        cohorts = _run("array", requests, compiled_apps,
+                       profile=profiler)
+        counters = profiler.counters()
+        assert counters["arrival_cohorts"] > 0
+        assert counters["events_popped"] == 2 * len(requests)
+        per_event = _run("array", requests, compiled_apps,
+                         probe=lambda now, manager: None)
+        assert _shape(cohorts) == _shape(per_event)
+
 
 class TestSJFSortedQueue:
     def test_sjf_tie_order_is_arrival_order(self, compiled_apps,

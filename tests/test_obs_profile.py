@@ -194,3 +194,24 @@ class TestExperimentIntegration:
         total = prof.total_wall_s()
         assert total > 0
         assert prof.top_wall_s() >= 0.95 * total
+
+    def test_sections_charge_one_phase_per_call(self, cluster, bench_apps,
+                                                requests):
+        """Drain and defrag run once per processed event, the fault
+        section once per fault event; the drain a fault makes charges
+        ``sim.admit`` too, so the phases nest."""
+        from repro.faults.schedule import BoardDown, BoardUp, \
+            FaultSchedule
+        schedule = FaultSchedule([BoardDown(time_s=5.0, board=1),
+                                  BoardUp(time_s=30.0, board=1)])
+        processed = []
+        prof = PhaseProfiler()
+        run_experiment(SystemController(cluster), requests, bench_apps,
+                       faults=schedule, profile=prof,
+                       probe=lambda now, manager: processed.append(now))
+        spans = prof.as_profile()["spans"]
+        assert spans["sim.fault"]["count"] == len(schedule) == 2
+        assert spans["sim.admit"]["count"] == len(processed)
+        assert spans["sim.defrag"]["count"] == len(processed)
+        assert all(spans[name]["nested"] for name in (
+            "sim.admit", "sim.defrag", "sim.fault", "sim.finalize"))

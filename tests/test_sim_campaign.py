@@ -153,6 +153,24 @@ class TestRunConfig:
         assert result["campaign_version"] == CAMPAIGN_VERSION
         assert result["summary"]["num_requests"] == 6
 
+    def test_build_phase_recorded_when_build_raises(self, apps,
+                                                    monkeypatch):
+        from repro.obs.profile import PhaseProfiler
+
+        def broken(config):
+            raise RuntimeError("schedule build failed")
+
+        monkeypatch.setattr(campaign_mod, "_fault_schedule", broken)
+        profiler = PhaseProfiler()
+        recorded = None
+        try:
+            run_config(tiny(), apps=apps, profile=profiler)
+        except RuntimeError:
+            # read while the exception (and run_config's frame) is
+            # alive: the phase must close as the error leaves it
+            recorded = profiler.phase_wall_s("campaign.build")
+        assert recorded is not None and recorded > 0.0
+
     def test_fault_profile_injects_faults(self, apps):
         result = run_config(
             tiny(fault_profile="rack-outage", guard=True), apps=apps)

@@ -72,6 +72,20 @@ class TestRunExperiment:
                         + 3 * result.records[0].reconfig_time_s)
         assert first.response_s >= expected_min * 0.99
 
+    def test_superseded_completions_skip_the_per_event_bookkeeping(
+            self, cluster, compiled_apps, compiled_small):
+        """A completion pushed back by a corunner penalty leaves a stale
+        event behind; the loop pops it but neither snapshots state nor
+        calls the probe for it."""
+        from repro.obs.profile import PhaseProfiler
+        reqs = requests_for([compiled_small] * 3, [1.0, 2.0, 3.0])
+        probed, profiler = [], PhaseProfiler()
+        run_experiment(AmorphOSManager(cluster), reqs, compiled_apps,
+                       profile=profiler,
+                       probe=lambda now, manager: probed.append(now))
+        assert profiler.counters()["events_popped"] > 2 * len(reqs)
+        assert len(probed) == 2 * len(reqs)
+
     def test_backfill_lets_small_jump(self, cluster, compiled_apps,
                                       compiled_small, compiled_large):
         # saturate, then queue a large (head) and a small behind it
@@ -180,6 +194,30 @@ class TestCollectorPause:
         assert collected == []
         assert cycle() is not None
 
+    def test_run_state_freed_without_a_collection(
+            self, collector_state, monkeypatch, cluster, compiled_apps,
+            compiled_small):
+        """The replay kernel is no reference cycle: with the collector
+        off, the run's event queue dies as ``run_experiment`` returns,
+        profiled or not, so back-to-back runs do not pile up state."""
+        from repro.obs.profile import PhaseProfiler
+        from repro.sim import experiment
+
+        queues = []
+
+        class Recorded(experiment.ArrayEventQueue):
+            def __init__(self) -> None:
+                super().__init__()
+                queues.append(weakref.ref(self))
+
+        monkeypatch.setattr(experiment, "ArrayEventQueue", Recorded)
+        reqs = requests_for([compiled_small] * 4, [1.0, 1.5, 2.0, 2.5])
+        gc.disable()
+        for profile in (None, PhaseProfiler()):
+            run_experiment(SystemController(cluster), reqs,
+                           compiled_apps, profile=profile)
+            assert queues[-1]() is None
+
 
 class TestCompareManagers:
     def test_vital_beats_per_device(self, cluster, compiled_apps,
@@ -243,3 +281,30 @@ class TestMissingDesigns:
         assert len(controller.audit) == 0
         assert controller.tracer is None
         assert len(tracer) == 0
+
+
+class TestDefragArgument:
+    """``defrag`` takes a config or a switch; the run builds the
+    defragmenter for its own manager."""
+
+    def test_prebuilt_defragmenter_rejected_before_touching_the_manager(
+            self, cluster, compiled_apps, compiled_small):
+        from repro.cluster.cluster import make_cluster
+        from repro.obs.tracer import Tracer
+        from repro.runtime.defrag import Defragmenter
+        other = SystemController(make_cluster(num_boards=2))
+        controller = SystemController(cluster)
+        reqs = requests_for([compiled_small] * 2, [1.0, 2.0])
+        with pytest.raises(TypeError, match="Defragmenter"):
+            run_experiment(controller, reqs, compiled_apps,
+                           tracer=Tracer(), defrag=Defragmenter(other))
+        assert controller.tracer is None
+        assert not controller.deployments
+
+    @pytest.mark.parametrize("defrag", ["yes", 1, object()])
+    def test_other_types_rejected(self, cluster, compiled_apps,
+                                  compiled_small, defrag):
+        reqs = requests_for([compiled_small], [1.0])
+        with pytest.raises(TypeError, match="DefragConfig, a bool or None"):
+            run_experiment(SystemController(cluster), reqs,
+                           compiled_apps, defrag=defrag)
