@@ -23,33 +23,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
-from repro.core.stack import ViTALStack
-from repro.core.programming import VirtualFPGA, custom_kernel
-from repro.cluster.cluster import FPGACluster, make_cluster
-from repro.compiler.flow import CompilationFlow
-from repro.compiler.bitstream import CompiledApp
-from repro.fabric.resources import ResourceVector
-from repro.fabric.partition import PartitionPlanner
-from repro.fabric.devices import make_xcvu37p, make_vu13p
-from repro.hls.kernels import (
-    KernelSpec,
-    SizeClass,
-    benchmark,
-    all_benchmarks,
-)
-from repro.runtime.controller import SystemController
-from repro.runtime.isolation import verify_isolation
-from repro.faults import (
-    FaultSchedule,
-    FaultInjector,
-    BoardDown,
-    BoardUp,
-    LinkDegraded,
-    LinkRestored,
-    ReconfigTransientFault,
-    FailRequeuePolicy,
-    MigrateOnFailurePolicy,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -82,3 +56,22 @@ __all__ = [
     "MigrateOnFailurePolicy",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "core.stack": ("ViTALStack",),
+    "core.programming": ("VirtualFPGA", "custom_kernel"),
+    "cluster.cluster": ("FPGACluster", "make_cluster"),
+    "compiler.flow": ("CompilationFlow",),
+    "compiler.bitstream": ("CompiledApp",),
+    "fabric.resources": ("ResourceVector",),
+    "fabric.partition": ("PartitionPlanner",),
+    "fabric.devices": ("make_xcvu37p", "make_vu13p"),
+    "hls.kernels": ("KernelSpec", "SizeClass", "benchmark", "all_benchmarks"),
+    "runtime.controller": ("SystemController",),
+    "runtime.isolation": ("verify_isolation",),
+    "faults": (
+        "FaultSchedule", "FaultInjector", "BoardDown", "BoardUp",
+        "LinkDegraded", "LinkRestored", "ReconfigTransientFault",
+        "FailRequeuePolicy", "MigrateOnFailurePolicy",
+    ),
+})

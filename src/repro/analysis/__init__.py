@@ -1,18 +1,6 @@
 """Reporting helpers used by the benchmark harness."""
 
-from repro.analysis.bench import (BENCH_SCHEMA_VERSION,
-                                  BenchSchemaError, append_entry,
-                                  flatten_metrics, format_trajectory,
-                                  load_bench, merge_metrics,
-                                  metric_direction, trajectory_gate,
-                                  validate_doc, validate_entry)
-from repro.analysis.diff import (diff_metrics, diff_profiles,
-                                 diff_traces, find_regressions,
-                                 format_diff, trace_profile)
-from repro.analysis.report import format_table, format_bar_series
-from repro.analysis.spans import (decision_summary, format_trace_summary,
-                                  load_trace_events, span_summary)
-from repro.analysis.summary import build_report, write_report
+from repro._lazy import lazy_exports
 
 __all__ = ["format_table", "format_bar_series", "build_report",
            "write_report", "load_trace_events", "span_summary",
@@ -23,3 +11,22 @@ __all__ = ["format_table", "format_bar_series", "build_report",
            "flatten_metrics", "format_trajectory", "load_bench",
            "merge_metrics", "metric_direction", "trajectory_gate",
            "validate_doc", "validate_entry"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "bench": (
+        "BENCH_SCHEMA_VERSION", "BenchSchemaError", "append_entry",
+        "flatten_metrics", "format_trajectory", "load_bench", "merge_metrics",
+        "metric_direction", "trajectory_gate", "validate_doc",
+        "validate_entry",
+    ),
+    "diff": (
+        "diff_metrics", "diff_profiles", "diff_traces", "find_regressions",
+        "format_diff", "trace_profile",
+    ),
+    "report": ("format_table", "format_bar_series"),
+    "spans": (
+        "decision_summary", "format_trace_summary", "load_trace_events",
+        "span_summary",
+    ),
+    "summary": ("build_report", "write_report"),
+})

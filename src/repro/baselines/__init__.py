@@ -15,10 +15,7 @@ class's defaults -- so the simulator can swap them freely:
   multi-FPGA support.
 """
 
-from repro.baselines.base import ClusterManager
-from repro.baselines.per_device import PerDeviceManager
-from repro.baselines.slot_based import SlotBasedManager
-from repro.baselines.amorphos import AmorphOSManager
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ClusterManager",
@@ -26,3 +23,10 @@ __all__ = [
     "SlotBasedManager",
     "AmorphOSManager",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("ClusterManager",),
+    "per_device": ("PerDeviceManager",),
+    "slot_based": ("SlotBasedManager",),
+    "amorphos": ("AmorphOSManager",),
+})

@@ -39,30 +39,16 @@ from contextlib import nullcontext
 from typing import Sequence
 
 from repro.analysis.report import format_table
-from repro.baselines.amorphos import AmorphOSManager
-from repro.baselines.per_device import PerDeviceManager
-from repro.baselines.slot_based import SlotBasedManager
-from repro.cluster.cluster import make_cluster
-from repro.compiler.flow import CompilationFlow
-from repro.compiler.service import pool_workers
-from repro.fabric.devices import DEVICE_CATALOG, device_by_name
-from repro.fabric.partition import PartitionConstraints, PartitionPlanner
-from repro.hls.kernels import BENCHMARKS, benchmark
-from repro.interconnect.links import LINKS, LinkClass
-from repro.interconnect.simulator import measure_channel_bandwidth
-from repro.runtime.controller import SystemController
-from repro.sim.experiment import compile_benchmarks, run_experiment, \
-    specs_for
-from repro.sim.workload import COMPOSITIONS, WorkloadGenerator
+# the light catalogs behind the parser's choices; each subcommand
+# imports the layers it runs inside its ``_cmd_*``
+from repro.fabric.devices import DEVICE_CATALOG
+from repro.hls.kernels import BENCHMARKS
+from repro.sim.workload import COMPOSITIONS
 
 __all__ = ["main", "build_parser"]
 
-_MANAGERS = {
-    "per-device": PerDeviceManager,
-    "slot-based": SlotBasedManager,
-    "amorphos-ht": AmorphOSManager,
-    "vital": SystemController,
-}
+#: the keys of :data:`repro.sim.experiment.MANAGER_FACTORIES`
+_MANAGERS = ("per-device", "slot-based", "amorphos-ht", "vital")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,6 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------------------
 def _cmd_partition(args: argparse.Namespace) -> int:
+    from repro.fabric.devices import device_by_name
+    from repro.fabric.partition import PartitionConstraints, \
+        PartitionPlanner
     device = device_by_name(args.device)
     constraints = PartitionConstraints(
         remove_intra_fpga_buffers=not args.no_buffer_opt,
@@ -325,9 +314,10 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 def _cmd_compile(args: argparse.Namespace) -> int:
     import time
 
+    from repro.cluster.cluster import make_cluster
     from repro.compiler.cache import CompileCache
     from repro.compiler.service import CompileService
-    from repro.hls.kernels import all_benchmarks
+    from repro.hls.kernels import all_benchmarks, benchmark
 
     cluster = make_cluster(num_boards=1)
     cache = CompileCache(cache_dir=args.cache_dir) \
@@ -371,6 +361,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_links(_args: argparse.Namespace) -> int:
+    from repro.interconnect.links import LINKS, LinkClass
+    from repro.interconnect.simulator import measure_channel_bandwidth
     rows = []
     for link in LinkClass:
         cycles = 200 * LINKS[link].round_trip_cycles()
@@ -392,6 +384,8 @@ def _compile_replayed(cluster, specs, profiler) -> dict:
     functions of (spec, fabric, flow), so the apps -- and every report
     built on them -- are the same bytes either way.
     """
+    from repro.compiler.service import pool_workers
+    from repro.sim.experiment import compile_benchmarks
     with (profiler.phase("compile") if profiler is not None
           else nullcontext()):
         return compile_benchmarks(cluster, specs=specs,
@@ -422,6 +416,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if error:
         print(error)
         return 2
+    from repro.cluster.cluster import make_cluster
+    from repro.sim.experiment import MANAGER_FACTORIES, run_experiment, \
+        specs_for
+    from repro.sim.workload import WorkloadGenerator
     health = (args.health or args.timeline_out is not None
               or args.slo_rules is not None)
     if health:
@@ -479,7 +477,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             slo = SLOEngine(args.slo_rules)
         with (profiler.phase("simulate") if profiler is not None
               else nullcontext()):
-            summary = run_experiment(_MANAGERS[name](cluster),
+            summary = run_experiment(MANAGER_FACTORIES[name](cluster),
                                      requests, apps, faults=faults,
                                      recovery=args.recovery,
                                      tracer=tracer, metrics=metrics,
@@ -574,6 +572,7 @@ def _health_rows(num_boards: int, failed: "set[int]") -> list:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
+    from repro.cluster.cluster import make_cluster
     cluster = make_cluster(num_boards=args.boards)
     print(cluster)
     print(cluster.partition.describe())
@@ -603,6 +602,10 @@ def _drill_controller(num_boards: int,
     so consecutive drills compose; then one small app is deployed per
     remaining healthy board.
     """
+    from repro.cluster.cluster import make_cluster
+    from repro.compiler.flow import CompilationFlow
+    from repro.hls.kernels import benchmark
+    from repro.runtime.controller import SystemController
     cluster = make_cluster(num_boards=num_boards)
     controller = SystemController(cluster)
     for board in sorted(pre_failed):
@@ -703,6 +706,7 @@ def _cmd_repair_board(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
+    from repro.cluster.cluster import make_cluster
     from repro.sim.chaos import (ChaosInvariantError, run_scenario,
                                  specs_by_board_count,
                                  standard_scenarios)
@@ -929,8 +933,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_db(args: argparse.Namespace) -> int:
+    from repro.cluster.cluster import make_cluster
     from repro.runtime.bitstream_db import BitstreamDB
     from repro.runtime.persistence import save_bitstream_db
+    from repro.sim.experiment import compile_benchmarks
     cluster = make_cluster(num_boards=1)
     db = BitstreamDB(cluster.footprint)
     for app in compile_benchmarks(cluster).values():
@@ -943,6 +949,7 @@ def _cmd_export_db(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.sim.trace import dump_trace
+    from repro.sim.workload import WorkloadGenerator
     requests = WorkloadGenerator(seed=args.seed).generate(
         args.set_index, num_requests=args.requests,
         mean_interarrival_s=args.interarrival)

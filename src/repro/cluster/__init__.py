@@ -12,10 +12,7 @@ QSFP cages, sharing a 100 Gb/s bidirectional ring.
   timing.
 """
 
-from repro.cluster.board import DimmSite, FPGABoard
-from repro.cluster.network import RingNetwork
-from repro.cluster.cluster import FPGACluster, make_cluster
-from repro.cluster.reconfig import Reconfigurer
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DimmSite",
@@ -25,3 +22,10 @@ __all__ = [
     "make_cluster",
     "Reconfigurer",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "board": ("DimmSite", "FPGABoard"),
+    "network": ("RingNetwork",),
+    "cluster": ("FPGACluster", "make_cluster"),
+    "reconfig": ("Reconfigurer",),
+})

@@ -23,39 +23,7 @@ finished artifacts (compile once, ever) and
 worker processes.
 """
 
-from repro.compiler.packing import Cluster, GreedyPacker
-from repro.compiler.placement import BlockGrid, PlacementResult, QuadraticPlacer
-from repro.compiler.partitioner import (
-    PACKING_HEADROOM,
-    PartitionResult,
-    NetlistPartitioner,
-    blocks_for,
-    random_partition,
-)
-from repro.compiler.interface_gen import (
-    ChannelSpec,
-    LatencyInsensitiveInterface,
-    InterfaceGenerator,
-)
-from repro.compiler.pnr import LocalPnR, GlobalPnR, PlacedVirtualBlock
-from repro.compiler.relocation import Relocator, RelocationError
-from repro.compiler.bitstream import VirtualBlockImage, CompiledApp
-from repro.compiler.timing import CompileTimeModel, CompileTimeBreakdown
-from repro.compiler.flow import CompilationFlow, FLOW_VERSION
-from repro.compiler.cache import CompileCache, compile_fingerprint
-from repro.compiler.service import CompileService
-from repro.compiler.techmap import LUTNetwork, MappedLUT, technology_map
-from repro.compiler.frames import (
-    PartialBitstream,
-    relocate_bitstream,
-    FrameRelocationError,
-)
-from repro.compiler.fm import FMPartitioner, fm_bipartition
-from repro.compiler.detailed_pnr import (
-    BinGrid,
-    DetailedPnRResult,
-    detailed_place_and_route,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Cluster",
@@ -97,3 +65,30 @@ __all__ = [
     "FMPartitioner",
     "fm_bipartition",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "packing": ("Cluster", "GreedyPacker"),
+    "placement": ("BlockGrid", "PlacementResult", "QuadraticPlacer"),
+    "partitioner": (
+        "PACKING_HEADROOM", "PartitionResult", "NetlistPartitioner",
+        "blocks_for", "random_partition",
+    ),
+    "interface_gen": (
+        "ChannelSpec", "LatencyInsensitiveInterface", "InterfaceGenerator",
+    ),
+    "pnr": ("LocalPnR", "GlobalPnR", "PlacedVirtualBlock"),
+    "relocation": ("Relocator", "RelocationError"),
+    "bitstream": ("VirtualBlockImage", "CompiledApp"),
+    "timing": ("CompileTimeModel", "CompileTimeBreakdown"),
+    "flow": ("CompilationFlow", "FLOW_VERSION"),
+    "cache": ("CompileCache", "compile_fingerprint"),
+    "service": ("CompileService",),
+    "techmap": ("LUTNetwork", "MappedLUT", "technology_map"),
+    "frames": (
+        "PartialBitstream", "relocate_bitstream", "FrameRelocationError",
+    ),
+    "fm": ("FMPartitioner", "fm_bipartition"),
+    "detailed_pnr": (
+        "BinGrid", "DetailedPnRResult", "detailed_place_and_route",
+    ),
+})

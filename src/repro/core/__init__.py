@@ -8,7 +8,11 @@
   controller together.
 """
 
-from repro.core.programming import VirtualFPGA, custom_kernel
-from repro.core.stack import ViTALStack
+from repro._lazy import lazy_exports
 
 __all__ = ["VirtualFPGA", "custom_kernel", "ViTALStack"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "programming": ("VirtualFPGA", "custom_kernel"),
+    "stack": ("ViTALStack",),
+})

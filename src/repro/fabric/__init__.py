@@ -13,29 +13,7 @@ This package models the hardware that ViTAL virtualizes:
   identical physical blocks and the design-space exploration of Section 5.3.
 """
 
-from repro.fabric.resources import ResourceVector
-from repro.fabric.device import (
-    ColumnType,
-    ColumnSpec,
-    ClockRegion,
-    Die,
-    FPGADevice,
-)
-from repro.fabric.devices import (
-    DEVICE_CATALOG,
-    CAPACITY_TIMELINE,
-    make_xcvu37p,
-    make_vu13p,
-    device_by_name,
-)
-from repro.fabric.partition import (
-    PhysicalBlock,
-    RegionKind,
-    Region,
-    FabricPartition,
-    PartitionConstraints,
-    PartitionPlanner,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ResourceVector",
@@ -56,3 +34,18 @@ __all__ = [
     "PartitionConstraints",
     "PartitionPlanner",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "resources": ("ResourceVector",),
+    "device": (
+        "ColumnType", "ColumnSpec", "ClockRegion", "Die", "FPGADevice",
+    ),
+    "devices": (
+        "DEVICE_CATALOG", "CAPACITY_TIMELINE", "make_xcvu37p", "make_vu13p",
+        "device_by_name",
+    ),
+    "partition": (
+        "PhysicalBlock", "RegionKind", "Region", "FabricPartition",
+        "PartitionConstraints", "PartitionPlanner",
+    ),
+})

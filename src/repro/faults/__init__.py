@@ -17,31 +17,7 @@ so recovery-by-relocation is cheap (:mod:`repro.faults.recovery`).
 - :mod:`repro.faults.recovery` -- fail-requeue and migrate-on-failure.
 """
 
-from repro.faults.schedule import (
-    BoardDown,
-    BoardUp,
-    FaultEvent,
-    FaultSchedule,
-    IcapDegraded,
-    IcapRestored,
-    LinkDegraded,
-    LinkFlaky,
-    LinkRestored,
-    LinkStable,
-    ReconfigTransientFault,
-)
-from repro.faults.domains import (
-    FailureDomainMap,
-    correlated_outages,
-    gray_faults,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.recovery import (
-    FailRequeuePolicy,
-    MigrateOnFailurePolicy,
-    RecoveryPolicy,
-    resolve_recovery_policy,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FaultEvent",
@@ -64,3 +40,17 @@ __all__ = [
     "MigrateOnFailurePolicy",
     "resolve_recovery_policy",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "schedule": (
+        "BoardDown", "BoardUp", "FaultEvent", "FaultSchedule", "IcapDegraded",
+        "IcapRestored", "LinkDegraded", "LinkFlaky", "LinkRestored",
+        "LinkStable", "ReconfigTransientFault",
+    ),
+    "domains": ("FailureDomainMap", "correlated_outages", "gray_faults"),
+    "injector": ("FaultInjector",),
+    "recovery": (
+        "FailRequeuePolicy", "MigrateOnFailurePolicy", "RecoveryPolicy",
+        "resolve_recovery_policy",
+    ),
+})

@@ -15,20 +15,7 @@ uses, and of the latency-insensitive interface that hides their differences
   (benchmark set 1) and the deadlock-freedom tests.
 """
 
-from repro.interconnect.links import LinkClass, LinkModel, LINKS
-from repro.interconnect.fifo import BoundedFifo, CreditCounter
-from repro.interconnect.channel import Channel
-from repro.interconnect.simulator import (
-    BlockNode,
-    TrafficSimulator,
-    measure_channel_bandwidth,
-    random_traffic_experiment,
-)
-from repro.interconnect.appsim import (
-    DeploymentSimResult,
-    link_class_for,
-    simulate_deployment,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DeploymentSimResult",
@@ -45,3 +32,16 @@ __all__ = [
     "measure_channel_bandwidth",
     "random_traffic_experiment",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "links": ("LinkClass", "LinkModel", "LINKS"),
+    "fifo": ("BoundedFifo", "CreditCounter"),
+    "channel": ("Channel",),
+    "simulator": (
+        "BlockNode", "TrafficSimulator", "measure_channel_bandwidth",
+        "random_traffic_experiment",
+    ),
+    "appsim": (
+        "DeploymentSimResult", "link_class_for", "simulate_deployment",
+    ),
+})

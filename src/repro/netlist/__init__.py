@@ -14,13 +14,7 @@ the partitioner exploits.  This package provides that IR:
   the HLS front-end substitute.
 """
 
-from repro.netlist.primitives import Primitive, PrimitiveType
-from repro.netlist.netlist import Net, Netlist, Port, PortDirection
-from repro.netlist.dataflow import DataflowGraph
-from repro.netlist.generator import NetlistBuilder
-from repro.netlist.logic import GateOp, LogicNetwork
-from repro.netlist.verilog import to_verilog
-from repro.netlist.verilog_parser import VerilogParseError, parse_verilog
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Primitive",
@@ -37,3 +31,13 @@ __all__ = [
     "VerilogParseError",
     "parse_verilog",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "primitives": ("Primitive", "PrimitiveType"),
+    "netlist": ("Net", "Netlist", "Port", "PortDirection"),
+    "dataflow": ("DataflowGraph",),
+    "generator": ("NetlistBuilder",),
+    "logic": ("GateOp", "LogicNetwork"),
+    "verilog": ("to_verilog",),
+    "verilog_parser": ("VerilogParseError", "parse_verilog"),
+})

@@ -10,19 +10,7 @@ disabled the instrumented code paths cost one falsy check and simulation
 results are bit-identical to an uninstrumented build.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    DEFAULT_TIME_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.profile import PhaseProfiler
-from repro.obs.slo import SLOEngine, SLORule, parse_slo
-from repro.obs.stats import (fragmentation_index, percentile,
-                             quantile_from_cumulative)
-from repro.obs.timeline import TimelineAggregator
-from repro.obs.tracer import NULL_TRACER, Span, Tracer
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Tracer",
@@ -42,3 +30,17 @@ __all__ = [
     "quantile_from_cumulative",
     "fragmentation_index",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "metrics": (
+        "Counter", "DEFAULT_TIME_BUCKETS", "Gauge", "Histogram",
+        "MetricsRegistry",
+    ),
+    "profile": ("PhaseProfiler",),
+    "slo": ("SLOEngine", "SLORule", "parse_slo"),
+    "stats": (
+        "fragmentation_index", "percentile", "quantile_from_cumulative",
+    ),
+    "timeline": ("TimelineAggregator",),
+    "tracer": ("NULL_TRACER", "Span", "Tracer"),
+})

@@ -13,14 +13,7 @@ from applications are monitored to ensure a secure execution environment."
   optical port among tenants with bandwidth shares.
 """
 
-from repro.peripherals.dram import (
-    MemorySegment,
-    ProtectionError,
-    VirtualMemory,
-)
-from repro.peripherals.monitor import AccessMonitor, AccessRecord
-from repro.peripherals.ethernet import VirtualNIC, VirtualPort
-from repro.peripherals.bandwidth import BandwidthArbiter
+from repro._lazy import lazy_exports
 
 __all__ = [
     "MemorySegment",
@@ -32,3 +25,10 @@ __all__ = [
     "VirtualPort",
     "BandwidthArbiter",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "dram": ("MemorySegment", "ProtectionError", "VirtualMemory"),
+    "monitor": ("AccessMonitor", "AccessRecord"),
+    "ethernet": ("VirtualNIC", "VirtualPort"),
+    "bandwidth": ("BandwidthArbiter",),
+})

@@ -19,22 +19,7 @@ virtualized, monitored paths.
 - :mod:`repro.runtime.isolation` -- isolation invariant checks.
 """
 
-from repro.runtime.types import BlockAddress, Placement, Deployment
-from repro.runtime.resource_db import BlockState, ResourceDB
-from repro.runtime.bitstream_db import BitstreamDB
-from repro.runtime.policy import (
-    AllocationPolicy,
-    CommunicationAwarePolicy,
-    FirstFitPolicy,
-    SpreadPolicy,
-)
-from repro.runtime.controller import SystemController
-from repro.runtime.guard import (
-    BreakerState,
-    DegradedModeGuard,
-    GuardConfig,
-)
-from repro.runtime.isolation import verify_isolation
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BlockAddress",
@@ -53,3 +38,16 @@ __all__ = [
     "GuardConfig",
     "verify_isolation",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "types": ("BlockAddress", "Placement", "Deployment"),
+    "resource_db": ("BlockState", "ResourceDB"),
+    "bitstream_db": ("BitstreamDB",),
+    "policy": (
+        "AllocationPolicy", "CommunicationAwarePolicy", "FirstFitPolicy",
+        "SpreadPolicy",
+    ),
+    "controller": ("SystemController",),
+    "guard": ("BreakerState", "DegradedModeGuard", "GuardConfig"),
+    "isolation": ("verify_isolation",),
+})

@@ -19,41 +19,7 @@ latency overhead.
   scenario-campaign service over declarative config grids.
 """
 
-from repro.sim.events import ArrayEventQueue, TimeWeightedValue
-from repro.sim.workload import (
-    COMPOSITIONS,
-    Request,
-    WorkloadGenerator,
-)
-from repro.sim.metrics import RequestRecord, SummaryMetrics, MetricsCollector
-from repro.sim.experiment import (
-    ExperimentResult,
-    run_experiment,
-    compile_benchmarks,
-    compare_managers,
-    specs_for,
-    MANAGER_FACTORIES,
-)
-from repro.sim.campaign import (
-    CAMPAIGN_VERSION,
-    CampaignCache,
-    CampaignConfig,
-    CampaignRunner,
-    campaign_fingerprint,
-    extended_grid,
-    run_config,
-    smoke_grid,
-    standard_grid,
-)
-from repro.sim.chaos import (
-    CampaignResult,
-    ChaosInvariantError,
-    ChaosScenario,
-    ScenarioResult,
-    run_campaign,
-    run_scenario,
-    standard_scenarios,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ArrayEventQueue",
@@ -87,3 +53,22 @@ __all__ = [
     "run_scenario",
     "standard_scenarios",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "events": ("ArrayEventQueue", "TimeWeightedValue"),
+    "workload": ("COMPOSITIONS", "Request", "WorkloadGenerator"),
+    "metrics": ("RequestRecord", "SummaryMetrics", "MetricsCollector"),
+    "experiment": (
+        "ExperimentResult", "run_experiment", "compile_benchmarks",
+        "compare_managers", "specs_for", "MANAGER_FACTORIES",
+    ),
+    "campaign": (
+        "CAMPAIGN_VERSION", "CampaignCache", "CampaignConfig",
+        "CampaignRunner", "campaign_fingerprint", "extended_grid",
+        "run_config", "smoke_grid", "standard_grid",
+    ),
+    "chaos": (
+        "CampaignResult", "ChaosInvariantError", "ChaosScenario",
+        "ScenarioResult", "run_campaign", "run_scenario", "standard_scenarios",
+    ),
+})

@@ -215,6 +215,14 @@ def _arrival_process(config: CampaignConfig):
     return FlashCrowdArrivals(mean)
 
 
+def _requests(config: CampaignConfig) -> list:
+    """The request stream ``config`` replays (a pure function of it)."""
+    return WorkloadGenerator(seed=config.seed).generate(
+        config.set_index, num_requests=config.num_requests,
+        mean_interarrival_s=config.mean_interarrival_s,
+        arrival_process=_arrival_process(config))
+
+
 def _fault_schedule(config: CampaignConfig) -> "FaultSchedule | None":
     knobs = FAULT_PROFILES[config.fault_profile]
     if not knobs:
@@ -263,10 +271,7 @@ def run_config(config: CampaignConfig,
             policy = CommunicationAwarePolicy(max_boards=config.max_boards) \
                 if config.max_boards is not None else None
             manager = SystemController(cluster, policy=policy)
-        requests = WorkloadGenerator(seed=config.seed).generate(
-            config.set_index, num_requests=config.num_requests,
-            mean_interarrival_s=config.mean_interarrival_s,
-            arrival_process=_arrival_process(config))
+        requests = _requests(config)
         if apps is None:
             # artifacts depend on the partition geometry, not the cluster
             # size or device mix -- one homogeneous board compiles the
@@ -451,11 +456,12 @@ class CampaignRunner:
         cache: optional :class:`CampaignCache`; hits skip the run (and
             the compile) entirely.
         compile_cache: optional compile cache used when the runner has
-            to build the benchmark set itself.
-        apps: precompiled benchmark set; artifacts are a function of
-            the partition geometry only, so one homogeneous set serves
+            to compile designs itself.
+        apps: precompiled designs; artifacts are a function of the
+            partition geometry only, so one homogeneous set serves
             every config (heterogeneous runs recompile per footprint
-            inside the run, using these as spec carriers).
+            inside the run, using these as spec carriers).  Designs a
+            run replays but ``apps`` lacks are compiled on demand.
         tracer: receives ``campaign.hit`` / ``campaign.miss`` events.
         profile: optional :class:`~repro.obs.profile.PhaseProfiler`;
             inline runs charge their phases to it.
@@ -470,9 +476,8 @@ class CampaignRunner:
         self.compile_cache = compile_cache
         self.tracer = tracer
         self.profile = profile
-        self._apps: "dict[str, CompiledApp] | None" = None
-        if apps is not None:
-            self._apps = self._normalize(apps)
+        self._apps: "dict[str, CompiledApp]" = \
+            self._normalize(apps) if apps is not None else {}
         #: config name -> measured wall seconds of its last *real* run
         #: (cache hits do not appear; profiling data, not results)
         self.last_walls: dict[str, float] = {}
@@ -489,14 +494,27 @@ class CampaignRunner:
         return {name: CompiledApp.from_dict(app.to_dict())
                 for name, app in apps.items()}
 
-    def _ensure_apps(self) -> "dict[str, CompiledApp]":
-        if self._apps is None:
+    def _ensure_apps(self, configs, jobs: int
+                     ) -> "dict[str, CompiledApp]":
+        """The artifacts ``configs`` replay, compiling only the missing.
+
+        The union of :func:`~repro.sim.experiment.specs_for` over the
+        configs' request streams, less what the runner already holds,
+        compiles under the shared pool rule -- a set-1 grid compiles its
+        seven small designs, and a later grid only the designs it adds.
+        """
+        specs = [spec for spec in specs_for(
+                     request for config in configs
+                     for request in _requests(config))
+                 if spec.name not in self._apps]
+        if specs:
             with (self.profile.phase("campaign.compile")
                   if self.profile is not None else nullcontext()):
-                cluster = make_cluster(num_boards=1)
-                self._apps = self._normalize(compile_benchmarks(
-                    cluster, cache=self.compile_cache,
-                    tracer=self.tracer))
+                self._apps.update(self._normalize(compile_benchmarks(
+                    make_cluster(num_boards=1), specs=specs,
+                    cache=self.compile_cache,
+                    jobs=pool_workers(len(specs), jobs),
+                    tracer=self.tracer)))
         return self._apps
 
     # ------------------------------------------------------------------
@@ -546,7 +564,7 @@ class CampaignRunner:
         # where workers only add overhead) run inline whatever
         # ``jobs`` says.
         if misses:
-            apps = self._ensure_apps()
+            apps = self._ensure_apps([configs[i] for i in misses], jobs)
             workers = pool_workers(len(misses), jobs)
             if workers > 1:
                 payloads = {name: app.to_dict()

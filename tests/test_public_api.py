@@ -1,5 +1,8 @@
 """Public-API surface checks and full-catalog closure tests."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
@@ -22,18 +25,27 @@ class TestPublicSurface:
         assert int(major) >= 1
 
     def test_subpackage_alls_resolve(self):
-        import repro.compiler
-        import repro.fabric
-        import repro.interconnect
-        import repro.netlist
-        import repro.peripherals
-        import repro.runtime
-        import repro.sim
-        for module in (repro.compiler, repro.fabric,
-                       repro.interconnect, repro.netlist,
-                       repro.peripherals):
+        """Every package's lazy exports: each ``__all__`` name
+        resolves, shows in ``dir()`` and binds under ``import *``; an
+        unknown name is an ``AttributeError`` naming the package."""
+        packages = ["repro"] + sorted(
+            info.name for info in pkgutil.walk_packages(
+                repro.__path__, "repro.") if info.ispkg)
+        assert len(packages) == 15
+        for package in packages:
+            module = importlib.import_module(package)
+            assert module.__all__, package
+            # dir() first: it must list names not yet resolved
+            assert set(module.__all__) <= set(dir(module)), package
             for name in module.__all__:
-                assert hasattr(module, name), (module.__name__, name)
+                assert hasattr(module, name), (package, name)
+            namespace: dict = {}
+            exec(f"from {package} import *", namespace)
+            assert set(module.__all__) <= set(namespace), package
+            with pytest.raises(AttributeError,
+                               match=f"module '{package}' has no "
+                                     "attribute 'no_such_name'"):
+                module.no_such_name
 
     def test_one_production_path_no_oracle_switches(self, monkeypatch,
                                                     compiled_apps,

@@ -183,6 +183,42 @@ class TestRunConfig:
         assert result["manager"] == "vital-hetero"
 
 
+class TestCampaignCompile:
+    """The runner compiles the designs its streams replay, once each."""
+
+    @staticmethod
+    def _compiled(tracer):
+        """Every design handed to the compile service (hit or miss)."""
+        return [e["fields"]["app"] for e in tracer.entries()
+                if e["name"] in ("cache.hit", "cache.miss")]
+
+    def test_grids_compile_only_what_they_replay(self, apps):
+        from repro.compiler.cache import CompileCache
+        from repro.sim.experiment import specs_for
+        set1 = [tiny(name=f"s1/{seed}", set_index=1, seed=seed,
+                     num_requests=40) for seed in (1, 2)]
+        set7 = [tiny(name="s7", set_index=7, num_requests=40)]
+        tracer = Tracer()
+        runner = CampaignRunner(compile_cache=CompileCache(),
+                                tracer=tracer)
+        first = runner.run_many(set1)
+        small = sorted(n for n in apps if n.endswith("-S"))
+        assert len(small) == 7
+        assert sorted(self._compiled(tracer)) == small
+
+        second = runner.run_many(set7)
+        replayed = {s.name for s in specs_for(
+            campaign_mod._requests(set7[0]))}
+        assert replayed - set(small)
+        assert sorted(self._compiled(tracer)[7:]) \
+            == sorted(replayed - set(small))
+
+        # the same bytes as a runner holding all 21 designs
+        full = CampaignRunner(apps=apps)
+        assert canonical_json(first + second) \
+            == canonical_json(full.run_many(set1 + set7))
+
+
 class TestRunnerDeterminism:
     """The acceptance criteria: byte-identical across jobs and warm."""
 
