@@ -1042,15 +1042,26 @@ class SystemController(ClusterManager):
         # segment; the flow for this deployment is already registered
         contention = max(1, network.contention_factor(placement.boards))
         effective_bits = ring.bits_per_cycle / contention
-        worst_ser = 0.0
+        # one pass over the flows: the widest crossing flow and the
+        # longest crossing, divided once.  max(bits) / effective_bits
+        # equals max(bits / effective_bits) exactly -- division by a
+        # positive number is monotone and max does not round
+        mapping = placement.mapping
+        dist = network._dist
+        max_bits = 0
         max_hops = 0
         for (src, dst), bits in app.flows.items():
-            board_a = placement.board_of(src)
-            board_b = placement.board_of(dst)
+            board_a = mapping[src][0]
+            board_b = mapping[dst][0]
             if board_a == board_b:
                 continue
-            worst_ser = max(worst_ser, bits / effective_bits)
-            max_hops = max(max_hops, network.distance(board_a, board_b))
+            if bits > max_bits:
+                max_bits = bits
+            hops = dist[board_a, board_b]
+            if hops > max_hops:
+                max_hops = hops
+        max_hops = int(max_hops)  # numpy scalar: keep the model float
+        worst_ser = max_bits / effective_bits
         slowdown = max(1.0, worst_ser / COMPUTE_CYCLES_PER_BEAT) \
             * mem_slowdown
         # pipeline fill/drain across the ring, once per job

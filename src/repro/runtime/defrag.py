@@ -56,6 +56,19 @@ class MigrationPlan:
         return sum(d.num_blocks for d in self.moves)
 
 
+def _single_board_donors(deployments: dict[int, Deployment],
+                         ) -> dict[int, list[Deployment]]:
+    """Board -> the single-board deployments on it, in ``deployments``
+    order: one pass, so a plan costs O(deployments + boards) rather
+    than a rescan of every deployment per candidate target."""
+    donors: dict[int, list[Deployment]] = {}
+    for deployment in deployments.values():
+        boards = deployment.placement.boards
+        if len(boards) == 1:
+            donors.setdefault(boards[0], []).append(deployment)
+    return donors
+
+
 class DefragmentingController(SystemController):
     """A system controller that consolidates before spanning.
 
@@ -128,6 +141,7 @@ class DefragmentingController(SystemController):
         if total_free < needed:
             return None  # not fragmentation -- genuinely out of space
 
+        donors = _single_board_donors(self.deployments)
         best: MigrationPlan | None = None
         for board in sorted(free, key=lambda b: -free[b]):
             deficit = needed - free[board]
@@ -135,10 +149,8 @@ class DefragmentingController(SystemController):
                 continue  # this board already fits the app
             # donors: single-board deployments on this board, smallest
             # first, that fit in OTHER available boards' free space
-            movable = sorted(
-                (d for d in self.deployments.values()
-                 if d.placement.boards == [board]),
-                key=lambda d: d.num_blocks)
+            movable = sorted(donors.get(board, ()),
+                             key=lambda d: d.num_blocks)
             other_free = total_free - free[board]
             plan = MigrationPlan(target_board=board,
                                  needed_blocks=needed)
@@ -344,6 +356,7 @@ class Defragmenter:
         if needed_blocks is not None and total_free < needed_blocks:
             return None
 
+        donors = _single_board_donors(ctrl.deployments)
         best: MigrationPlan | None = None
         for board in sorted(free, key=lambda b: (-free[b], b)):
             if needed_blocks is not None:
@@ -354,10 +367,8 @@ class Defragmenter:
                 # threshold mode: top up the emptiest-loaded target
                 # with whatever small donors the budget allows
                 deficit = 1
-            movable = sorted(
-                (d for d in ctrl.deployments.values()
-                 if d.placement.boards == [board]),
-                key=lambda d: d.num_blocks)
+            movable = sorted(donors.get(board, ()),
+                             key=lambda d: d.num_blocks)
             other_free = total_free - free[board]
             plan = MigrationPlan(
                 target_board=board,

@@ -29,7 +29,9 @@ without a guard attached pays a single ``None``-check per hot path.
 
 from __future__ import annotations
 
+import math
 import random
+import weakref
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -109,7 +111,11 @@ class DegradedModeGuard:
 
     def __init__(self, config: GuardConfig | None = None) -> None:
         self.config = config or GuardConfig()
-        self._controller = None
+        #: weak reference to the bound controller: the controller owns
+        #: its guard, so a strong back-pointer would make every
+        #: controller/guard pair a reference cycle only the cycle
+        #: collector could free
+        self._controller_ref = None
         self._slo = None
         self._rng = random.Random(self.config.seed)
         self._state: dict[int, BreakerState] = {}
@@ -117,6 +123,9 @@ class DegradedModeGuard:
         self._failures: dict[int, list[float]] = {}
         #: board -> time its current quarantine/probation phase ends
         self._until: dict[int, float] = {}
+        #: earliest ``_until`` deadline (inf when none), re-derived by
+        #: ``_breakers_changed``: ``advance`` with nothing due is O(1)
+        self._next_due = math.inf
         #: the quarantined boards, re-derived by ``_breakers_changed``
         self._excluded: frozenset[int] = frozenset()
         self.quarantine_count = 0
@@ -127,7 +136,13 @@ class DegradedModeGuard:
     # wiring
     # ------------------------------------------------------------------
     def bind(self, controller) -> None:
-        self._controller = controller
+        self._controller_ref = weakref.ref(controller)
+
+    @property
+    def _controller(self):
+        """The bound controller (``None`` unbound or collected)."""
+        ref = self._controller_ref
+        return ref() if ref is not None else None
 
     def bind_slo(self, engine) -> None:
         """Let ``engine`` (a :class:`repro.obs.slo.SLOEngine`) drive
@@ -162,14 +177,17 @@ class DegradedModeGuard:
         return self._excluded
 
     def _breakers_changed(self) -> None:
-        """Every write to ``_state`` ends here: re-derive the exclusion
-        set and have the bound controller rebuild its allocatable-board
-        view, so neither is recomputed per allocation."""
+        """Every write to ``_state`` or ``_until`` ends here:
+        re-derive the exclusion set and the next deadline, and have the
+        bound controller rebuild its allocatable-board view, so none of
+        them is recomputed per allocation."""
         self._excluded = frozenset(
             b for b, s in self._state.items()
             if s is BreakerState.QUARANTINED)
-        if self._controller is not None:
-            self._controller._refresh_allocatable()
+        self._next_due = min(self._until.values(), default=math.inf)
+        controller = self._controller
+        if controller is not None:
+            controller._refresh_allocatable()
 
     def quarantined_boards(self) -> list[int]:
         return sorted(self.excluded_boards())
@@ -178,7 +196,10 @@ class DegradedModeGuard:
         """Apply every breaker transition due by ``now`` (quarantine ->
         probation -> closed), emitting events at the *scheduled*
         transition instants so traces are independent of when the
-        simulator happens to tick."""
+        simulator happens to tick.  Returns at once when no deadline
+        is due, which is almost every call."""
+        if self._next_due > now:
+            return
         for board in sorted(self._state):
             while True:
                 due = self._until.get(board)

@@ -411,57 +411,10 @@ class CommunicationAwarePolicy(AllocationPolicy):
         # suffix_max[i]: most free blocks on any of present[i:]
         suffix_max = np.zeros(n + 1, dtype=np.int64)
         suffix_max[:n] = np.maximum.accumulate(free_arr[::-1])[::-1]
-        free_list = free_arr.tolist()
-        present_arr = np.asarray(present, dtype=np.intp)
-        dist = network._dist
-        best: tuple[int, int, tuple[int, ...]] | None = None
-        chosen: list[int] = []
-
-        def extend(start: int, capacity: int, span: int) -> None:
-            nonlocal best
-            remaining = k - len(chosen)
-            if remaining == 0:
-                if capacity < needed:
-                    return
-                key = (span, capacity - needed, tuple(chosen))
-                if best is None or key < best:
-                    best = key
-                return
-            end = n - remaining + 1
-            if start >= end:
-                return
-            seg = slice(start, end)
-            cap_bad = (capacity + free_arr[seg]
-                       + (remaining - 1)
-                       * suffix_max[start + 1:end + 1]
-                       < needed).tolist()
-            if chosen:
-                added_all = (span
-                             + dist[chosen][:, present_arr[seg]]
-                             .sum(axis=0)).tolist()
-            else:
-                added_all = [span] * (end - start)
-            tail = (remaining - 1) * (len(chosen) + 1) \
-                + (remaining - 1) * (remaining - 2) // 2
-            for j in range(end - start):
-                if stats is not None:
-                    stats[0] += 1
-                if cap_bad[j]:
-                    if stats is not None:
-                        stats[1] += 1
-                    continue
-                added = added_all[j]
-                if best is not None and added + tail > best[0]:
-                    if stats is not None:
-                        stats[1] += 1
-                    continue
-                i = start + j
-                chosen.append(present[i])
-                extend(i + 1, capacity + free_list[i], added)
-                chosen.pop()
-
-        extend(0, 0, 0)
-        return best
+        ctx = (k, n, needed, present, np.asarray(present, dtype=np.intp),
+               free_arr, free_arr.tolist(), suffix_max, network._dist,
+               stats)
+        return _extend_subset(ctx, [], 0, 0, 0, None)
 
     @staticmethod
     def _quotas(subset: tuple[int, ...], free: dict[int, int],
@@ -476,6 +429,63 @@ class CommunicationAwarePolicy(AllocationPolicy):
                 quotas.append((board, take))
                 remaining -= take
         return quotas
+
+
+def _extend_subset(ctx: tuple, chosen: list[int], start: int,
+                   capacity: int, span: int,
+                   best: tuple[int, int, tuple[int, ...]] | None,
+                   ) -> tuple[int, int, tuple[int, ...]] | None:
+    """One node of :meth:`CommunicationAwarePolicy._best_subset_array`'s
+    depth-first search: explore every extension of ``chosen`` and
+    return the incumbent ``best`` they leave.
+
+    A plain recursive function over an argument tuple rather than a
+    self-referencing closure, so a search leaves no reference cycle
+    (and no arrays held by one) for the cycle collector.
+    """
+    (k, n, needed, present, present_arr, free_arr, free_list,
+     suffix_max, dist, stats) = ctx
+    remaining = k - len(chosen)
+    if remaining == 0:
+        if capacity < needed:
+            return best
+        key = (span, capacity - needed, tuple(chosen))
+        if best is None or key < best:
+            return key
+        return best
+    end = n - remaining + 1
+    if start >= end:
+        return best
+    seg = slice(start, end)
+    cap_bad = (capacity + free_arr[seg]
+               + (remaining - 1) * suffix_max[start + 1:end + 1]
+               < needed).tolist()
+    if chosen:
+        added_all = (span
+                     + dist[chosen][:, present_arr[seg]]
+                     .sum(axis=0)).tolist()
+    else:
+        added_all = [span] * (end - start)
+    tail = (remaining - 1) * (len(chosen) + 1) \
+        + (remaining - 1) * (remaining - 2) // 2
+    for j in range(end - start):
+        if stats is not None:
+            stats[0] += 1
+        if cap_bad[j]:
+            if stats is not None:
+                stats[1] += 1
+            continue
+        added = added_all[j]
+        if best is not None and added + tail > best[0]:
+            if stats is not None:
+                stats[1] += 1
+            continue
+        i = start + j
+        chosen.append(present[i])
+        best = _extend_subset(ctx, chosen, i + 1,
+                              capacity + free_list[i], added, best)
+        chosen.pop()
+    return best
 
 
 class FirstFitPolicy(AllocationPolicy):

@@ -123,6 +123,95 @@ class TestServiceModel:
                              + d.service_time_s)
 
 
+
+class _FlowApp:
+    """The two things the service model reads off a compiled app."""
+
+    def __init__(self, flows, base_s):
+        self.flows = flows
+        self._base_s = base_s
+
+    def service_time_s(self):
+        return self._base_s
+
+
+def _per_flow_model(ctrl, app, placement):
+    """The spanning service model as a per-flow loop: one
+    ``bits / effective_bits`` and one hop lookup per crossing flow."""
+    from repro.interconnect.links import LINKS, LinkClass
+    from repro.runtime.controller import COMPUTE_CYCLES_PER_BEAT
+    network = ctrl.cluster.network
+    contention = max(1, network.contention_factor(placement.boards))
+    effective = LINKS[LinkClass.INTER_FPGA].bits_per_cycle / contention
+    worst, hops = 0.0, 0
+    for (src, dst), bits in app.flows.items():
+        a, b = placement.board_of(src), placement.board_of(dst)
+        if a != b:
+            worst = max(worst, bits / effective)
+            hops = max(hops, network.distance(a, b))
+    slowdown = max(1.0, worst / COMPUTE_CYCLES_PER_BEAT) \
+        * ctrl._dram_slowdown(placement)
+    latency = 2 * hops * network.hop_latency_us * 1e-6
+    base = app.service_time_s()
+    return (base * slowdown + latency, slowdown,
+            base * (slowdown - 1.0) + latency)
+
+
+class TestSpanningModelEqualsPerFlowLoop:
+    """One pass over the flows (largest crossing ``bits`` divided once)
+    gives exactly the per-flow ``max(bits / effective_bits)`` loop's
+    figures: zero-bit flows, placements with no crossing flow, 2-4
+    boards, other flows sharing the ring and a degraded segment."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_flows_and_mappings(self, seed):
+        import random
+
+        from repro.cluster.cluster import make_cluster
+        from repro.runtime.types import Placement
+
+        rng = random.Random(seed)
+        cluster = make_cluster(num_boards=rng.randint(4, 8))
+        network = cluster.network
+        boards = list(range(network.num_nodes))
+        ctrl = SystemController(cluster)
+        if seed % 2:
+            # the contention slow path: a degraded segment on the ring
+            network.degrade_segment(rng.randrange(network.num_nodes),
+                                    rng.choice((0.25, 0.5, 0.8)))
+        for flow in range(rng.randint(0, 6)):
+            network.register_flow(("other", flow),
+                                  rng.sample(boards, rng.randint(2, 4)))
+        cases = 0
+        for _ in range(40):
+            span = rng.sample(boards, rng.randint(2, 4))
+            blocks = rng.randint(len(span), 12)
+            mapping = {vb: (span[vb] if vb < len(span)
+                            else rng.choice(span), vb)
+                       for vb in range(blocks)}
+            if rng.random() < 0.2:
+                # no crossing flow: every flow stays on one board
+                flows = {(v, v): rng.uniform(0.0, 900.0)
+                         for v in range(blocks)}
+            else:
+                # widths from zero to far past the ~51 200 bits at
+                # which serialization outruns compute on a quiet ring
+                flows = {(rng.randrange(blocks), rng.randrange(blocks)):
+                         rng.choice((0.0, 0, rng.uniform(0.0, 1500.0),
+                                     10 ** rng.uniform(3.0, 6.5),
+                                     float(rng.randint(1, 1 << 20))))
+                         for _ in range(rng.randint(0, 20))}
+            app = _FlowApp(flows, rng.uniform(0.5, 200.0))
+            placement = Placement(mapping=mapping)
+            model = ctrl._service_model(app, placement)
+            got = (model.service_time_s, model.comm_slowdown,
+                   model.latency_overhead_s)
+            assert got == _per_flow_model(ctrl, app, placement)
+            assert all(type(x) is float for x in got)
+            cases += 1
+        assert cases == 40
+
+
 class TestQuotas:
     def test_quota_blocks_admission(self, controller, compiled_medium):
         controller.set_quota("acme", compiled_medium.num_blocks)

@@ -237,3 +237,81 @@ class TestDefragmenter:
         assert fields["moved_blocks"] == defrag.moved_blocks
         assert fields["pause_s"] == pytest.approx(
             sum(penalties.values()))
+
+
+def _scan_plan(ctrl, needed, budget):
+    """``_plan`` rescanning every deployment per candidate target."""
+    free = ctrl._allocatable_free(ctrl._allocatable)
+    plans, total = [], sum(free.values())
+    for board in sorted(free, key=lambda b: (-free[b], b)):
+        deficit = 1 if needed is None else needed - free[board]
+        moves, freed = [], 0
+        for d in sorted((d for d in ctrl.deployments.values()
+                         if d.placement.boards == [board]),
+                        key=lambda d: d.num_blocks):
+            if freed < deficit and d.num_blocks <= min(
+                    total - free[board] - freed, budget - freed):
+                moves, freed = moves + [d], freed + d.num_blocks
+        if 0 < deficit <= freed:
+            plans.append((freed, len(plans), board, moves))
+    return min(plans[:1] if needed is None else plans, default=None)
+
+
+class TestPlanEqualsPerBoardScan:
+    """The one-pass planner picks the same target, donors and block
+    count as a per-candidate rescan of every deployment, across
+    randomized deploy / fail / repair / release / quarantine / defrag
+    histories in both trigger modes and at several budgets."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_histories(self, seed, compiled_small,
+                              compiled_medium, compiled_large):
+        import random
+
+        from repro.cluster.cluster import make_cluster
+        from repro.runtime.controller import SystemController
+        from repro.runtime.defrag import DefragConfig, Defragmenter
+        from repro.runtime.guard import DegradedModeGuard, GuardConfig
+
+        rng = random.Random(seed)
+        num_boards = rng.randint(8, 16)
+        ctrl = SystemController(make_cluster(num_boards=num_boards))
+        ctrl.attach_guard(DegradedModeGuard(GuardConfig(
+            failure_threshold=2, quarantine_s=30.0, probation_s=30.0)))
+        defrag = Defragmenter(ctrl, DefragConfig(
+            budget_burst_blocks=16, max_moved_blocks=16))
+        apps = (compiled_small, compiled_medium, compiled_large)
+        sizes = [None] + sorted({a.num_blocks for a in apps})
+        planned = 0
+        rid = 0
+        for step in range(160):
+            now = float(step)
+            op = rng.random()
+            if op < 0.55:
+                ctrl.try_deploy(rng.choice(apps), rid, now)
+                rid += 1
+            elif op < 0.85 and ctrl.deployments:
+                ctrl.release(ctrl.deployments[
+                    rng.choice(sorted(ctrl.deployments))], now)
+            elif op < 0.92:
+                board = rng.randrange(num_boards)
+                if board in ctrl.failed_boards():
+                    ctrl.repair_board(board, now)
+                elif len(ctrl.failed_boards()) < num_boards // 2:
+                    ctrl.fail_board(board, now)
+            else:
+                defrag.maybe_pass(now, needed_blocks=rng.choice(sizes))
+            for needed in sizes:
+                for budget in (1, 4, 8, 16):
+                    plan = defrag._plan(needed, budget)
+                    expect = _scan_plan(ctrl, needed, budget)
+                    if expect is None:
+                        assert plan is None
+                        continue
+                    planned += 1
+                    freed, _, board, moves = expect
+                    assert plan.target_board == board
+                    assert [d.request_id for d in plan.moves] \
+                        == [d.request_id for d in moves]
+                    assert plan.moved_blocks == freed
+        assert planned > 0

@@ -300,3 +300,83 @@ class TestSnapshot:
         guard.retry_backoff(0)  # consume one jitter draw
         clone = self._restored(vital, guard.snapshot())
         assert guard.retry_backoff(1) == clone.retry_backoff(1)
+
+
+class TestAdvanceOnlyWhenDue:
+    """``advance`` skips straight out when no breaker deadline is due;
+    ticking it at arbitrary times must decide exactly what ticking it
+    at every due instant decides."""
+
+    @staticmethod
+    def _state(guard, tracer):
+        # one tick emits its transitions board by board, so compare the
+        # events by their (scheduled) instants, not emission order
+        events = sorted((e["t"], e["name"], e["fields"]["board"])
+                        for e in tracer.entries())
+        return (events, guard.counters(), dict(guard._state),
+                dict(guard._until), guard.excluded_boards())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_arbitrary_ticks_equal_due_instant_ticks(self, seed):
+        import math
+        import random
+
+        from repro.cluster.cluster import make_cluster
+
+        rng = random.Random(seed)
+        num_boards = rng.randint(3, 8)
+        config = dict(failure_threshold=rng.randint(1, 3),
+                      failure_window_s=rng.uniform(5.0, 60.0),
+                      quarantine_s=rng.uniform(5.0, 40.0),
+                      probation_s=rng.uniform(5.0, 40.0))
+        # the guards hold their controllers weakly: keep both alive
+        ctrls = [SystemController(make_cluster(num_boards=num_boards),
+                                  tracer=Tracer()) for _ in range(2)]
+        sparse, dense = (_guarded(c, **config) for c in ctrls)
+        sparse_tr, dense_tr = (c.tracer for c in ctrls)
+        now = 0.0
+        for _ in range(60):
+            now += rng.expovariate(1 / 8.0)
+            # sparse: a few ticks at arbitrary instants before the strike
+            for t in sorted(rng.uniform(now - 8.0, now)
+                            for _ in range(rng.randint(0, 2))):
+                sparse.advance(t)
+            # dense: a tick at every deadline as it falls due (each
+            # tick must retire that deadline, or this loop stalls)
+            for _ in range(4 * num_boards):
+                due = min(dense._until.values(), default=math.inf)
+                if due > now:
+                    break
+                dense.advance(due)
+            else:
+                pytest.fail("a due tick retired no deadline")
+            board = rng.randrange(num_boards)
+            weight = rng.choice((1, 1, 1, 2))
+            for guard in (sparse, dense):
+                if weight == 1:
+                    guard.record_board_failure(board, now)
+                else:
+                    guard.record_reconfig_faults(board, weight, now)
+            assert self._state(sparse, sparse_tr) \
+                == self._state(dense, dense_tr)
+        for guard in (sparse, dense):
+            guard.advance(now + 1e4)
+        assert self._state(sparse, sparse_tr) \
+            == self._state(dense, dense_tr)
+        assert sparse.counters()["probations"] > 0
+
+    def test_nothing_due_does_not_refresh(self, vital, monkeypatch):
+        guard = _guarded(vital, failure_threshold=1, quarantine_s=50.0,
+                         probation_s=40.0)
+        guard.record_board_failure(1, now=10.0)
+        refreshes = []
+        monkeypatch.setattr(vital, "_refresh_allocatable",
+                            lambda: refreshes.append(1))
+        guard.advance(11.0)
+        guard.advance(59.9)
+        assert refreshes == []
+        assert guard.board_state(1) is BreakerState.QUARANTINED
+        guard.advance(60.0)  # quarantine elapses: one transition
+        assert refreshes == [1]
+        guard.advance(99.9)
+        assert refreshes == [1]
