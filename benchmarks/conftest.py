@@ -32,9 +32,11 @@ def compiled_apps(cluster):
     of the board count -- so the health, observability and scalability
     benches reuse this set for their 4/8/32/64-board clusters instead
     of recompiling per module (the compile-once story of the paper,
-    applied to the harness itself).
+    applied to the harness itself).  Compiled uncached, so the Fig. 8
+    bench reports measured compile walls and the cache benches have a
+    cold reference to compare against.
     """
-    return compile_benchmarks(cluster)
+    return compile_benchmarks(cluster, cache=None)
 
 
 @pytest.fixture(scope="session")

@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for cache misses "
                         "(1 = inline)")
     p.add_argument("--cache-dir", default=None,
-                   help="persistent compile cache directory; artifacts "
+                   help="compile cache directory (default: the machine "
+                        "cache, $XDG_CACHE_HOME/repro/compile); artifacts "
                         "found there are reused instead of recompiled")
 
     sub.add_parser("links",
@@ -315,13 +316,12 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     import time
 
     from repro.cluster.cluster import make_cluster
-    from repro.compiler.cache import CompileCache
+    from repro.compiler.cache import CompileCache, machine_cache_dir
     from repro.compiler.service import CompileService
     from repro.hls.kernels import all_benchmarks, benchmark
 
     cluster = make_cluster(num_boards=1)
-    cache = CompileCache(cache_dir=args.cache_dir) \
-        if args.cache_dir else None
+    cache = CompileCache(cache_dir=args.cache_dir or machine_cache_dir())
     service = CompileService(fabric=cluster.partition, cache=cache)
 
     if args.all:
@@ -352,7 +352,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
               f"{seconds / b.total_s:.1%}"]
              for step, seconds in b.as_dict().items()],
             title="vendor-scale compile breakdown"))
-    if cache is not None:
+    if args.cache_dir:
         s = cache.stats()
         print(f"cache: {s['hits']} hits ({s['disk_hits']} from disk), "
               f"{s['misses']} misses, {s['stores']} stored "
@@ -379,17 +379,18 @@ def _cmd_links(_args: argparse.Namespace) -> int:
 def _compile_replayed(cluster, specs, profiler) -> dict:
     """Compile the designs a run replays, in a pool when that pays.
 
-    The worker count comes from the shared pool rule
-    (:func:`~repro.compiler.service.pool_workers`); artifacts are pure
-    functions of (spec, fabric, flow), so the apps -- and every report
-    built on them -- are the same bytes either way.
+    Designs in the machine's compile cache load from it; the worker
+    count for the rest comes from the shared pool rule
+    (:func:`~repro.compiler.service.pool_workers`) applied to the cache
+    misses.  Artifacts are pure functions of (spec, fabric, flow,
+    compiler source), so the apps -- and every report built on them --
+    are the same bytes either way.
     """
     from repro.compiler.service import pool_workers
     from repro.sim.experiment import compile_benchmarks
     with (profiler.phase("compile") if profiler is not None
           else nullcontext()):
-        return compile_benchmarks(cluster, specs=specs,
-                                  jobs=pool_workers(len(specs)))
+        return compile_benchmarks(cluster, specs=specs, jobs=pool_workers)
 
 
 def _check_simulate_args(args: argparse.Namespace) -> "str | None":
@@ -1015,7 +1016,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
             size = entry.stat().st_size
             total += size
             try:
-                name = json.loads(entry.read_text())["spec"]
+                # a header line, then the artifact (repro.compiler.cache)
+                name = json.loads(
+                    entry.read_text().partition("\n")[2])["spec"]
                 name = f"{name['family']}-{name['size']}"
             except (ValueError, KeyError, TypeError):
                 name = "?"

@@ -19,11 +19,14 @@ property so a buggy generator cannot ship a deadlocking interface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
-
-from repro.compiler.partitioner import PartitionResult
 from repro.fabric.resources import ResourceVector
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+    from repro.compiler.partitioner import PartitionResult
 
 __all__ = ["ChannelSpec", "LatencyInsensitiveInterface",
            "InterfaceGenerator"]
@@ -71,6 +74,7 @@ class LatencyInsensitiveInterface:
 
     # ------------------------------------------------------------------
     def channel_graph(self) -> nx.DiGraph:
+        import networkx as nx
         g = nx.DiGraph()
         g.add_nodes_from(range(self.num_blocks))
         for ch in self.channels:
@@ -110,16 +114,32 @@ class LatencyInsensitiveInterface:
 
         Every directed cycle of the channel graph must contain at least
         one channel with initialization tokens, so that in any reachable
-        state some input buffer on the cycle is non-empty.
+        state some input buffer on the cycle is non-empty.  Kahn's
+        algorithm over the token-free edges: the check passes iff it
+        retires every node they touch.  As in :meth:`channel_graph`, the
+        last channel listed for a ``(src, dst)`` pair decides whether
+        that edge carries tokens, and a token-free self-loop is a cycle.
         """
-        g = self.channel_graph()
-        # remove token-carrying edges; any remaining cycle is a violation
-        stripped = nx.DiGraph()
-        stripped.add_nodes_from(g.nodes)
-        for u, v, spec in g.edges(data="spec"):
-            if spec.init_tokens == 0:
-                stripped.add_edge(u, v)
-        return nx.is_directed_acyclic_graph(stripped)
+        token_free: dict[tuple[int, int], bool] = {
+            (ch.src_block, ch.dst_block): ch.init_tokens == 0
+            for ch in self.channels}
+        succ: dict[int, list[int]] = {}
+        indegree: dict[int, int] = {}
+        for (src, dst), free in token_free.items():
+            if free:
+                succ.setdefault(src, []).append(dst)
+                indegree.setdefault(src, 0)
+                indegree[dst] = indegree.get(dst, 0) + 1
+        ready = [node for node, n in indegree.items() if n == 0]
+        retired = 0
+        while ready:
+            node = ready.pop()
+            retired += 1
+            for dst in succ.get(node, ()):
+                indegree[dst] -= 1
+                if indegree[dst] == 0:
+                    ready.append(dst)
+        return retired == len(indegree)
 
 
 class InterfaceGenerator:
@@ -134,6 +154,7 @@ class InterfaceGenerator:
                  ) -> LatencyInsensitiveInterface:
         """Emit channels for every inter-block flow; break cycles with
         initialization tokens on back-edges."""
+        import networkx as nx
         flow_graph = nx.DiGraph()
         flow_graph.add_nodes_from(range(partition.num_blocks))
         for (src, dst), bits in sorted(partition.flows.items()):
@@ -167,6 +188,7 @@ class InterfaceGenerator:
         Greedy: walk SCCs; within each non-trivial SCC, run a DFS and
         collect the edges that close cycles.
         """
+        import networkx as nx
         back: set[tuple[int, int]] = set()
         for scc in nx.strongly_connected_components(graph):
             if len(scc) < 2:

@@ -23,14 +23,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.linalg import spsolve
 
 from repro.compiler.packing import Cluster
 from repro.fabric.resources import ResourceVector
 from repro.netlist.netlist import Netlist
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = ["BlockGrid", "PlacementResult", "QuadraticPlacer"]
 
@@ -213,6 +215,9 @@ class QuadraticPlacer:
     @staticmethod
     def _laplacian(n: int, edges: dict[tuple[int, int], float],
                    ) -> csr_matrix:
+        # scipy loads at the first solve, not with the module: a process
+        # that only loads cached artifacts never pays for it
+        from scipy.sparse import coo_matrix
         rows: list[int] = []
         cols: list[int] = []
         vals: list[float] = []
@@ -264,6 +269,7 @@ class QuadraticPlacer:
         every cluster so isolated clusters (zero Laplacian rows) keep the
         system positive definite; its weight is far below any real net.
         """
+        from scipy.sparse.linalg import spsolve
         eps = 1e-6
         diag = laplacian.diagonal() + eps
         bx = np.full(n, eps * (self.grid.cols / 2.0))

@@ -15,10 +15,10 @@ this package:
 
 Whether a pool is worth its startup is decided in one place,
 :func:`pool_workers` (at least :data:`POOL_MIN_MISSES` misses and more
-than one schedulable CPU); the CLI asks it how many workers to compile
-with, and the campaign runner asks it the same question for scenario
-runs.  :meth:`CompileService.compile_many` itself does what ``jobs``
-says.
+than one schedulable CPU).  :meth:`CompileService.compile_many` does
+what ``jobs`` says: a worker count, or a function of the miss count --
+the CLI and the campaign runner pass the pool rule itself, so a
+half-warm cache starts no pool for its few misses.
 
 Workers ship artifacts back in the canonical
 :meth:`~repro.compiler.bitstream.CompiledApp.to_dict` form -- a pure
@@ -38,6 +38,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.compiler.bitstream import CompiledApp
 from repro.compiler.cache import CompileCache, fingerprint_for_flow
@@ -141,21 +142,24 @@ class CompileService:
         """Compile (or fetch) a single application inline."""
         return self.compile_many([spec])[spec.name]
 
-    def compile_many(self, specs, jobs: int = 1,
+    def compile_many(self, specs,
+                     jobs: "int | Callable[[int], int]" = 1,
                      ) -> dict[str, CompiledApp]:
         """Compile every spec, reusing cached artifacts.
 
         Args:
             specs: iterable of :class:`KernelSpec`; names must be
                 unique (they key the result dict).
-            jobs: worker processes for the cache misses.  ``1``
-                compiles inline in this process.
+            jobs: worker processes for the cache misses, or a function
+                of the miss count returning it (e.g.
+                :func:`pool_workers`).  ``1`` compiles inline in this
+                process.
 
         Returns:
             ``{spec.name: CompiledApp}`` in input order.
         """
         specs = list(specs)
-        if jobs < 1:
+        if not callable(jobs) and jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
@@ -182,6 +186,8 @@ class CompileService:
                 hits[spec.name] = app
 
         # pass 2: compile the misses
+        if callable(jobs):
+            jobs = jobs(len(misses))
         parallel = jobs > 1 and len(misses) > 1
         compiled: dict[str, CompiledApp] = {}
         if parallel:

@@ -36,6 +36,7 @@ seeded runs produce byte-identical violation events.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 
 from repro.obs.stats import percentile
@@ -151,7 +152,10 @@ class SLOEngine:
         parsed = [parse_slo(r) for r in
                   (DEFAULT_RULES if rules is None else rules)]
         self._states = [_RuleState(r) for r in parsed]
-        self._tracer: Tracer | None = None
+        #: the bound tracer, held weakly: the tracer holds this engine
+        #: as a sink, and a strong back-reference would be a cycle that
+        #: only the collector frees
+        self._tracer_ref: "weakref.ref[Tracer] | None" = None
         self.interval_s = 0.0
         #: which distribution metrics any rule actually needs -- the
         #: sink does zero work for families nobody asked about
@@ -182,7 +186,7 @@ class SLOEngine:
         self.interval_s = timeline.interval_s
         timeline.add_listener(self.on_bucket)
         if tracer is not None:
-            self._tracer = tracer
+            self._tracer_ref = weakref.ref(tracer)
             tracer.add_sink(self.on_record)
 
     # ------------------------------------------------------------------
@@ -258,10 +262,12 @@ class SLOEngine:
 
     def _emit(self, name: str, t: float, rule: SLORule,
               value: float) -> None:
-        if self._tracer is None or not self._tracer:
+        tracer = self._tracer_ref() if self._tracer_ref is not None \
+            else None
+        if not tracer:
             return
         verb = "violates" if name == "slo.violation" else "satisfies"
-        self._tracer.event(
+        tracer.event(
             name, t=t, rule=str(rule), metric=rule.metric, op=rule.op,
             threshold=rule.threshold, value=value,
             window_s=rule.window_s,

@@ -13,8 +13,9 @@ things).  This module applies the PR 5 CompileService pattern to whole
    **fingerprint** (:func:`campaign_fingerprint`) -- the sha256 of the
    canonical JSON of everything the result is a function of: workload
    knobs, cluster geometry, policy/discipline, fault, defrag, guard and
-   SLO configuration, plus :data:`CAMPAIGN_VERSION` (bumped whenever
-   simulator semantics change, so stale results can never be replayed);
+   SLO configuration, plus :data:`CAMPAIGN_VERSION` and a digest of the
+   code a scenario run imports (:data:`CAMPAIGN_PACKAGES`), so an edit
+   to that code misses every result it produced before;
 2. results are resolved against a :class:`CampaignCache` (memory LRU +
    optional disk tier of canonical JSON, ``campaign.hit`` /
    ``campaign.miss`` trace events, hit/miss/store counters);
@@ -47,11 +48,12 @@ from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from repro.cluster.cluster import make_cluster, make_heterogeneous_cluster
 from repro.compiler.bitstream import CompiledApp
-from repro.compiler.cache import CompileCache
+from repro.compiler.cache import CompileCache, source_digest
 from repro.compiler.flow import FLOW_VERSION
 from repro.compiler.service import POOL_MIN_MISSES, _mp_context, \
     pool_workers
@@ -73,6 +75,7 @@ from repro.sim.workload import COMPOSITIONS, WorkloadGenerator
 
 __all__ = [
     "CAMPAIGN_VERSION",
+    "CAMPAIGN_PACKAGES",
     "FAULT_PROFILES",
     "LOAD_PATTERNS",
     "POOL_MIN_MISSES",
@@ -108,6 +111,14 @@ FAULT_PROFILES: dict[str, dict] = {
     "gray-icap": {"icap_mtbf_s": 90.0, "icap_mttr_s": 45.0,
                   "icap_latency_multiplier": 4.0},
 }
+
+#: the ``repro`` sub-packages a scenario run imports (a clean
+#: :func:`run_config` loads nothing else of ``repro`` but ``repro._lazy``,
+#: which ``tests/test_compile_cache_integrity.py`` checks): their source
+#: digest is part of every fingerprint
+CAMPAIGN_PACKAGES = ("baselines", "cluster", "compiler", "fabric",
+                     "faults", "hls", "interconnect", "netlist", "obs",
+                     "peripherals", "runtime", "sim")
 
 _DISCIPLINES = ("fifo", "backfill", "sjf")
 _RECOVERIES = ("requeue", "migrate-on-failure")
@@ -191,13 +202,14 @@ def campaign_fingerprint(config: CampaignConfig) -> str:
 
     Two configs share a fingerprint iff their results are guaranteed
     byte-identical: same config axes, same fault-preset knobs, same
-    campaign and compile-flow versions.  The ``name`` field is a label,
-    not an input, and deliberately stays out.
+    campaign and compile-flow versions, same simulator source.  The
+    ``name`` field is a label, not an input, and deliberately stays out.
     """
     key = {k: v for k, v in config.as_dict().items() if k != "name"}
     key["fault_knobs"] = FAULT_PROFILES[config.fault_profile]
     key["campaign_version"] = CAMPAIGN_VERSION
     key["flow_version"] = FLOW_VERSION
+    key["source"] = source_digest(CAMPAIGN_PACKAGES)
     return hashlib.sha256(canonical_json(key).encode()).hexdigest()
 
 
@@ -513,7 +525,7 @@ class CampaignRunner:
                 self._apps.update(self._normalize(compile_benchmarks(
                     make_cluster(num_boards=1), specs=specs,
                     cache=self.compile_cache,
-                    jobs=pool_workers(len(specs), jobs),
+                    jobs=partial(pool_workers, jobs=jobs),
                     tracer=self.tracer)))
         return self._apps
 

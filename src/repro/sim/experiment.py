@@ -44,7 +44,7 @@ from repro.baselines.per_device import PerDeviceManager
 from repro.baselines.slot_based import SlotBasedManager
 from repro.cluster.cluster import FPGACluster, make_cluster
 from repro.compiler.bitstream import CompiledApp
-from repro.compiler.cache import CompileCache
+from repro.compiler.cache import CompileCache, machine_cache_dir
 from repro.compiler.service import CompileService
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import RecoveryPolicy, \
@@ -89,8 +89,8 @@ def specs_for(requests) -> list:
 
 def compile_benchmarks(cluster: FPGACluster,
                        specs=None,
-                       cache: "CompileCache | None" = None,
-                       jobs: int = 1,
+                       cache: "CompileCache | None | str" = "machine",
+                       jobs: "int | Callable[[int], int]" = 1,
                        tracer: Tracer | None = None,
                        ) -> dict[str, CompiledApp]:
     """Offline-compile the benchmark set against the cluster's abstraction.
@@ -100,11 +100,18 @@ def compile_benchmarks(cluster: FPGACluster,
     their own (and in AmorphOS's case, combinatorial) compilation.
 
     ``cache`` reuses previously compiled artifacts (one compile per
-    (spec, abstraction, flow config), ever); ``jobs`` fans cache misses
-    out across worker processes.  Both default to the sequential
-    uncached path, which is bit-identical to what they produce.
+    (spec, abstraction, flow config, compiler source), ever).  The
+    default, ``"machine"``, is this machine's disk cache
+    (:func:`~repro.compiler.cache.machine_cache_dir`), read into fresh
+    objects on every call; ``None`` compiles everything uncached.
+    ``jobs`` fans cache misses out across worker processes (a count, or
+    a function of the miss count such as
+    :func:`~repro.compiler.service.pool_workers`).  Every combination
+    returns artifacts bit-identical to the sequential uncached compile.
     """
     specs = specs if specs is not None else all_benchmarks()
+    if cache == "machine":
+        cache = CompileCache(cache_dir=machine_cache_dir())
     service = CompileService(fabric=cluster.partition, cache=cache,
                              tracer=tracer)
     return service.compile_many(specs, jobs=jobs)
@@ -822,7 +829,7 @@ def compare_managers(workload_sets: dict[int, list[list[Request]]],
                      managers: dict[str, Callable[[FPGACluster],
                                                   ClusterManager]]
                      | None = None,
-                     cache: "CompileCache | None" = None,
+                     cache: "CompileCache | None | str" = "machine",
                      jobs: int = 1,
                      ) -> dict[str, dict[int, SummaryMetrics]]:
     """Run every manager over every workload set (averaging replicas).

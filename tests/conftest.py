@@ -4,6 +4,11 @@ Expensive artifacts (fabric partition, cluster, compiled applications) are
 session-scoped: they are immutable once built, and every consumer treats
 them as read-only.  Anything stateful (controllers, managers, memories) is
 function-scoped and built fresh per test.
+
+The machine compile cache (``repro.compiler.cache.machine_cache_dir``)
+points at a directory of this pytest session, so no test reads or
+writes the user's cache, and every ``compile_benchmarks`` after the
+first in the session loads its designs instead of recompiling them.
 """
 
 from __future__ import annotations
@@ -15,6 +20,16 @@ from repro.compiler.flow import CompilationFlow
 from repro.fabric.devices import make_xcvu37p
 from repro.fabric.partition import FabricPartition, PartitionPlanner
 from repro.hls.kernels import benchmark
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_compile_cache(tmp_path_factory):
+    """``$XDG_CACHE_HOME`` of this pytest session (subprocesses inherit
+    it)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME",
+                     str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -189,6 +189,12 @@ class _PoolBomb:
 
 
 class TestPoolRule:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch, tmp_path):
+        """The rule counts cache misses: each test starts from an empty
+        machine cache."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+
     def test_one_definition(self):
         assert campaign_mod.POOL_MIN_MISSES is POOL_MIN_MISSES
         assert not hasattr(campaign_mod, "_usable_cpus")
@@ -234,6 +240,17 @@ class TestPoolRule:
         monkeypatch.setattr(service_mod, "_usable_cpus", lambda: 1)
         assert self._simulate(7, 10) == 0
 
+    def test_cli_counts_misses_not_requested_designs(self, monkeypatch,
+                                                     capsys):
+        """Two misses among eight or more replayed designs: inline."""
+        specs = specs_for(WorkloadGenerator(seed=0).generate(7, 10))
+        assert len(specs) >= POOL_MIN_MISSES
+        compile_benchmarks(make_cluster(num_boards=1), specs=specs[2:])
+        monkeypatch.setattr(service_mod, "ProcessPoolExecutor",
+                            _PoolBomb)
+        monkeypatch.setattr(service_mod, "_usable_cpus", lambda: 8)
+        assert self._simulate(7, 10) == 0
+
     def test_pool_on_and_off_write_the_same_bytes(self, monkeypatch,
                                                   capsys, tmp_path):
         """Real forked workers vs inline: stdout, trace JSONL and
@@ -249,6 +266,8 @@ class TestPoolRule:
                             CountingPool)
         outputs = {}
         for cpus in (2, 1):
+            # both compile every design: neither sees the other's cache
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"x{cpus}"))
             monkeypatch.setattr(service_mod, "_usable_cpus",
                                 lambda cpus=cpus: cpus)
             trace, metrics = (tmp_path / f"t{cpus}.jsonl",

@@ -13,6 +13,7 @@ Two families of property here:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -151,7 +152,13 @@ class TestCompileCache:
         fp = compile_fingerprint(compiled_small.spec, partition)
         cache = CompileCache(cache_dir=tmp_path)
         cache.put(fp, compiled_small)
-        text = (tmp_path / f"{fp}.json").read_text()
+        header, text = (tmp_path / f"{fp}.json").read_text() \
+            .split("\n")
+        # a self-checking entry: its own fingerprint and the sha256 of
+        # the artifact line below
+        assert json.loads(header) == {
+            "fingerprint": fp,
+            "sha256": hashlib.sha256(text.encode()).hexdigest()}
         assert text == compiled_small.to_json()
         # canonical form: compact separators, sorted keys, no wall
         # clocks

@@ -1,6 +1,10 @@
 """Tests for latency-insensitive interface generation (flow step 3)."""
 
+import dataclasses
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.compiler.interface_gen import (
     ChannelSpec,
@@ -9,7 +13,7 @@ from repro.compiler.interface_gen import (
 )
 from repro.compiler.partitioner import NetlistPartitioner
 from repro.hls.frontend import synthesize
-from repro.hls.kernels import benchmark
+from repro.hls.kernels import all_benchmarks, benchmark
 
 
 def make_interface(channels, num_blocks):
@@ -113,3 +117,67 @@ class TestGenerator:
         iface = InterfaceGenerator().generate(part)
         assert iface.channels == []
         assert iface.verify_deadlock_free()
+
+
+def networkx_deadlock_free(iface: LatencyInsensitiveInterface) -> bool:
+    """The check as networkx states it: strip the token-carrying edges
+    of the channel graph; what remains must be acyclic."""
+    stripped = nx.DiGraph()
+    for u, v, spec in iface.channel_graph().edges(data="spec"):
+        if spec.init_tokens == 0:
+            stripped.add_edge(u, v)
+    return nx.is_directed_acyclic_graph(stripped)
+
+
+class TestDeadlockCheckMatchesNetworkx:
+    """``verify_deadlock_free`` is a dependency-free Kahn check;
+    networkx is its oracle."""
+
+    @pytest.fixture(scope="class")
+    def table2_interfaces(self, partition):
+        """The 21 Table-2 interfaces at four synthesis granularities."""
+        partitioner = NetlistPartitioner(partition.block_capacity)
+        return [InterfaceGenerator().generate(partitioner.partition(
+                    synthesize(spec, macro_lut=macro_lut)))
+                for macro_lut in (128, 256, 512, 1024)
+                for spec in all_benchmarks()]
+
+    def test_table2_interfaces(self, table2_interfaces):
+        assert len(table2_interfaces) == 84
+        for iface in table2_interfaces:
+            assert iface.verify_deadlock_free()
+            assert networkx_deadlock_free(iface)
+
+    def test_table2_interfaces_without_tokens(self, table2_interfaces):
+        """Every generated cycle, with its tokens taken away."""
+        cyclic = 0
+        for iface in table2_interfaces:
+            bare = make_interface(
+                [dataclasses.replace(ch, init_tokens=0)
+                 for ch in iface.channels], iface.num_blocks)
+            expected = networkx_deadlock_free(bare)
+            assert bare.verify_deadlock_free() == expected
+            cyclic += not expected
+        assert cyclic > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(num_blocks=st.integers(1, 7),
+           data=st.data())
+    def test_random_channel_lists(self, num_blocks, data):
+        """Parallel edges whose token counts differ, self-loops, and
+        blocks no channel touches."""
+        block = st.integers(0, num_blocks - 1)
+        channels = data.draw(st.lists(
+            st.builds(chan, block, block,
+                      tokens=st.sampled_from((0, 0, 1, 512))),
+            max_size=14))
+        if channels:
+            # repeat some pairs with the other token state: the last
+            # channel listed for a pair decides
+            for ch in data.draw(st.lists(st.sampled_from(channels),
+                                         max_size=4)):
+                channels.append(dataclasses.replace(
+                    ch, init_tokens=0 if ch.init_tokens else 1))
+        iface = make_interface(channels, num_blocks)
+        assert iface.verify_deadlock_free() \
+            == networkx_deadlock_free(iface)

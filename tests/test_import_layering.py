@@ -4,9 +4,11 @@ Every package ``__init__`` resolves its exports lazily
 (:mod:`repro._lazy`) and ``repro.cli`` imports per subcommand, so the
 compile stack -- numpy, scipy, networkx, :mod:`repro.compiler` and the
 event loop of :mod:`repro.sim.experiment` -- loads only for the
-subcommands that compile or simulate.  Each check runs a fresh
-interpreter and reads ``sys.modules`` after the command returned: no
-wall clock, so the result is the same on any machine.
+subcommands that compile or simulate.  A ``simulate`` whose designs are
+all in the machine compile cache loads them and never imports scipy or
+networkx.  Each check runs a fresh interpreter and reads
+``sys.modules`` after the command returned: no wall clock, so the
+result is the same on any machine.
 """
 
 from __future__ import annotations
@@ -97,6 +99,31 @@ def test_cold_simulate_prints_the_warm_table(capsys):
     warm = capsys.readouterr().out
     assert "vital" in warm
     assert cold.stdout == warm
+
+
+_SIMULATE = ["simulate", "--set", "7", "--requests", "30", "--boards",
+             "4", "--managers", "per-device,slot-based,amorphos-ht,vital"]
+
+
+def test_simulate_compiles_cold_and_loads_warm(tmp_path, monkeypatch):
+    """Cold: exactly the replayed designs compile (one cache entry
+    each).  Warm: the same bytes on stdout, and no graph stack."""
+    from repro.compiler.cache import machine_cache_dir
+    from repro.sim.experiment import specs_for
+    from repro.sim.workload import WorkloadGenerator
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cold, warm = [subprocess.run(
+        [sys.executable, "-m", "repro", *_SIMULATE], cwd=ROOT,
+        capture_output=True, text=True, timeout=300) for _ in range(2)]
+    assert [cold.returncode, warm.returncode] == [0, 0]
+    assert cold.stdout == warm.stdout
+    entries = [json.loads(path.read_text().partition("\n")[2])["spec"]
+               for path in machine_cache_dir().glob("*.json")]
+    replayed = specs_for(WorkloadGenerator(seed=0).generate(7, 30))
+    assert sorted(f"{e['family']}-{e['size']}" for e in entries) \
+        == sorted(spec.name for spec in replayed)
+    assert _loaded(_SIMULATE, watched=GRAPH_STACK) \
+        == {"rc": 0, "loaded": []}
 
 
 def test_parser_manager_names_are_the_factories():
