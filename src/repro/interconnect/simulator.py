@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.interconnect.channel import Channel
 from repro.interconnect.links import LinkClass, LinkModel, LINKS
@@ -58,6 +59,99 @@ class BlockNode:
     def utilization(self) -> float:
         total = self.fired + self.stalled
         return self.fired / total if total else 0.0
+
+
+def _coast(start: int, end: int, channels: list[Channel],
+           visible: list[int], credits: list[int], latency: list[int],
+           tokens: list[int]) -> bool:
+    """Apply cycles ``start .. end - 1`` in which every node fires.
+
+    The lists are :meth:`TrafficSimulator.run`'s per-channel state; the
+    queues are the channels' own.  A first pass, touching nothing,
+    works out whether every consumer finds a flit and every producer a
+    credit in each of those cycles; if one would not, it returns False
+    and the caller steps them.  Otherwise the cycles are applied to
+    every channel in closed form (DESIGN section 16) and it returns
+    True; the caller adds the span to every node's ``fired``.  A refill
+    above the FIFO depth raises ``RuntimeError``, as it would stepped.
+    """
+    span = end - start
+    plans = []
+    need = 0        # how many of the span's last stamps a queue keeps
+    over = False
+    for c, ch in enumerate(channels):
+        fifo, pipe = ch.rx_fifo._items, ch._in_flight
+        returns, vis = ch._credit_returns, visible[c]
+        held = len(fifo) + len(pipe)
+        # drains take the FIFO, then the wire in order, then the span's
+        # own sends, each ``held`` cycles after it was sent
+        if span > len(fifo):
+            drain = start + len(fifo)
+            for sent in islice(pipe, span - len(fifo)):
+                if sent + vis > drain:
+                    return False
+                drain += 1
+            if span > held and held < vis:
+                return False
+        have = credits[c]
+        if have >= span:
+            plans.append((have - span, 0, span))
+            need = max(need, span)
+            continue
+        # the first refill, at ``start + have``, collects every return
+        # that is due; if the returns it leaves are one per cycle, as
+        # the drains are, then ``back`` come due every ``back`` cycles
+        first = start + have
+        cut = first - vis
+        taken = 0
+        for drained in returns:
+            if drained > cut:
+                break
+            taken += 1
+        if len(returns) - taken != max(0, start - cut - 1) or any(
+                drained != cut + 1 + k for k, drained
+                in enumerate(islice(returns, taken, None))):
+            return False
+        back = taken + max(0, cut + 1 - start)
+        if not back:
+            return False
+        over = over or back > ch.credits.initial
+        later = (end - 1 - first) // back   # refills after the first
+        collected = back * (later + 1)
+        kept = span - max(0, collected - len(returns))
+        plans.append((back - (end - first - later * back),
+                      min(collected, len(returns)), kept))
+        need = max(need, kept, min(span, held))
+    if over:
+        raise RuntimeError("restoring credit above initial "
+                           "(protocol bug)")
+
+    # one list of stamps for every queue, as the stepped loop shares
+    # one ``cycle`` int among the channels it appends to
+    stamps = list(range(end - need, end))
+    for c, (have, popped, kept) in enumerate(plans):
+        ch = channels[c]
+        fifo, pipe = ch.rx_fifo._items, ch._in_flight
+        returns = ch._credit_returns
+        held = len(fifo) + len(pipe)
+        drain, lat = start, 0
+        while fifo and drain < end:
+            sent = fifo.popleft()
+            if sent is None:
+                tokens[c] += 1
+            else:
+                lat += drain - sent
+            drain += 1
+        while pipe and drain < end:
+            lat += drain - pipe.popleft()
+            drain += 1
+        latency[c] += lat + (end - drain) * held
+        pipe.extend(stamps[need - min(span, held):])
+        for _ in range(popped):
+            returns.popleft()
+        returns.extend(stamps[need - kept:])
+        credits[c] = have
+    return True
 
 
 class TrafficSimulator:
@@ -109,7 +203,13 @@ class TrafficSimulator:
         per-cycle channel phase.  A cycle that fires nothing, with no
         ``rate < 1`` node whose random draw a jump would skip, advances
         the clock to the earliest arrival or credit return a stalled
-        node waits for (DESIGN section 16 has the argument).
+        node waits for (DESIGN section 16 has the argument).  The
+        converse: once every node has fired on each of the last ``V +
+        1`` cycles (``V`` the longest ``max(L, 1)``), with every node at
+        rate 1 and every channel drained by its consumer's firing and
+        launched on by its producer's, the rest of the call is applied
+        in closed form if every node provably fires on every one of
+        those cycles (the busy skip-ahead, ``_coast``).
 
         On return every channel is settled as of the last cycle run, so
         the single-channel API and a further ``run`` continue from the
@@ -151,6 +251,16 @@ class TrafficSimulator:
                 tuple((c, pipes[c]) for c in outs),
             ))
         can_jump = all(node.rate >= 1.0 for node in nodes)
+        # the busy skip-ahead also needs every channel drained by its
+        # consumer's firing and launched on by its producer's, once each
+        every = list(range(len(channels)))
+        coasting = can_jump \
+            and sorted(c for *_, drains, _ in plan
+                       for c, *_ in drains) == every \
+            and sorted(c for *_, launches in plan
+                       for c, _ in launches) == every
+        horizon = max(visible, default=1)
+        streak = 0      # cycles in a row in which every node fired
 
         for ch in channels:
             # what a hand sent or drained in this very cycle over a
@@ -167,6 +277,7 @@ class TrafficSimulator:
         try:
             while cycle < end:
                 quiet = can_jump
+                busy = True
                 wake = end
                 for n, draw, rate, arrived, granted, drains, launches \
                         in plan:
@@ -230,10 +341,23 @@ class TrafficSimulator:
                             quiet = False
                             continue
                     stalled[n] += 1
+                    busy = False
                 cycle += 1
-                if quiet and wake > cycle:
-                    skipped += wake - cycle
-                    cycle = wake
+                if quiet:
+                    streak = 0
+                    if wake > cycle:
+                        skipped += wake - cycle
+                        cycle = wake
+                elif coasting:
+                    streak = streak + 1 if busy else 0
+                    if streak > horizon and cycle < end:
+                        if _coast(cycle, end, channels, visible,
+                                  credits, latency, tokens):
+                            for n in range(len(nodes)):
+                                fired[n] += end - cycle
+                            cycle = end
+                        else:
+                            coasting = False
         finally:
             self.cycle = cycle
             for c, ch in enumerate(channels):

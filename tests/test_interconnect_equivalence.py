@@ -7,12 +7,15 @@ channel stepped every cycle, then every node).  These tests build the
 same graph in both and require every counter to agree after every
 ``run`` segment: random graphs, segmented vs. one-shot runs, hand-driven
 ``send`` / ``receive`` / ``step`` between segments, the six
-``li_cyclesim`` deployments, and tamper tests showing the four protocol
-checks and the conservation check still raise from inside ``run``.
+``li_cyclesim`` deployments, a family of saturating graphs that reach
+the busy skip-ahead, the graphs that must never reach it, and tamper
+tests showing the four protocol checks and the conservation check
+still raise from inside ``run``, skip-ahead or not.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -21,7 +24,9 @@ from repro.hls.kernels import benchmark
 from repro.interconnect.appsim import simulate_deployment
 from repro.interconnect.channel import Channel
 from repro.interconnect.links import LINKS, LinkClass, LinkModel
-from repro.interconnect.simulator import BlockNode, TrafficSimulator
+import repro.interconnect.simulator as simulator
+from repro.interconnect.simulator import (BlockNode, TrafficSimulator,
+                                          random_traffic_experiment)
 from repro.runtime.policy import split_virtual_blocks
 from repro.runtime.types import Placement
 from tests.reference_interconnect import (ReferenceBlockNode,
@@ -118,6 +123,26 @@ def mirror(sim: TrafficSimulator) -> ReferenceTrafficSimulator:
     return ref
 
 
+def queues(ch) -> dict:
+    """A channel's three queues in one notation for both simulators.
+
+    A FIFO entry is its flit's send cycle, or ``None`` for an init
+    token; a wire entry its send cycle; a pending credit the cycle its
+    slot was drained in.
+    """
+    if isinstance(ch, ReferenceChannel):
+        return {
+            "fifo": [None if item[0] == "init" else item[0]
+                     for item in ch.rx_fifo._items],
+            "wire": [sent for _, (sent, _) in ch._in_flight],
+            "returns": [due - ch.link.latency_cycles
+                        for due in ch._credit_returns],
+        }
+    return {"fifo": list(ch.rx_fifo._items),
+            "wire": list(ch._in_flight),
+            "returns": list(ch._credit_returns)}
+
+
 def snapshot(sim) -> dict:
     """Everything either simulator exposes, by name."""
     state = {"cycle": sim.cycle}
@@ -129,10 +154,8 @@ def snapshot(sim) -> dict:
             "consumed": ch.consumed, "latency_sum": ch.latency_sum,
             "latency_count": ch.latency_count,
             "credits": ch.credits.available,
-            "occupancy": len(ch.rx_fifo),
-            "in_flight": len(ch._in_flight),
-            "returns": len(ch._credit_returns),
             "has_data": ch.has_data(), "can_accept": ch.can_accept(),
+            **queues(ch),
         }
     return state
 
@@ -250,6 +273,199 @@ class TestRandomGraphs:
         assert any(not ch.can_accept() for ch in channels)
 
 
+# ----------------------------------------------------------------------
+# the busy skip-ahead: graphs that saturate, graphs that must not coast
+# ----------------------------------------------------------------------
+@pytest.fixture
+def coasts(monkeypatch):
+    """The span of every closed-form stretch ``run`` tries, in order:
+    0 for one it declined, the cycles applied for one it took."""
+    spans = []
+    real = simulator._coast
+
+    def counted(start, end, *state):
+        spans.append(end - start)
+        if not real(start, end, *state):
+            spans[-1] = 0
+            return False
+        return True
+
+    monkeypatch.setattr(simulator, "_coast", counted)
+    return spans
+
+
+def saturating_graph(seed: int) -> TrafficSimulator:
+    """A seeded graph built to fire every block on every cycle.
+
+    Every node runs at rate 1 and every FIFO is at least its link's
+    round trip; edges off the chain and back-edges add slack covering
+    any reconvergence, and a back-edge starts with 1 to ``depth``
+    tokens (a single token throttles its loop, so those graphs never
+    saturate).  All five links, the zero- and two-cycle ones and the
+    ring included.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    for _ in range(rng.randint(0, n // 2)):
+        a, b = rng.sample(range(n), 2)
+        edges.append((min(a, b), max(a, b)))
+    feedback = []
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.sample(range(n), 2)
+        feedback.append((max(a, b), min(a, b)))
+    links = [rng.choice(_LINKS) for _ in edges + feedback]
+    # no path is slower than every link in a row
+    slack = sum(2 * max(link.latency_cycles, 1) for link in links)
+    has_in = {b for _, b in edges + feedback}
+    has_out = {a for a, _ in edges + feedback}
+    sim = TrafficSimulator()
+    nodes = [sim.add_node(BlockNode(f"n{i}", is_source=i not in has_in,
+                                    is_sink=i not in has_out))
+             for i in range(n)]
+    for k, ((a, b), link) in enumerate(zip(edges + feedback, links)):
+        trip = link.round_trip_cycles()
+        tokens = 0
+        if (a, b) in feedback:
+            depth = trip + 2 * slack
+            tokens = rng.choice([1, slack, slack, depth // 2, depth])
+        elif b == a + 1:
+            depth = trip + rng.choice([0, slack])
+        else:
+            depth = trip + slack
+        sim.connect(nodes[a], nodes[b],
+                    Channel(f"c{k}:{a}->{b}", link, fifo_depth=depth,
+                            init_tokens=tokens))
+    return sim
+
+
+def streak_segments(sim: TrafficSimulator) -> list[int]:
+    """Run lengths ending before, at and just past the ``V + 1``-cycle
+    streak a coast waits for, then long ones."""
+    v = max(max(ch.link.latency_cycles, 1) for ch in sim.channels)
+    return [v, v + 1, v + 2, 2 * v + 3, 700, 1, 3 * v]
+
+
+SAT_SEEDS = range(24)
+
+
+class TestSaturatingGraphs:
+    @pytest.mark.parametrize("seed", SAT_SEEDS)
+    def test_every_counter_and_queue_after_every_segment(self, seed):
+        sim = saturating_graph(seed)
+        ref = mirror(sim)
+        for length in streak_segments(sim):
+            sim.run(length)
+            ref.run(length)
+            assert snapshot(sim) == snapshot(ref), (seed, length)
+        assert next_receive(sim) == next_receive(ref)
+
+    @pytest.mark.parametrize("seed", SAT_SEEDS)
+    def test_segmented_equals_one_shot(self, seed):
+        parts, whole = saturating_graph(seed), saturating_graph(seed)
+        for length in streak_segments(parts):
+            parts.run(length)
+        whole.run(sum(streak_segments(whole)))
+        assert snapshot(parts) == snapshot(whole)
+        assert next_receive(parts) == next_receive(whole)
+
+    @pytest.mark.parametrize("seed", SAT_SEEDS)
+    def test_hand_driven_cycles_interleave(self, seed):
+        sim = saturating_graph(seed)
+        ref = mirror(sim)
+        rng = random.Random(seed + 977)
+        for length in streak_segments(sim):
+            sim.run(length)
+            ref.run(length)
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randrange(len(sim.channels))
+                ch, twin = sim.channels[k], ref.channels[k]
+                op = rng.choice(["send", "receive", "step"])
+                if op == "send" and ch.can_accept():
+                    ch.send(sim.cycle, payload="x")
+                    twin.send(ref.cycle, payload="x")
+                elif op == "receive" and ch.has_data():
+                    ch.receive(sim.cycle)
+                    twin.receive(ref.cycle)
+                elif op == "step":
+                    ahead = sim.cycle + rng.choice([0, 3, 300])
+                    ch.step(ahead)
+                    twin.step(ahead)
+            assert snapshot(sim) == snapshot(ref), (seed, length)
+        assert next_receive(sim) == next_receive(ref)
+
+    def test_most_graphs_coast_and_no_attempt_is_declined(self, coasts):
+        """The family reaches the closed form, including one-cycle
+        stretches at the edge of the streak window; on an untampered
+        graph the streak is proof enough, so no attempt falls back."""
+        coasted = 0
+        for seed in SAT_SEEDS:
+            before = len(coasts)
+            sim = saturating_graph(seed)
+            for length in streak_segments(sim):
+                sim.run(length)
+            coasted += len(coasts) > before
+        assert coasted > len(SAT_SEEDS) * 3 // 5
+        assert 0 not in coasts
+        assert 1 in coasts
+        tokens = [len(ch.rx_fifo) for seed in SAT_SEEDS
+                  for ch in saturating_graph(seed).channels
+                  if ch.rx_fifo]
+        assert 1 in tokens and len(tokens) > 10
+        latencies = {ch.link.latency_cycles for seed in SAT_SEEDS
+                     for ch in saturating_graph(seed).channels}
+        assert latencies >= {0, 1, 2, 4, 250}
+
+
+def cannot_coast(kind: str) -> TrafficSimulator:
+    """A graph whose blocks all fire for a long stretch but which the
+    skip-ahead must not take: the closed form would be wrong for it,
+    or the streak never comes."""
+    sim = TrafficSimulator()
+    if kind == "source-with-input":
+        # src never drains the back-edge; mid launches on it 600 times
+        src = sim.add_node(BlockNode("src", is_source=True))
+        mid = sim.add_node(BlockNode("mid"))
+        dst = sim.add_node(BlockNode("dst", is_sink=True))
+        sim.connect(src, mid, Channel("in", LinkClass.INTER_DIE,
+                                      fifo_depth=16))
+        sim.connect(mid, dst, Channel("out", LinkClass.ON_CHIP))
+        sim.connect(mid, src, Channel("back", LinkClass.ON_CHIP,
+                                      fifo_depth=600))
+    elif kind == "sink-with-output":
+        # dst never launches on its output; tail drains 500 tokens
+        src = sim.add_node(BlockNode("src", is_source=True))
+        dst = sim.add_node(BlockNode("dst", is_sink=True))
+        tail = sim.add_node(BlockNode("tail", is_sink=True))
+        sim.connect(src, dst, Channel("in", LinkClass.INTER_DIE,
+                                      fifo_depth=16))
+        sim.connect(dst, tail, Channel("out", LinkClass.ON_CHIP,
+                                       fifo_depth=500, init_tokens=500))
+    elif kind == "rate-0.5-endpoint":
+        sim, *_ = pipeline(depth=16, sink_rate=0.5)
+    elif kind == "fifo-below-round-trip":
+        # a flit and its credit take 2 x 4 cycles over the die crossing;
+        # one slot fewer throttles the link
+        sim, *_ = pipeline(depth=7)
+    return sim
+
+
+class TestSkipAheadDisqualifiers:
+    @pytest.mark.parametrize("kind", [
+        "source-with-input", "sink-with-output", "rate-0.5-endpoint",
+        "fifo-below-round-trip"])
+    def test_matches_reference_and_never_coasts(self, kind, coasts):
+        sim = cannot_coast(kind)
+        ref = mirror(sim)
+        for length in (7, 300, 1, 900):
+            sim.run(length)
+            ref.run(length)
+            assert snapshot(sim) == snapshot(ref), (kind, length)
+        assert next_receive(sim) == next_receive(ref)
+        assert coasts == []
+        assert sim.total_fired() > 600
+
+
 def pipeline(depth: int = 4, link=LinkClass.INTER_DIE, sink_rate=1.0):
     sim = TrafficSimulator()
     src = sim.add_node(BlockNode("src", is_source=True))
@@ -294,6 +510,16 @@ class TestKernelProperties:
             == ["first", None, "third"]
         assert ch.latency_sum == 6 + 6 + 6
 
+    @pytest.mark.parametrize("link", list(LinkClass))
+    def test_full_rate_link_sweeps_coast(self, link, coasts):
+        """The Table-4 sweep at rate 1.0 reaches the closed form (and
+        reads the link's capacity); below rate 1 it never does."""
+        full, = random_traffic_experiment(link, [1.0], cycles=3000)
+        assert len(coasts) == 1 and coasts[0] > 2000
+        assert full.saturation > 0.9
+        random_traffic_experiment(link, [0.5], cycles=3000)
+        assert len(coasts) == 1
+
     def test_zero_and_negative_runs_do_nothing(self):
         sim = random_graph(5)
         sim.channels[0].send(0)
@@ -329,7 +555,7 @@ class TestLiCyclesimDeployments:
     @pytest.mark.parametrize("which", range(6))
     def test_deployment_matches_reference(self, which, cluster,
                                           li_cyclesim_graphs,
-                                          built_simulators):
+                                          built_simulators, coasts):
         label, app, placement = li_cyclesim_graphs[which]
         simulate_deployment(app, placement, cluster, cycles=0)
         sim = built_simulators[-1]
@@ -342,11 +568,108 @@ class TestLiCyclesimDeployments:
         assert list(result.block_utilization.values()) == [
             n.fired / (n.fired + n.stalled) for n in ref.nodes]
         assert next_receive(sim) == next_receive(ref)
+        # one board saturates and coasts; the ring stalls a spanning
+        # deployment long before a 251-cycle streak
+        assert bool(coasts) == label.endswith("/single")
+        assert 0 not in coasts
 
 
 # ----------------------------------------------------------------------
 # the protocol checks are still live inside run()
 # ----------------------------------------------------------------------
+def closed_form_applies(sim: TrafficSimulator, span: int) -> bool:
+    """Offer ``_coast`` the next ``span`` cycles of a simulator between
+    runs, with the state ``run`` would hand it (the simulator is
+    changed when it accepts)."""
+    chs = sim.channels
+    for ch in chs:
+        ch.step(sim.cycle)
+    return simulator._coast(
+        sim.cycle, sim.cycle + span, chs,
+        [max(ch.link.latency_cycles, 1) for ch in chs],
+        [ch.credits.available for ch in chs], [0] * len(chs),
+        [0] * len(chs))
+
+
+def offers():
+    """Generated graphs whose channels are each drained by one firing
+    and launched on by one, as ``run`` requires of a coast, each with
+    the ``(run length, offered span)`` steps to try it at.  A sink at
+    rate 0.5 leaves gaps in the credit returns: those pipelines are
+    offered a stretch after every cycle."""
+    steps = [(0, 1), (0, 40), (3, 5), (30, 300), (600, 1), (900, 5),
+             (300, 700)]
+    for sim in [random_graph(seed) for seed in SEEDS[1::2]] \
+            + [saturating_graph(seed) for seed in SAT_SEEDS]:
+        if all(not (n.is_source and n.inputs)
+               and not (n.is_sink and n.outputs) for n in sim.nodes):
+            yield sim, steps
+    for depth in (2, 7, 10):
+        yield pipeline(depth, sink_rate=0.5)[0], [(1, 5)] * 60
+
+
+class TestClosedFormDecision:
+    def test_accepts_only_stretches_in_which_every_block_fires(
+            self, monkeypatch):
+        """Offered a stretch at any point of any run -- not only after
+        a streak, and after endpoints ran below rate 1 -- the closed
+        form accepts it only if stepping those cycles fires every block
+        on every one of them."""
+        accepted = declined = 0
+        for sim, steps in offers():
+            for length, span in steps:
+                with monkeypatch.context() as stepping:
+                    stepping.setattr(simulator, "_coast",
+                                     lambda *state: False)
+                    sim.run(length)
+                    for node in sim.nodes:
+                        node.rate = 1.0
+                    stepped = copy.deepcopy(sim)
+                    before = [n.fired for n in stepped.nodes]
+                    stepped.run(span)
+                all_fired = all(n.fired - b == span for n, b
+                                in zip(stepped.nodes, before))
+                if closed_form_applies(copy.deepcopy(sim), span):
+                    assert all_fired, (sim.nodes[0].name, length, span)
+                    accepted += 1
+                else:
+                    declined += 1
+        assert accepted > 50 and declined > 50
+
+
+#: state forged between two runs of a saturated die crossing: flits on
+#: the wire beyond the FIFO's slots, one stamped 100 cycles from now, a
+#: credit made or lost, credit returns for slots nobody drained
+FORGERIES = {
+    "extra-flit-on-the-wire":
+        lambda sim, ch: ch._in_flight.append(sim.cycle),
+    "flood-on-the-wire":
+        lambda sim, ch: ch._in_flight.extend([sim.cycle] * 66),
+    "flit-from-the-future":
+        lambda sim, ch: ch._in_flight.extend([sim.cycle] * 8
+                                             + [sim.cycle + 100]),
+    "credit-from-nowhere":
+        lambda sim, ch: setattr(ch.credits, "_credits",
+                                ch.credits._credits + 1),
+    "credit-lost":
+        lambda sim, ch: setattr(ch.credits, "_credits",
+                                ch.credits._credits - 1),
+    "returns-from-nowhere":
+        lambda sim, ch: ch._credit_returns.extend([sim.cycle] * 10),
+}
+
+
+def forged_run(forge) -> tuple[type, str, int]:
+    """Saturate a 64-deep die crossing for 50 cycles, forge its state,
+    run on and return what the run raised, and at which cycle."""
+    sim, _, _, ch = pipeline(depth=64)
+    sim.run(50)
+    forge(sim, ch)
+    with pytest.raises(Exception) as raised:
+        sim.run(500)
+    return raised.type, str(raised.value), sim.cycle
+
+
 class TestTamperedStateStillRaises:
     def test_fifo_overflow(self):
         """Forged credits put more flits on the wire than slots."""
@@ -405,6 +728,28 @@ class TestTamperedStateStillRaises:
         ch.credits._credits -= 1
         with pytest.raises(RuntimeError, match="lost or gained"):
             sim.run(50)
+
+    @pytest.mark.parametrize("forgery", FORGERIES)
+    def test_forged_before_a_saturated_stretch(self, forgery, coasts,
+                                               monkeypatch):
+        """Forged between two runs of a saturated link, the state
+        reaches the skip-ahead; it raises what stepping raises."""
+        *coasted, at = forged_run(FORGERIES[forgery])
+        # the saturating run's coast, then the forged run's attempt
+        assert len(coasts) == 2
+        monkeypatch.setattr(simulator, "_coast", lambda *state: False)
+        *stepped, stepped_at = forged_run(FORGERIES[forgery])
+        assert coasted == stepped
+        assert coasted[0] in (RuntimeError, OverflowError)
+        # raised before the stretch it could not apply, not at the end
+        assert at <= stepped_at
+
+    def test_a_stretch_it_cannot_prove_is_stepped(self, coasts):
+        """The streak completes before the consumer reaches the flit
+        from the future; the closed form sees that it would stall there
+        and declines, and the rest of the call is stepped."""
+        forged_run(FORGERIES["flit-from-the-future"])
+        assert coasts[1] == 0 and len(coasts) == 2
 
 
 class TestConnectFailsLoudly:
