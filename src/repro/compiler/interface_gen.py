@@ -18,14 +18,13 @@ property so a buggy generator cannot ship a deadlocking interface.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.fabric.resources import ResourceVector
 
 if TYPE_CHECKING:
-    import networkx as nx
-
     from repro.compiler.partitioner import PartitionResult
 
 __all__ = ["ChannelSpec", "LatencyInsensitiveInterface",
@@ -73,14 +72,6 @@ class LatencyInsensitiveInterface:
     num_blocks: int = 0
 
     # ------------------------------------------------------------------
-    def channel_graph(self) -> nx.DiGraph:
-        import networkx as nx
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self.num_blocks))
-        for ch in self.channels:
-            g.add_edge(ch.src_block, ch.dst_block, spec=ch)
-        return g
-
     def ports_required(self) -> dict[int, int]:
         """Channel endpoints per virtual block (for fabric port budgets)."""
         counts: dict[int, int] = {b: 0 for b in range(self.num_blocks)}
@@ -116,9 +107,9 @@ class LatencyInsensitiveInterface:
         one channel with initialization tokens, so that in any reachable
         state some input buffer on the cycle is non-empty.  Kahn's
         algorithm over the token-free edges: the check passes iff it
-        retires every node they touch.  As in :meth:`channel_graph`, the
-        last channel listed for a ``(src, dst)`` pair decides whether
-        that edge carries tokens, and a token-free self-loop is a cycle.
+        retires every node they touch.  The last channel listed for a
+        ``(src, dst)`` pair decides whether that edge carries tokens, and
+        a token-free self-loop is a cycle.
         """
         token_free: dict[tuple[int, int], bool] = {
             (ch.src_block, ch.dst_block): ch.init_tokens == 0
@@ -154,15 +145,10 @@ class InterfaceGenerator:
                  ) -> LatencyInsensitiveInterface:
         """Emit channels for every inter-block flow; break cycles with
         initialization tokens on back-edges."""
-        import networkx as nx
-        flow_graph = nx.DiGraph()
-        flow_graph.add_nodes_from(range(partition.num_blocks))
-        for (src, dst), bits in sorted(partition.flows.items()):
-            flow_graph.add_edge(src, dst, bits=bits)
-
-        back_edges = self._back_edges(flow_graph)
+        flows = sorted(partition.flows.items())
+        back_edges = self._back_edges(flows, partition.num_blocks)
         channels = []
-        for src, dst, bits in flow_graph.edges(data="bits"):
+        for (src, dst), bits in flows:
             tokens = self.fifo_depth // 2 if (src, dst) in back_edges else 0
             channels.append(ChannelSpec(
                 src_block=src, dst_block=dst, payload_bits=bits,
@@ -182,25 +168,98 @@ class InterfaceGenerator:
         return interface
 
     @staticmethod
-    def _back_edges(graph: nx.DiGraph) -> set[tuple[int, int]]:
+    def _back_edges(flows: list[tuple[tuple[int, int], float]],
+                    num_blocks: int) -> set[tuple[int, int]]:
         """A minimal-ish edge set whose removal makes the graph acyclic.
 
-        Greedy: walk SCCs; within each non-trivial SCC, run a DFS and
-        collect the edges that close cycles.
+        Greedy: walk SCCs; within each SCC, repeatedly take the edge
+        that closes the first cycle a DFS meets and remove it (a
+        singleton's self-loop closes its only cycle).  ``flows`` is
+        sorted.  The pick is exactly networkx's
+        ``find_cycle(graph.subgraph(scc).copy())`` (DESIGN §6b), the
+        library this pass was first written with: every compiled
+        interface keeps its tokens on the same edges.
         """
-        import networkx as nx
+        succ: list[list[int]] = [[] for _ in range(num_blocks)]
+        for (src, dst), _bits in flows:
+            succ[src].append(dst)
         back: set[tuple[int, int]] = set()
-        for scc in nx.strongly_connected_components(graph):
-            if len(scc) < 2:
-                # self-loop check
-                for node in scc:
-                    if graph.has_edge(node, node):
-                        back.add((node, node))
-                continue
-            sub = graph.subgraph(scc).copy()
-            while not nx.is_directed_acyclic_graph(sub):
-                cycle = nx.find_cycle(sub)
-                edge = cycle[-1][:2]
+        for scc in _strongly_connected(succ):
+            # networkx's subgraph copy walks the smaller of its node
+            # filter and the graph: a small SCC's DFS starts in the
+            # order of a set rebuilt from it, not in block order
+            if 2 * len(scc) < num_blocks:
+                order = list(set(n for n in scc))
+            else:
+                order = sorted(scc)
+            sub = {u: [v for v in succ[u] if v in scc] for u in order}
+            while (edge := _closing_edge(order, sub)) is not None:
                 back.add(edge)
-                sub.remove_edge(*edge)
+                sub[edge[0]].remove(edge[1])
         return back
+
+
+def _strongly_connected(succ: list[list[int]]) -> Iterator[set[int]]:
+    """networkx's ``strongly_connected_components`` (iterative Tarjan,
+    Nuutila's variant): roots in block order, successors in list order,
+    each SCC a set built from its root then the members popped off the
+    SCC stack -- that insertion order is what ``_back_edges`` reads."""
+    preorder: dict[int, int] = {}
+    lowlink: dict[int, int] = {}
+    found: set[int] = set()
+    scc_stack: list[int] = []
+    nbrs = [iter(s) for s in succ]
+    for source in range(len(succ)):
+        if source in found:
+            continue
+        queue = [source]
+        while queue:
+            v = queue[-1]
+            if v not in preorder:
+                preorder[v] = len(preorder) + 1
+            for w in nbrs[v]:
+                if w not in preorder:
+                    queue.append(w)
+                    break
+            else:
+                low = preorder[v]
+                for w in succ[v]:
+                    if w not in found:
+                        low = min(low, lowlink[w] if preorder[w] > preorder[v]
+                                  else preorder[w])
+                lowlink[v] = low
+                queue.pop()
+                if low == preorder[v]:
+                    scc = {v}
+                    while scc_stack and preorder[scc_stack[-1]] > low:
+                        scc.add(scc_stack.pop())
+                    found.update(scc)
+                    yield scc
+                else:
+                    scc_stack.append(v)
+
+
+def _closing_edge(order: list[int], succ: dict[int, list[int]],
+                  ) -> tuple[int, int] | None:
+    """networkx's ``find_cycle(...)[-1]``: DFS from each start in
+    ``order``, successors in list order, never re-entering a node an
+    earlier DFS explored; the first edge whose head is on the DFS path
+    closes the cycle.  ``None`` if the graph is acyclic."""
+    explored: set[int] = set()
+    for start in order:
+        explored.add(start)
+        path = [start]
+        edges = [iter(succ[start])]
+        while edges:
+            for head in edges[-1]:
+                if head in path:
+                    return path[-1], head
+                if head not in explored:
+                    explored.add(head)
+                    path.append(head)
+                    edges.append(iter(succ[head]))
+                    break
+            else:
+                edges.pop()
+                path.pop()
+    return None

@@ -8,8 +8,6 @@ the partitioner exploits.  This package provides that IR:
 - :mod:`repro.netlist.primitives` -- primitive cells (LUT/FF/DSP/BRAM and
   resource-bearing macros);
 - :mod:`repro.netlist.netlist` -- the netlist graph of primitives and nets;
-- :mod:`repro.netlist.dataflow` -- directed dataflow views used by the
-  latency-insensitive interface generator;
 - :mod:`repro.netlist.generator` -- synthetic netlist construction used by
   the HLS front-end substitute.
 """
@@ -23,7 +21,6 @@ __all__ = [
     "Netlist",
     "Port",
     "PortDirection",
-    "DataflowGraph",
     "NetlistBuilder",
     "GateOp",
     "LogicNetwork",
@@ -35,7 +32,6 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, {
     "primitives": ("Primitive", "PrimitiveType"),
     "netlist": ("Net", "Netlist", "Port", "PortDirection"),
-    "dataflow": ("DataflowGraph",),
     "generator": ("NetlistBuilder",),
     "logic": ("GateOp", "LogicNetwork"),
     "verilog": ("to_verilog",),

@@ -17,9 +17,12 @@ import pytest
 
 from repro.cluster.cluster import FPGACluster, make_cluster
 from repro.compiler.flow import CompilationFlow
+from repro.compiler.interface_gen import InterfaceGenerator
+from repro.compiler.partitioner import NetlistPartitioner
 from repro.fabric.devices import make_xcvu37p
 from repro.fabric.partition import FabricPartition, PartitionPlanner
-from repro.hls.kernels import benchmark
+from repro.hls.frontend import synthesize
+from repro.hls.kernels import all_benchmarks, benchmark
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -39,6 +42,16 @@ def device():
 @pytest.fixture(scope="session")
 def partition(device) -> FabricPartition:
     return PartitionPlanner(device).plan()
+
+
+@pytest.fixture(scope="session")
+def table2_interfaces(partition):
+    """The 21 Table-2 interfaces at four synthesis granularities."""
+    partitioner = NetlistPartitioner(partition.block_capacity)
+    return [InterfaceGenerator().generate(partitioner.partition(
+                synthesize(spec, macro_lut=macro_lut)))
+            for macro_lut in (128, 256, 512, 1024)
+            for spec in all_benchmarks()]
 
 
 @pytest.fixture(scope="session")

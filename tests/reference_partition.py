@@ -4,7 +4,8 @@
 ``GreedyPacker._grow`` and ``QuadraticPlacer._legalize`` had before the
 cold-compile optimization, moved here verbatim (test-only: no oracle lives
 under ``src/``); ``reference_partition_edges`` is the walk over the networkx
-dataflow graph that ``Netlist.partition_flows`` replaced.  ``_grow`` rebuilds every candidate's neighbor set on
+dataflow graph (:func:`tests.nx_graphs.dataflow_graph`) that
+``Netlist.partition_flows`` replaced.  ``_grow`` rebuilds every candidate's neighbor set on
 every step; ``_legalize`` re-evaluates the overflow term of all blocks on
 every SA move.  ``tests/test_partition_equivalence.py`` holds the
 production loops to them exactly.
@@ -21,15 +22,18 @@ from repro.compiler.placement import QuadraticPlacer
 from repro.fabric.resources import ResourceVector
 from repro.netlist.netlist import Netlist
 
+from tests.nx_graphs import dataflow_graph
+
 __all__ = ["ReferencePacker", "ReferencePlacer",
            "reference_partition_edges"]
 
 
-def reference_partition_edges(graph, assignment: dict[int, int],
+def reference_partition_edges(netlist: Netlist, assignment: dict[int, int],
                               ) -> dict[tuple[int, int], float]:
-    """``DataflowGraph.partition_edges`` over ``DataflowGraph.graph``."""
+    """The inter-partition flows, walked over the netlist's networkx
+    dataflow graph."""
     flows: dict[tuple[int, int], float] = {}
-    for u, v, width in graph.edges(data="width_bits"):
+    for u, v, width in dataflow_graph(netlist).edges(data="width_bits"):
         pu = assignment.get(u)
         pv = assignment.get(v)
         if pu is None or pv is None or pu == pv:

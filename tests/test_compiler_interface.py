@@ -1,6 +1,7 @@
 """Tests for latency-insensitive interface generation (flow step 3)."""
 
 import dataclasses
+import random
 
 import networkx as nx
 import pytest
@@ -13,7 +14,10 @@ from repro.compiler.interface_gen import (
 )
 from repro.compiler.partitioner import NetlistPartitioner
 from repro.hls.frontend import synthesize
-from repro.hls.kernels import all_benchmarks, benchmark
+from repro.hls.kernels import benchmark
+
+from tests.nx_graphs import channel_graph, flow_graph
+from tests.reference_interface import reference_back_edges
 
 
 def make_interface(channels, num_blocks):
@@ -105,9 +109,7 @@ class TestGenerator:
 
     def test_cycles_received_tokens(self, generated):
         iface, _ = generated
-        graph = iface.channel_graph()
-        import networkx as nx
-        if not nx.is_directed_acyclic_graph(graph):
+        if not nx.is_directed_acyclic_graph(channel_graph(iface)):
             assert any(ch.init_tokens > 0 for ch in iface.channels)
 
     def test_single_block_app_has_no_channels(self, partition):
@@ -123,7 +125,7 @@ def networkx_deadlock_free(iface: LatencyInsensitiveInterface) -> bool:
     """The check as networkx states it: strip the token-carrying edges
     of the channel graph; what remains must be acyclic."""
     stripped = nx.DiGraph()
-    for u, v, spec in iface.channel_graph().edges(data="spec"):
+    for u, v, spec in channel_graph(iface).edges(data="spec"):
         if spec.init_tokens == 0:
             stripped.add_edge(u, v)
     return nx.is_directed_acyclic_graph(stripped)
@@ -132,15 +134,6 @@ def networkx_deadlock_free(iface: LatencyInsensitiveInterface) -> bool:
 class TestDeadlockCheckMatchesNetworkx:
     """``verify_deadlock_free`` is a dependency-free Kahn check;
     networkx is its oracle."""
-
-    @pytest.fixture(scope="class")
-    def table2_interfaces(self, partition):
-        """The 21 Table-2 interfaces at four synthesis granularities."""
-        partitioner = NetlistPartitioner(partition.block_capacity)
-        return [InterfaceGenerator().generate(partitioner.partition(
-                    synthesize(spec, macro_lut=macro_lut)))
-                for macro_lut in (128, 256, 512, 1024)
-                for spec in all_benchmarks()]
 
     def test_table2_interfaces(self, table2_interfaces):
         assert len(table2_interfaces) == 84
@@ -181,3 +174,57 @@ class TestDeadlockCheckMatchesNetworkx:
         iface = make_interface(channels, num_blocks)
         assert iface.verify_deadlock_free() \
             == networkx_deadlock_free(iface)
+
+
+def random_flows(rng: random.Random) -> tuple[dict, int]:
+    """1-40 blocks and up to two flows per block between random ends:
+    self-loops, isolated blocks, and SCCs of every size."""
+    num_blocks = rng.randint(1, 40)
+    flows = {(rng.randrange(num_blocks), rng.randrange(num_blocks)): 1.0
+             for _ in range(rng.randint(0, 2 * num_blocks))}
+    return flows, num_blocks
+
+
+class TestBackEdgesMatchNetworkx:
+    """``InterfaceGenerator._back_edges`` is a stdlib port of the
+    networkx pass in ``tests/reference_interface.py``; it must pick the
+    same edges, or generated interfaces (and every digest over them)
+    would change."""
+
+    def test_table2_interfaces(self, table2_interfaces):
+        """The generated tokens sit on exactly the oracle's edges."""
+        cyclic = 0
+        for iface in table2_interfaces:
+            flows = {(ch.src_block, ch.dst_block): ch.payload_bits
+                     for ch in iface.channels}
+            tokens = {(ch.src_block, ch.dst_block)
+                      for ch in iface.channels if ch.init_tokens}
+            assert tokens == reference_back_edges(
+                flow_graph(flows, iface.num_blocks)), iface.app_name
+            cyclic += bool(tokens)
+        assert cyclic > 0
+
+    def test_a_small_scc_starts_in_set_order(self):
+        """SCC {9, 1} of a 10-block graph, rooted at 9: networkx starts
+        the cycle search at 9 (set order), not at 1 (block order)."""
+        flows = {(0, 9): 1.0, (9, 1): 1.0, (1, 9): 1.0}
+        assert reference_back_edges(flow_graph(flows, 10)) == {(1, 9)}
+        assert InterfaceGenerator._back_edges(
+            sorted(flows.items()), 10) == {(1, 9)}
+
+    def test_random_flow_graphs(self):
+        rng = random.Random(34)
+        set_ordered = 0
+        for _ in range(10_000):
+            flows, num_blocks = random_flows(rng)
+            graph = flow_graph(flows, num_blocks)
+            assert InterfaceGenerator._back_edges(
+                sorted(flows.items()), num_blocks) \
+                == reference_back_edges(graph), (num_blocks, sorted(flows))
+            set_ordered += sum(
+                1 for scc in nx.strongly_connected_components(graph)
+                if 1 < len(scc) and 2 * len(scc) < num_blocks
+                and list(set(n for n in scc)) != sorted(scc))
+        # small SCCs whose ints collide in the set table, so set order
+        # and block order differ
+        assert set_ordered > 0

@@ -2,17 +2,19 @@
 
 Every package ``__init__`` resolves its exports lazily
 (:mod:`repro._lazy`) and ``repro.cli`` imports per subcommand, so the
-compile stack -- numpy, scipy, networkx, :mod:`repro.compiler` and the
-event loop of :mod:`repro.sim.experiment` -- loads only for the
-subcommands that compile or simulate.  A ``simulate`` whose designs are
-all in the machine compile cache loads them and never imports scipy or
-networkx.  Each check runs a fresh interpreter and reads
-``sys.modules`` after the command returned: no wall clock, so the
-result is the same on any machine.
+compile stack -- numpy, scipy, :mod:`repro.compiler` and the event loop
+of :mod:`repro.sim.experiment` -- loads only for the subcommands that
+compile or simulate.  A ``simulate`` whose designs are all in the
+machine compile cache loads them and never imports scipy.  Each check
+runs a fresh interpreter and reads ``sys.modules`` after the command
+returned: no wall clock, so the result is the same on any machine.
+networkx is a test-only (``dev``) dependency: nothing under ``src/``
+imports it, and a cold compile runs with it blocked.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -26,11 +28,11 @@ ROOT = Path(__file__).resolve().parent.parent
 BASELINES = ROOT / "benchmarks" / "baselines"
 
 #: what a subcommand that neither compiles nor simulates must not load
-COMPILE_STACK = ("numpy", "scipy", "networkx", "repro.compiler",
+COMPILE_STACK = ("numpy", "scipy", "repro.compiler",
                  "repro.sim.experiment")
 #: what no reporting subcommand needs (numpy is allowed: the cluster
 #: model and the timeline use it)
-GRAPH_STACK = ("scipy", "networkx")
+GRAPH_STACK = ("scipy",)
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -124,6 +126,31 @@ def test_simulate_compiles_cold_and_loads_warm(tmp_path, monkeypatch):
         == sorted(spec.name for spec in replayed)
     assert _loaded(_SIMULATE, watched=GRAPH_STACK) \
         == {"rc": 0, "loaded": []}
+
+
+def test_no_src_module_imports_networkx():
+    importers = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "networkx" for name in names):
+                importers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert importers == []
+
+
+def test_cold_compile_runs_with_networkx_blocked(tmp_path):
+    """svhn-L has cycles, so its interface needs back edges."""
+    cache_dir = tmp_path / "cache"
+    probe = _loaded(["compile", "svhn", "L", "--cache-dir", str(cache_dir)],
+                    watched=(),
+                    setup='import sys\nsys.modules["networkx"] = None')
+    assert probe["rc"] == 0
+    assert len(list(cache_dir.glob("*.json"))) == 1
 
 
 def test_parser_manager_names_are_the_factories():

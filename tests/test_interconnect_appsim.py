@@ -7,6 +7,8 @@ from repro.interconnect.links import LinkClass
 from repro.runtime.controller import SystemController
 from repro.runtime.types import Placement
 
+from tests.nx_graphs import channel_graph
+
 
 def single_board_placement(app, board=0):
     return Placement(mapping={vb: (board, vb)
@@ -116,12 +118,12 @@ class TestSimulateDeployment:
     def test_sources_and_sinks_follow_the_channel_graph(
             self, cluster, compiled_apps, built_simulators):
         """Blocks no channel feeds are sources, blocks feeding none are
-        sinks, an isolated block is both -- as ``channel_graph()``
+        sinks, an isolated block is both -- as the channel graph's
         degrees say, without building that graph."""
         for app in compiled_apps.values():
             simulate_deployment(app, single_board_placement(app),
                                 cluster, cycles=0)
-            graph = app.interface.channel_graph()
+            graph = channel_graph(app.interface)
             assert [(n.is_source, n.is_sink)
                     for n in built_simulators[-1].nodes] \
                 == [(graph.in_degree(vb) == 0, graph.out_degree(vb) == 0)

@@ -1,8 +1,6 @@
-"""Tests for the dataflow views (levels, SCCs, partition flows)."""
+"""Tests for the inter-partition flows of a netlist
+(:meth:`~repro.netlist.netlist.Netlist.partition_flows`)."""
 
-import pytest
-
-from repro.netlist.dataflow import DataflowGraph
 from repro.netlist.netlist import Netlist
 from repro.netlist.primitives import PrimitiveType
 
@@ -15,74 +13,22 @@ def chain(n, width=8):
     return nl, prims
 
 
-class TestLevels:
-    def test_chain_levels_increase(self):
-        nl, prims = chain(5)
-        levels = DataflowGraph(nl).levels()
-        assert [levels[p] for p in prims] == [0, 1, 2, 3, 4]
-
-    def test_critical_path_of_chain(self):
-        nl, _ = chain(7)
-        assert DataflowGraph(nl).critical_path_length() == 6
-
-    def test_cycle_members_share_level(self):
-        nl, prims = chain(3)
-        nl.add_net(prims[2], [prims[0]])  # close the loop
-        levels = DataflowGraph(nl).levels()
-        assert levels[prims[0]] == levels[prims[1]] == levels[prims[2]]
-
-    def test_empty_netlist(self):
-        assert DataflowGraph(Netlist()).critical_path_length() == 0
-
-
-class TestStructure:
-    def test_acyclic_detection(self):
-        nl, prims = chain(3)
-        g = DataflowGraph(nl)
-        assert g.is_acyclic()
-        nl2, prims2 = chain(3)
-        nl2.add_net(prims2[2], [prims2[0]])
-        assert not DataflowGraph(nl2).is_acyclic()
-
-    def test_sources_and_sinks(self):
-        nl, prims = chain(4)
-        g = DataflowGraph(nl)
-        assert g.sources() == [prims[0]]
-        assert g.sinks() == [prims[3]]
-
-    def test_condensation_collapses_scc(self):
-        nl, prims = chain(4)
-        nl.add_net(prims[2], [prims[1]])  # scc {1, 2}
-        cond = DataflowGraph(nl).condensation()
-        assert cond.number_of_nodes() == 3
-
-    def test_parallel_edges_merge_widths(self):
-        nl = Netlist()
-        a = nl.add_primitive(PrimitiveType.LUT)
-        b = nl.add_primitive(PrimitiveType.LUT)
-        nl.add_net(a, [b], width_bits=8)
-        nl.add_net(a, [b], width_bits=8)
-        g = DataflowGraph(nl)
-        assert g.graph[a][b]["width_bits"] == 16
-
-
 class TestPartitionEdges:
     def test_flows_directed_and_aggregated(self):
         nl, prims = chain(4, width=16)
         assignment = {prims[0]: 0, prims[1]: 0,
                       prims[2]: 1, prims[3]: 1}
-        flows = DataflowGraph(nl).partition_edges(assignment)
+        flows = nl.partition_flows(assignment)
         assert flows == {(0, 1): 16}
 
     def test_flows_ignore_intra_partition(self):
         nl, prims = chain(3)
-        flows = DataflowGraph(nl).partition_edges(
-            {p: 0 for p in prims})
+        flows = nl.partition_flows({p: 0 for p in prims})
         assert flows == {}
 
     def test_flows_skip_unassigned(self):
         nl, prims = chain(3)
-        flows = DataflowGraph(nl).partition_edges({prims[0]: 0})
+        flows = nl.partition_flows({prims[0]: 0})
         assert flows == {}
 
     def test_bidirectional_flows_kept_separate(self):
@@ -91,5 +37,13 @@ class TestPartitionEdges:
         b = nl.add_primitive(PrimitiveType.LUT)
         nl.add_net(a, [b], width_bits=8)
         nl.add_net(b, [a], width_bits=4)
-        flows = DataflowGraph(nl).partition_edges({a: 0, b: 1})
+        flows = nl.partition_flows({a: 0, b: 1})
         assert flows == {(0, 1): 8, (1, 0): 4}
+
+    def test_parallel_nets_merge_widths(self):
+        nl = Netlist()
+        a = nl.add_primitive(PrimitiveType.LUT)
+        b = nl.add_primitive(PrimitiveType.LUT)
+        nl.add_net(a, [b], width_bits=8)
+        nl.add_net(a, [b], width_bits=8)
+        assert nl.partition_flows({a: 0, b: 1}) == {(0, 1): 16}

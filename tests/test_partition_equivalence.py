@@ -22,7 +22,6 @@ from repro.compiler.placement import BlockGrid, QuadraticPlacer
 from repro.fabric.resources import ResourceVector
 from repro.hls.frontend import HLSFrontend
 from repro.hls.kernels import all_benchmarks
-from repro.netlist.dataflow import DataflowGraph
 from repro.netlist.netlist import Netlist
 from repro.netlist.primitives import PrimitiveType
 
@@ -173,11 +172,10 @@ def test_partition_flows_match_the_dataflow_graph_walk():
         netlist.add_net(driver, [rng.choice(uids), driver,
                                  *rng.choices(uids, k=rng.randint(0, 3))],
                         width_bits=rng.randint(1, 64))
-    graph = DataflowGraph(netlist).graph
     for num_blocks in (1, 2, 5, 9):
         assignment = {uid: rng.randrange(num_blocks) for uid in uids
                       if rng.random() < 0.95}
         flows = netlist.partition_flows(assignment)
         assert list(flows.items()) == list(
-            reference_partition_edges(graph, assignment).items())
+            reference_partition_edges(netlist, assignment).items())
         assert all(type(bits) is float for bits in flows.values())
