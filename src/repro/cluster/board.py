@@ -9,30 +9,12 @@ database tracks.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from repro.fabric.device import FPGADevice
 from repro.fabric.partition import FabricPartition, PhysicalBlock
 
-__all__ = ["BoardHealth", "DimmSite", "FPGABoard"]
-
-
-class BoardHealth(enum.Enum):
-    """Fail-stop health of one board.
-
-    The authoritative health map lives in each controller (boards are
-    shared, immutable substrate; several controllers may manage one
-    cluster in tests and manager comparisons) -- this enum is the shared
-    vocabulary between the controller, the resource database and the
-    fault injector.
-    """
-
-    HEALTHY = "healthy"
-    FAILED = "failed"
-
-    def __str__(self) -> str:
-        return self.value
+__all__ = ["DimmSite", "FPGABoard"]
 
 
 @dataclass(slots=True)

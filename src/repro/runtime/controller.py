@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.base import ClusterManager
-from repro.cluster.board import BoardHealth
 from repro.cluster.cluster import FPGACluster
 from repro.compiler.bitstream import CompiledApp
 from repro.compiler.relocation import Relocator
@@ -106,7 +105,6 @@ class SystemController(ClusterManager):
         #: live fragmentation gauge (``attach_metrics``); ``None`` keeps
         #: allocate/release at a single None-check
         self._frag_gauge = None
-        self.resource_db = ResourceDB(cluster)
         # heterogeneous subclasses replace this with per-footprint
         # databases; any one group's footprint seeds the default DB
         self.bitstream_db = BitstreamDB(
@@ -121,10 +119,28 @@ class SystemController(ClusterManager):
         #: re-validating a pair the controller has already bound is
         #: pure overhead.
         self._reloc_checked: dict = {}
+        self.model_dram_contention = model_dram_contention
+        #: transient reconfig faults: bounded retries w/ exp. backoff
+        self.reconfig_max_retries = 5
+        self.reconfig_backoff_base_s = 0.001
+        #: optional degraded-mode guard (``attach_guard``); ``None``
+        #: keeps every hot path at a single falsy check
+        self.guard = None
+        self.audit = AuditLog()
+        self._reset_state()
+        self._refresh_allocatable()
+
+    def _reset_state(self) -> None:
+        """Build, empty, everything a snapshot replaces: what the
+        hardware holds and what runs on it.  A warm restart calls this
+        and then :meth:`load_snapshot`; the cluster, policy, tracer,
+        guard, audit log and bitstream database outlive it.  Board
+        health is the ResourceDB's ``FAILED`` rows."""
+        cluster = self.cluster
+        self.resource_db = ResourceDB(cluster)
         self.memories = {
             board.board_id: VirtualMemory(board.dram_capacity_bytes)
             for board in cluster.boards}
-        self.model_dram_contention = model_dram_contention
         self.dram_arbiters = {
             board.board_id: BandwidthArbiter(
                 sum(d.bandwidth_gbps for d in board.dimms))
@@ -134,21 +150,10 @@ class SystemController(ClusterManager):
         self._config_port_free_at = {
             board.board_id: 0.0 for board in cluster.boards}
         self._instance_id = next(SystemController._instance_counter)
-        #: fail-stop health of every board (this controller's view)
-        self.board_health = {
-            board.board_id: BoardHealth.HEALTHY
-            for board in cluster.boards}
         #: board id -> ICAP programming attempts armed to fail
         self._armed_reconfig_faults: dict[int, int] = {}
         #: board id -> gray ICAP latency multiplier (absent == nominal)
         self._icap_multiplier: dict[int, float] = {}
-        #: transient reconfig faults: bounded retries w/ exp. backoff
-        self.reconfig_max_retries = 5
-        self.reconfig_backoff_base_s = 0.001
-        #: optional degraded-mode guard (``attach_guard``); ``None``
-        #: keeps every hot path at a single falsy check
-        self.guard = None
-        self.audit = AuditLog()
         #: tenant name -> maximum physical blocks it may hold at once
         self.quotas: dict[str, int] = {}
         #: request id -> DRAM segments held (a tenant may run several
@@ -164,7 +169,6 @@ class SystemController(ClusterManager):
         #: carries both so warm restarts keep the accounting
         self.migrations_performed = 0
         self.migration_pause_s = 0.0
-        self._refresh_allocatable()
 
     # ------------------------------------------------------------------
     # public API (what the hypervisor calls)
@@ -303,9 +307,7 @@ class SystemController(ClusterManager):
             # warm restart re-admitted quarantined boards immediately
             "guard": self.guard.snapshot()
             if self.guard is not None else None,
-            "failed_boards": sorted(
-                b for b, h in self.board_health.items()
-                if h is BoardHealth.FAILED),
+            "failed_boards": sorted(self.resource_db.failed_boards()),
             # migration accounting: a warm restart must not zero the
             # defragmenter's counters or a deployment's move history
             "migrations_performed": self.migrations_performed,
@@ -331,47 +333,55 @@ class SystemController(ClusterManager):
     def restore(cls, cluster: FPGACluster, snapshot: dict,
                 bitstream_db, policy: AllocationPolicy | None = None,
                 ) -> "SystemController":
-        """Rebuild a controller over hardware that kept running.
-
-        Re-allocates every snapshotted deployment's blocks, re-maps its
-        DRAM and demand, and re-registers its ring flows -- then
-        re-verifies that nothing overlaps (a corrupt snapshot fails
-        loudly instead of silently double-booking silicon).
-        """
+        """Rebuild a controller over hardware that kept running: a new
+        controller, the snapshot's guard attached, then
+        :meth:`load_snapshot`."""
         controller = cls(cluster, policy=policy)
-        controller.quotas = dict(snapshot.get("quotas", {}))
-        controller.model_dram_contention = bool(
-            snapshot.get("model_dram_contention", False))
-        for board, t in snapshot.get("config_port_free_at",
-                                     {}).items():
-            controller._config_port_free_at[int(board)] = t
-        for board, mult in snapshot.get("icap_multipliers",
-                                        {}).items():
-            controller._icap_multiplier[int(board)] = float(mult)
-        for board, n in snapshot.get("armed_reconfig_faults",
-                                     {}).items():
-            controller._armed_reconfig_faults[int(board)] = int(n)
         guard_state = snapshot.get("guard")
         if guard_state is not None:
             controller.attach_guard(
                 DegradedModeGuard.restore(guard_state))
+        controller.load_snapshot(snapshot, bitstream_db)
+        return controller
+
+    def load_snapshot(self, snapshot: dict, bitstream_db) -> None:
+        """Adopt ``snapshot`` onto empty state (a new controller, or
+        one just through ``_reset_state``).
+
+        Re-allocates every snapshotted deployment's blocks, re-maps its
+        DRAM and demand, and re-registers its ring flows -- then
+        re-verifies that nothing overlaps (a corrupt snapshot fails
+        loudly instead of silently double-booking silicon).  The
+        guard's breaker state is the guard's own ``load_snapshot``.
+        """
+        self.quotas = dict(snapshot.get("quotas", {}))
+        self.model_dram_contention = bool(
+            snapshot.get("model_dram_contention", False))
+        for board, t in snapshot.get("config_port_free_at",
+                                     {}).items():
+            self._config_port_free_at[int(board)] = t
+        for board, mult in snapshot.get("icap_multipliers",
+                                        {}).items():
+            self._icap_multiplier[int(board)] = float(mult)
+        for board, n in snapshot.get("armed_reconfig_faults",
+                                     {}).items():
+            self._armed_reconfig_faults[int(board)] = int(n)
         for entry in snapshot["deployments"]:
             app = bitstream_db.lookup(entry["app"])
             placement = Placement(mapping={
                 int(vb): tuple(addr)
                 for vb, addr in entry["mapping"].items()})
             placement.validate(app.num_blocks)
-            controller.resource_db.allocate(entry["request_id"],
-                                            placement.addresses)
-            segments = controller._map_memory(entry["tenant"],
-                                              placement)
-            controller._segments_of[entry["request_id"]] = segments
-            controller._attach_dram_demand(entry["tenant"], placement)
+            self.resource_db.allocate(entry["request_id"],
+                                      placement.addresses)
+            self._segments_of[entry["request_id"]] = self._map_memory(
+                entry["tenant"], placement)
+            self._attach_dram_demand(entry["tenant"], placement)
             if placement.spans_boards:
-                cluster.network.register_flow(
-                    controller._flow_key(entry["request_id"]),
+                self.cluster.network.register_flow(
+                    self._flow_key(entry["request_id"]),
                     placement.boards)
-            controller._track_deployment(Deployment(
+            self._track_deployment(Deployment(
                 request_id=entry["request_id"],
                 app=app,
                 tenant=entry["tenant"],
@@ -383,17 +393,16 @@ class SystemController(ClusterManager):
                 migration_pause_s=float(
                     entry.get("migration_pause_s", 0.0)),
             ))
-        controller.migrations_performed = int(
+        self.migrations_performed = int(
             snapshot.get("migrations_performed", 0))
-        controller.migration_pause_s = float(
+        self.migration_pause_s = float(
             snapshot.get("migration_pause_s", 0.0))
         # failed boards last: a valid snapshot has no deployments on
         # them, and set_board_failed fails loudly if one does
         for board_id in snapshot.get("failed_boards", []):
-            controller.board_health[board_id] = BoardHealth.FAILED
-            controller.resource_db.set_board_failed(board_id)
-        controller._refresh_allocatable()
-        return controller
+            self.resource_db.set_board_failed(board_id)
+        self._refresh_allocatable()
+        self._refresh_fragmentation()
 
     def set_quota(self, tenant: str, max_blocks: int) -> None:
         """Cap the physical blocks ``tenant`` may hold concurrently.
@@ -443,19 +452,21 @@ class SystemController(ClusterManager):
         return (self._instance_id, request_id)
 
     def _refresh_allocatable(self) -> None:
-        """Re-derive the allocatable-board view from board health and
-        guard quarantines.  Called wherever membership changes
-        (``fail_board``, ``repair_board``, ``restore``, ``attach_guard``
-        and the guard's breaker transitions), so no search, migration
-        or defrag pass rescans health."""
+        """Re-derive the allocatable-board view from the ResourceDB's
+        failed boards and the guard's quarantines.  Called wherever
+        membership changes (``fail_board``, ``repair_board``,
+        ``load_snapshot``, ``attach_guard`` and the guard's breaker
+        transitions), so no search, migration or defrag pass rescans
+        health."""
+        failed = self.resource_db.failed_boards()
         quarantined = self.guard.excluded_boards() \
             if self.guard is not None else ()
+        ids = self.resource_db.board_ids_array()
         mask = np.fromiter(
-            (health is BoardHealth.HEALTHY and board not in quarantined
-             for board, health in self.board_health.items()),
-            dtype=bool, count=len(self.board_health))
-        self._allocatable = _Allocatable.from_mask(
-            mask, self.resource_db.board_ids_array())
+            (board not in failed and board not in quarantined
+             for board in ids.tolist()),
+            dtype=bool, count=len(ids))
+        self._allocatable = _Allocatable.from_mask(mask, ids)
 
     def _allocatable_for(self, app: CompiledApp) -> _Allocatable:
         """The view ``app``'s placements draw from; the heterogeneous
@@ -639,9 +650,8 @@ class SystemController(ClusterManager):
         them; a second ``fail_board`` on an already-failed board is a
         no-op returning ``[]``.
         """
-        if board_id not in self.board_health:
-            raise KeyError(f"no board {board_id} in this cluster")
-        if self.board_health[board_id] is BoardHealth.FAILED:
+        self._require_board(board_id)
+        if board_id in self.resource_db.failed_boards():
             return []
         victims = sorted(
             (d for d in self.deployments.values()
@@ -665,7 +675,6 @@ class SystemController(ClusterManager):
                     tenant=deployment.tenant,
                     app=deployment.app.name,
                     reason=f"board-{board_id}-failed")
-        self.board_health[board_id] = BoardHealth.FAILED
         self.resource_db.set_board_failed(board_id)
         self._refresh_allocatable()
         self._refresh_fragmentation()
@@ -683,12 +692,10 @@ class SystemController(ClusterManager):
 
     def repair_board(self, board_id: int, now: float = 0.0) -> None:
         """Return a failed board to service (empty: the crash wiped it)."""
-        if board_id not in self.board_health:
-            raise KeyError(f"no board {board_id} in this cluster")
-        if self.board_health[board_id] is BoardHealth.HEALTHY:
+        self._require_board(board_id)
+        if board_id not in self.resource_db.failed_boards():
             return
         self.resource_db.set_board_repaired(board_id)
-        self.board_health[board_id] = BoardHealth.HEALTHY
         self._refresh_allocatable()
         self._refresh_fragmentation()
         self.audit.record(now, AuditEvent.REPAIR, -1, "-",
@@ -698,12 +705,16 @@ class SystemController(ClusterManager):
                               board=board_id)
 
     def healthy_boards(self) -> list[int]:
-        return [b for b, h in self.board_health.items()
-                if h is BoardHealth.HEALTHY]
+        failed = self.resource_db.failed_boards()
+        return [board.board_id for board in self.cluster.boards
+                if board.board_id not in failed]
 
     def failed_boards(self) -> list[int]:
-        return [b for b, h in self.board_health.items()
-                if h is BoardHealth.FAILED]
+        return sorted(self.resource_db.failed_boards())
+
+    def _require_board(self, board_id: int) -> None:
+        if board_id not in self.memories:  # one per board
+            raise KeyError(f"no board {board_id} in this cluster")
 
     def redeploy_evicted(self, deployment: Deployment,
                          now: float) -> Deployment | None:
@@ -879,8 +890,7 @@ class SystemController(ClusterManager):
                               attempts: int = 1) -> None:
         """Arm the next ``attempts`` ICAP programming attempts on
         ``board_id`` to fail transiently (and be retried)."""
-        if board_id not in self.board_health:
-            raise KeyError(f"no board {board_id} in this cluster")
+        self._require_board(board_id)
         if attempts < 1:
             raise ValueError("need >= 1 attempt")
         self._armed_reconfig_faults[board_id] = \
@@ -891,8 +901,7 @@ class SystemController(ClusterManager):
         """Gray failure: every ICAP programming attempt on ``board_id``
         takes ``latency_multiplier`` times longer until
         :meth:`restore_icap`."""
-        if board_id not in self.board_health:
-            raise KeyError(f"no board {board_id} in this cluster")
+        self._require_board(board_id)
         if latency_multiplier < 1.0:
             raise ValueError(
                 f"ICAP latency multiplier must be >= 1, "
@@ -903,8 +912,7 @@ class SystemController(ClusterManager):
             self._icap_multiplier[board_id] = latency_multiplier
 
     def restore_icap(self, board_id: int) -> None:
-        if board_id not in self.board_health:
-            raise KeyError(f"no board {board_id} in this cluster")
+        self._require_board(board_id)
         self._icap_multiplier.pop(board_id, None)
 
     def degraded_icaps(self) -> dict[int, float]:

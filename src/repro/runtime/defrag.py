@@ -20,11 +20,15 @@ transplant / resume primitive):
   and consolidating under a migration budget so pause time never
   monopolizes the cluster.
 
-Each migrated deployment pays the full checkpoint/restore pause (DRAM
-copy + FIFO drain/refill, see ``StateCheckpoint``) plus relocation
-rewrite and partial reconfiguration (returned as ``corunner_penalties``
-so the simulator charges the pause), which is why both planners move as
-little as possible.
+Both plan with one function, :func:`_plan`, and move with one,
+:func:`_execute`; the deploy-time variant asks for the incoming
+request's size under ``max_moved_blocks``, the background one for the
+queue head's size (or none) under its token budget.  Each migrated
+deployment pays the full checkpoint/restore pause (DRAM copy + FIFO
+drain/refill, see ``StateCheckpoint``) plus relocation rewrite and
+partial reconfiguration (returned as ``corunner_penalties`` so the
+simulator charges the pause), which is why the planner moves as little
+as possible.
 """
 
 from __future__ import annotations
@@ -114,86 +118,14 @@ class DefragmentingController(SystemController):
                                          actual_tenant, probe,
                                          candidates=view.ids)
 
-        penalties: dict[int, float] = {}
-        plan = self.plan_migration(app)
-        if plan is not None:
-            penalties = self.execute_migration(plan, now)
+        plan = _plan(self, view, app.num_blocks, self.max_moved_blocks)
+        penalties = {} if plan is None else _execute(
+            self, plan, now, "defrag-consolidation")
         deployment = super().try_deploy(app, request_id, now,
                                         tenant=tenant)
         if deployment is not None and penalties:
             deployment.corunner_penalties.update(penalties)
         return deployment
-
-    # ------------------------------------------------------------------
-    def plan_migration(self, app: CompiledApp) -> MigrationPlan | None:
-        """Cheapest set of whole-deployment moves that frees enough
-        blocks on one *available* board, or ``None`` when none clears a
-        board within ``max_moved_blocks``.
-
-        Candidate targets and donor destinations both come from the
-        allocatable-board view, so failed, quarantined, and (for
-        heterogeneous clusters) out-of-footprint boards are neither
-        consolidated onto nor counted as destination space.
-        """
-        needed = app.num_blocks
-        free = self._allocatable_free(self._allocatable_for(app))
-        total_free = sum(free.values())
-        if total_free < needed:
-            return None  # not fragmentation -- genuinely out of space
-
-        donors = _single_board_donors(self.deployments)
-        best: MigrationPlan | None = None
-        for board in sorted(free, key=lambda b: -free[b]):
-            deficit = needed - free[board]
-            if deficit <= 0:
-                continue  # this board already fits the app
-            # donors: single-board deployments on this board, smallest
-            # first, that fit in OTHER available boards' free space
-            movable = sorted(donors.get(board, ()),
-                             key=lambda d: d.num_blocks)
-            other_free = total_free - free[board]
-            plan = MigrationPlan(target_board=board,
-                                 needed_blocks=needed)
-            freed = 0
-            for deployment in movable:
-                if freed >= deficit:
-                    break
-                if deployment.num_blocks > other_free:
-                    continue
-                plan.moves.append(deployment)
-                freed += deployment.num_blocks
-                other_free -= deployment.num_blocks
-            if freed < deficit \
-                    or plan.moved_blocks > self.max_moved_blocks:
-                continue
-            if best is None or plan.moved_blocks < best.moved_blocks:
-                best = plan
-        return best
-
-    def execute_migration(self, plan: MigrationPlan,
-                          now: float) -> dict[int, float]:
-        """Move each planned deployment off the target board.
-
-        Every move goes through :meth:`SystemController.migrate`, so the
-        destination set is availability-filtered, the pause includes the
-        full checkpoint/restore cost, and the move is audited/traced.
-        A move that can no longer be placed (space raced away) is
-        skipped; the caller's subsequent placement attempt simply sees
-        less consolidation.
-        """
-        penalties: dict[int, float] = {}
-        for deployment in plan.moves:
-            allowed = [b for b in
-                       self._allocatable_for(deployment.app).ids
-                       if b != plan.target_board]
-            pause = self.migrate(deployment.request_id,
-                                 to_boards=allowed, now=now,
-                                 reason="defrag-consolidation")
-            if pause is None:
-                continue
-            penalties[deployment.request_id] = penalties.get(
-                deployment.request_id, 0.0) + pause
-        return penalties
 
 
 @dataclass(slots=True)
@@ -295,99 +227,113 @@ class Defragmenter:
 
         frag_before = self._fragmentation()
         budget = int(min(self._tokens, self.config.max_moved_blocks))
-        plan = self._plan(target_blocks, budget)
-        if plan is None or not plan.moves:
+        plan = _plan(ctrl, ctrl._allocatable, target_blocks, budget)
+        if plan is None:
             return {}
-
-        penalties: dict[int, float] = {}
-        executed = 0
-        moved_blocks = 0
-        pause_total = 0.0
-        for deployment in plan.moves:
-            if moved_blocks + deployment.num_blocks > budget:
-                continue
-            allowed = [b for b in ctrl._allocatable.ids
-                       if b != plan.target_board]
-            pause = ctrl.migrate(deployment.request_id,
-                                 to_boards=allowed, now=now,
-                                 reason=f"defrag-{trigger}")
-            if pause is None:
-                continue
-            executed += 1
-            moved_blocks += deployment.num_blocks
-            pause_total += pause
-            penalties[deployment.request_id] = penalties.get(
-                deployment.request_id, 0.0) + pause
-            if self.config.verify:
-                verify_isolation(ctrl)
-        if not executed:
+        penalties = _execute(ctrl, plan, now, f"defrag-{trigger}",
+                             self.config.verify)
+        if not penalties:
             return {}
+        moved_blocks = sum(d.num_blocks for d in plan.moves
+                           if d.request_id in penalties)
 
         self._tokens -= moved_blocks
         self._last_pass_t = now
         self.passes += 1
-        self.moves += executed
+        self.moves += len(penalties)
         self.moved_blocks += moved_blocks
         if ctrl.tracer:
             ctrl.tracer.event(
                 "defrag.pass", t=now, trigger=trigger,
-                moves=executed, moved_blocks=moved_blocks,
-                pause_s=pause_total,
+                moves=len(penalties), moved_blocks=moved_blocks,
+                pause_s=sum(penalties.values()),
                 frag_before=frag_before,
                 frag_after=self._fragmentation(),
                 budget_left=self._tokens)
         return penalties
 
-    # ------------------------------------------------------------------
-    def _plan(self, needed_blocks: int | None,
-              budget: int) -> MigrationPlan | None:
-        """Cheapest consolidation within ``budget`` moved blocks.
 
-        With ``needed_blocks``, target the board requiring the fewest
-        moved blocks to host that many; without (threshold trigger),
-        consolidate toward the board with the most free blocks --
-        shrinking the fragmentation index directly.
-        """
-        ctrl = self.controller
-        free = ctrl._allocatable_free(ctrl._allocatable)
-        if not free:
-            return None
-        total_free = sum(free.values())
-        if needed_blocks is not None and total_free < needed_blocks:
-            return None
+def _plan(ctrl: SystemController, view, needed_blocks: int | None,
+          budget: int) -> MigrationPlan | None:
+    """Cheapest consolidation onto one of ``view``'s boards within
+    ``budget`` moved blocks (the one planner of both consumers).
 
-        donors = _single_board_donors(ctrl.deployments)
-        best: MigrationPlan | None = None
-        for board in sorted(free, key=lambda b: (-free[b], b)):
-            if needed_blocks is not None:
-                deficit = needed_blocks - free[board]
-                if deficit <= 0:
-                    continue
-            else:
-                # threshold mode: top up the emptiest-loaded target
-                # with whatever small donors the budget allows
-                deficit = 1
-            movable = sorted(donors.get(board, ()),
-                             key=lambda d: d.num_blocks)
-            other_free = total_free - free[board]
-            plan = MigrationPlan(
-                target_board=board,
-                needed_blocks=needed_blocks or free[board])
-            freed = 0
-            for deployment in movable:
-                if freed >= deficit:
-                    break
-                if deployment.num_blocks > other_free:
-                    continue
-                if plan.moved_blocks + deployment.num_blocks > budget:
-                    continue
-                plan.moves.append(deployment)
-                freed += deployment.num_blocks
-                other_free -= deployment.num_blocks
-            if freed < deficit or not plan.moves:
+    With ``needed_blocks``, target the board requiring the fewest
+    moved blocks to host that many; without (threshold trigger),
+    consolidate toward the board with the most free blocks --
+    shrinking the fragmentation index directly.  Targets and donor
+    destinations both come from ``view`` (an allocatable-board view),
+    so failed, quarantined and out-of-footprint boards are neither
+    consolidated onto nor counted as destination space.
+    """
+    free = ctrl._allocatable_free(view)
+    if not free:
+        return None
+    total_free = sum(free.values())
+    if needed_blocks is not None and total_free < needed_blocks:
+        return None  # not fragmentation -- genuinely out of space
+
+    donors = _single_board_donors(ctrl.deployments)
+    best: MigrationPlan | None = None
+    for board in sorted(free, key=lambda b: (-free[b], b)):
+        if needed_blocks is not None:
+            deficit = needed_blocks - free[board]
+            if deficit <= 0:
+                continue  # this board already fits the request
+        else:
+            # threshold mode: top up the emptiest-loaded target
+            # with whatever small donors the budget allows
+            deficit = 1
+        # donors: single-board deployments on this board, smallest
+        # first, that fit in OTHER boards' free space and the budget
+        # (sizes ascend, so every donor after a skipped one skips too)
+        movable = sorted(donors.get(board, ()),
+                         key=lambda d: d.num_blocks)
+        other_free = total_free - free[board]
+        plan = MigrationPlan(
+            target_board=board,
+            needed_blocks=needed_blocks or free[board])
+        freed = 0
+        for deployment in movable:
+            if freed >= deficit:
+                break
+            if deployment.num_blocks > other_free:
                 continue
-            if best is None or plan.moved_blocks < best.moved_blocks:
-                best = plan
-            if needed_blocks is None:
-                break  # threshold mode: first (fullest) target wins
-        return best
+            if plan.moved_blocks + deployment.num_blocks > budget:
+                continue
+            plan.moves.append(deployment)
+            freed += deployment.num_blocks
+            other_free -= deployment.num_blocks
+        if freed < deficit or not plan.moves:
+            continue
+        if best is None or plan.moved_blocks < best.moved_blocks:
+            best = plan
+        if needed_blocks is None:
+            break  # threshold mode: first (fullest) target wins
+    return best
+
+
+def _execute(ctrl: SystemController, plan: MigrationPlan, now: float,
+             reason: str, verify: bool = False) -> dict[int, float]:
+    """Move each planned deployment off the target board; returns the
+    pause charged to each moved request.
+
+    Every move goes through :meth:`SystemController.migrate`, so the
+    destination set is availability-filtered, the pause includes the
+    full checkpoint/restore cost, and the move is audited/traced.  A
+    move that can no longer be placed (space raced away) is skipped;
+    the caller simply sees less consolidation.  ``verify`` re-checks
+    tenant isolation after every move.
+    """
+    penalties: dict[int, float] = {}
+    for deployment in plan.moves:
+        allowed = [b for b in ctrl._allocatable.ids
+                   if b != plan.target_board]
+        pause = ctrl.migrate(deployment.request_id, to_boards=allowed,
+                             now=now, reason=reason)
+        if pause is None:
+            continue
+        penalties[deployment.request_id] = pause
+        if verify:
+            verify_isolation(ctrl)
+    return penalties

@@ -327,9 +327,9 @@ class DegradedModeGuard:
         if quarantined:
             # quarantined boards are nominally healthy; their blocks
             # are unavailable all the same (homogeneous boards)
-            blocks_per_board = total // len(controller.board_health)
-            failed = set(controller.failed_boards())
-            lost += blocks_per_board * len(quarantined - failed)
+            blocks_per_board = total // len(db.board_ids_array())
+            lost += blocks_per_board * len(
+                quarantined - db.failed_boards())
         return lost / total
 
     # ------------------------------------------------------------------

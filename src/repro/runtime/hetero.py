@@ -66,7 +66,7 @@ class HeterogeneousController(SystemController):
         """The base view, plus one per footprint group."""
         super()._refresh_allocatable()
         db = self.resource_db
-        in_service = np.zeros(len(self.board_health), dtype=bool)
+        in_service = np.zeros(len(db.board_ids_array()), dtype=bool)
         in_service[self._allocatable.rows] = True
         self._group_allocatable = {}
         for fp in self.cluster.footprints():

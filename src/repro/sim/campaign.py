@@ -57,8 +57,6 @@ from repro.compiler.cache import CompileCache, source_digest
 from repro.compiler.flow import FLOW_VERSION
 from repro.compiler.service import POOL_MIN_MISSES, _mp_context, \
     pool_workers
-from repro.faults.domains import FailureDomainMap, correlated_outages, \
-    gray_faults
 from repro.faults.schedule import FaultSchedule
 from repro.obs.slo import SLOEngine
 from repro.obs.tracer import Tracer
@@ -69,6 +67,7 @@ from repro.runtime.hetero import HeterogeneousManagerAdapter
 from repro.runtime.policy import CommunicationAwarePolicy
 from repro.sim.arrivals import BurstyArrivals, DiurnalArrivals, \
     FlashCrowdArrivals, PoissonArrivals
+from repro.sim.chaos import ChaosScenario
 from repro.sim.experiment import compile_benchmarks, run_experiment, \
     specs_for
 from repro.sim.workload import COMPOSITIONS, WorkloadGenerator
@@ -239,24 +238,10 @@ def _fault_schedule(config: CampaignConfig) -> "FaultSchedule | None":
     knobs = FAULT_PROFILES[config.fault_profile]
     if not knobs:
         return None
-    domains = FailureDomainMap.grid(config.num_boards,
-                                    config.boards_per_rack)
-    events = []
-    if "rack_mtbf_s" in knobs:
-        events.extend(correlated_outages(
-            domains, seed=config.seed, horizon_s=config.horizon_s,
-            rack_mtbf_s=knobs["rack_mtbf_s"],
-            rack_mttr_s=knobs["rack_mttr_s"],
-            cascade_probability=knobs.get("cascade_probability", 0.0),
-            cascade_delay_s=knobs.get("cascade_delay_s", 5.0)))
-    if "icap_mtbf_s" in knobs:
-        events.extend(gray_faults(
-            domains, seed=config.seed + 1, horizon_s=config.horizon_s,
-            icap_mtbf_s=knobs["icap_mtbf_s"],
-            icap_mttr_s=knobs["icap_mttr_s"],
-            icap_latency_multiplier=knobs["icap_latency_multiplier"],
-            flaky_mtbf_s=None))
-    schedule = FaultSchedule(events)
+    schedule = ChaosScenario(
+        config.fault_profile, num_boards=config.num_boards,
+        boards_per_rack=config.boards_per_rack, seed=config.seed,
+        horizon_s=config.horizon_s, **knobs).schedule()
     schedule.validate_for(config.num_boards)
     return schedule
 

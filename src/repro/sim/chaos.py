@@ -41,7 +41,6 @@ from repro.faults.schedule import BoardDown, BoardUp, FaultEvent, \
 from repro.obs.slo import SLOEngine
 from repro.obs.timeline import TimelineAggregator
 from repro.obs.tracer import Tracer
-from repro.cluster.board import BoardHealth
 from repro.runtime.controller import SystemController
 from repro.runtime.defrag import DefragConfig
 from repro.runtime.guard import DegradedModeGuard, GuardConfig
@@ -226,48 +225,28 @@ def standard_scenarios() -> list[ChaosScenario]:
 # ----------------------------------------------------------------------
 # warm restart
 # ----------------------------------------------------------------------
-#: Controller state transplanted onto the original object after a warm
-#: restart.  The experiment loop and the invariant probes close over the
-#: controller *object*, so the restored state must move in place; the
-#: audit log, tracer, policy, guard, and bitstream database survive the
-#: restart by design (they are the persisted / re-attached parts).
-_RESTART_ATTRS = (
-    "resource_db", "memories", "dram_arbiters",
-    "_config_port_free_at", "board_health", "_armed_reconfig_faults",
-    "_icap_multiplier", "_segments_of", "deployments",
-    "_tenant_blocks", "quotas", "model_dram_contention",
-    "_instance_id", "migrations_performed", "migration_pause_s",
-)
-
-
 def simulate_warm_restart(controller: SystemController) -> None:
     """Kill and resurrect the controller in place, mid-run.
 
     Round-trips the snapshot through JSON (as a real restart would hit
-    disk), releases the dead instance's ring flows, rebuilds a fresh
-    controller from the snapshot over the same (still running) cluster,
-    and transplants the rebuilt state onto the original object -- the
-    simulator and the invariant probes hold its identity.  The guard's
-    breaker state is restored onto the original guard object for the
-    same reason.
+    disk), releases the dead instance's ring flows, empties the
+    controller's state (``_reset_state``) and reloads the snapshot into
+    the same object (``load_snapshot``) -- the simulator and the
+    invariant probes hold its identity.  The guard's breaker state is
+    reloaded into the original guard object for the same reason.
     """
     state = json.loads(json.dumps(controller.snapshot()))
     # the dead instance's spanning flows are still registered on the
-    # ring; restore() re-registers them under the new instance id
+    # ring; load_snapshot re-registers them under a new instance id
     for deployment in controller.deployments.values():
         if deployment.placement.spans_boards:
             controller.cluster.network.release_flow(
                 controller._flow_key(deployment.request_id))
-    restored = SystemController.restore(
-        controller.cluster, state, controller.bitstream_db,
-        policy=controller.policy)
-    for attr in _RESTART_ATTRS:
-        setattr(controller, attr, getattr(restored, attr))
+    controller._reset_state()
+    controller.load_snapshot(state, controller.bitstream_db)
     if controller.guard is not None \
             and state.get("guard") is not None:
         controller.guard.load_snapshot(state["guard"])
-    controller._refresh_allocatable()
-    controller._refresh_fragmentation()
 
 
 # ----------------------------------------------------------------------
@@ -299,8 +278,7 @@ def make_invariant_probe(controller: SystemController,
         state["checks"] += 1
         still_excluded = (prev_excluded & guard.excluded_boards()
                           if guard is not None else frozenset())
-        failed = {b for b, h in controller.board_health.items()
-                  if h is BoardHealth.FAILED}
+        failed = controller.resource_db.failed_boards()
         live_blocks = 0
         for rid, deployment in controller.deployments.items():
             live_blocks += deployment.num_blocks

@@ -40,7 +40,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.cluster.board import BoardHealth
 from repro.cluster.network import RingNetwork
 from repro.compiler.bitstream import CompiledApp
 from repro.runtime.controller import SystemController
@@ -427,16 +426,16 @@ class CandidateMapPolicy(CommunicationAwarePolicy):
 
 class _CandidateMapDeployPath:
     """Mixin: the allocatable set as a pre-PR-17 traced ``try_deploy``
-    derived it -- ``board_health`` and the guard's breaker table
+    derived it -- failed boards and the guard's breaker table
     rescanned and ``free_by_board()`` materialized on every search --
     so a controller built from it never reads the maintained view."""
 
     def _filter_unavailable(self, free: dict[int, list[int]],
                             ) -> dict[int, list[int]]:
-        if any(h is BoardHealth.FAILED
-               for h in self.board_health.values()):
+        failed = self.failed_boards()
+        if failed:
             free = {b: blocks for b, blocks in free.items()
-                    if self.board_health[b] is BoardHealth.HEALTHY}
+                    if b not in failed}
         if self.guard is not None:
             quarantined = frozenset(
                 b for b, s in self.guard._state.items()

@@ -26,7 +26,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.cluster.board import BoardHealth
 from repro.cluster.cluster import make_cluster, \
     make_heterogeneous_cluster
 from repro.compiler.flow import CompilationFlow
@@ -171,7 +170,7 @@ class TestRecordEquivalence:
         for seed in SEEDS:
             _, _, trace, controller = _drive(
                 seed, False, cluster.partition, apps, hetero_apps)
-            boards = len(controller.board_health)
+            boards = len(controller.cluster.boards)
             for line in trace.split("\n"):
                 entry = json.loads(line)
                 fields = entry.get("fields", {})
@@ -222,7 +221,7 @@ def _expected_ids(controller, footprint=None) -> list[int]:
         if s is BreakerState.QUARANTINED}
     return [
         b.board_id for b in controller.cluster.boards
-        if controller.board_health[b.board_id] is BoardHealth.HEALTHY
+        if b.board_id not in controller.failed_boards()
         and b.board_id not in quarantined
         and footprint in (None, b.partition.blocks[0].footprint)]
 
@@ -238,7 +237,7 @@ def _check_view(controller) -> None:
         rows = [db.board_row(b) for b in ids]
         assert view.rows.tolist() == rows
         assert view.excluded.tolist() == sorted(
-            set(range(len(controller.board_health))) - set(rows))
+            set(range(len(controller.cluster.boards))) - set(rows))
     guard = controller.guard
     if guard is not None:
         assert guard.excluded_boards() == {
@@ -293,9 +292,11 @@ class TestAllocatableView:
                         controller.bitstream_db)
             _check_view(controller)
             seen.update(s for s in controller.guard._state.values())
-            seen.update(controller.board_health.values())
+            failed = controller.failed_boards()
+            seen.update("failed" if b in failed else "healthy"
+                        for b in boards)
         assert seen == {BreakerState.QUARANTINED, BreakerState.PROBATION,
-                        BoardHealth.HEALTHY, BoardHealth.FAILED}
+                        "healthy", "failed"}
 
     def test_detached_guard_releases_its_quarantines(self, cluster):
         controller = SystemController(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.defrag import DefragmentingController
+from repro.runtime.defrag import DefragmentingController, _plan
 from repro.runtime.isolation import verify_isolation
 
 
@@ -147,9 +147,9 @@ class TestControllerRegressions:
 
     def test_defrag_never_targets_unavailable_boards(
             self, cluster, compiled_medium, compiled_large):
-        """plan/execute_migration must honor the shared availability
-        filter: no migration may land on a failed or quarantined
-        board."""
+        """The deploy-time plan and its moves must honor the shared
+        availability filter: no migration may land on a failed or
+        quarantined board."""
         from repro.runtime.guard import DegradedModeGuard, GuardConfig
         controller = DefragmentingController(cluster)
         boards = [b.board_id for b in cluster.boards]
@@ -257,11 +257,36 @@ def _scan_plan(ctrl, needed, budget):
     return min(plans[:1] if needed is None else plans, default=None)
 
 
+def _assert_plan_is_scan(plan, expect) -> bool:
+    """``plan`` equals the rescan's pick; True when there is a plan."""
+    if expect is None:
+        assert plan is None
+        return False
+    freed, _, board, moves = expect
+    assert plan.target_board == board
+    assert [d.request_id for d in plan.moves] \
+        == [d.request_id for d in moves]
+    assert plan.moved_blocks == freed
+    return True
+
+
+def _plans_equal_scan(ctrl, sizes) -> int:
+    """Every size x budget plan equals the rescan; returns how many
+    were plans."""
+    return sum(
+        _assert_plan_is_scan(
+            _plan(ctrl, ctrl._allocatable, needed, budget),
+            _scan_plan(ctrl, needed, budget))
+        for needed in sizes for budget in (1, 4, 8, 16))
+
+
 class TestPlanEqualsPerBoardScan:
     """The one-pass planner picks the same target, donors and block
     count as a per-candidate rescan of every deployment, across
     randomized deploy / fail / repair / release / quarantine / defrag
-    histories in both trigger modes and at several budgets."""
+    histories in both trigger modes and at several budgets, for the
+    background defragmenter and for the defragmenting controller's
+    deploy-time plan."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_histories(self, seed, compiled_small,
@@ -301,17 +326,71 @@ class TestPlanEqualsPerBoardScan:
                     ctrl.fail_board(board, now)
             else:
                 defrag.maybe_pass(now, needed_blocks=rng.choice(sizes))
-            for needed in sizes:
-                for budget in (1, 4, 8, 16):
-                    plan = defrag._plan(needed, budget)
-                    expect = _scan_plan(ctrl, needed, budget)
-                    if expect is None:
-                        assert plan is None
-                        continue
-                    planned += 1
-                    freed, _, board, moves = expect
-                    assert plan.target_board == board
-                    assert [d.request_id for d in plan.moves] \
-                        == [d.request_id for d in moves]
-                    assert plan.moved_blocks == freed
+            planned += _plans_equal_scan(ctrl, sizes)
         assert planned > 0
+
+    @pytest.mark.parametrize("rows", ["by-id", "shuffled"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_deploy_time_plan(self, seed, rows, monkeypatch,
+                              compiled_small, compiled_medium,
+                              compiled_large):
+        """``DefragmentingController.try_deploy`` plans with the same
+        function, for the incoming request's size under
+        ``max_moved_blocks``, and what it plans equals the rescan.
+        With the boards shuffled, the database's row order is not
+        board-id order: ties must still break by board id."""
+        import random
+
+        from repro.cluster.cluster import make_cluster
+        from repro.runtime import defrag
+        from repro.runtime.guard import DegradedModeGuard, GuardConfig
+
+        rng = random.Random(seed)
+        num_boards = rng.randint(6, 12)
+        cluster = make_cluster(num_boards=num_boards)
+        if rows == "shuffled":
+            rng.shuffle(cluster.boards)  # identical boards: ids only
+        ctrl = DefragmentingController(
+            cluster, max_moved_blocks=rng.choice((2, 4, 8, 16)))
+        ctrl.attach_guard(DegradedModeGuard(GuardConfig(
+            failure_threshold=2, quarantine_s=30.0, probation_s=30.0)))
+        apps = (compiled_small, compiled_medium, compiled_large)
+        sizes = [None] + sorted({a.num_blocks for a in apps})
+        calls = []
+        real_plan = defrag._plan
+
+        def spy(c, view, needed, budget):
+            assert c is ctrl and view is ctrl._allocatable
+            calls.append((needed, budget, real_plan(c, view, needed,
+                                                    budget),
+                          _scan_plan(c, needed, budget)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(defrag, "_plan", spy)
+        planned = deploy_planned = 0
+        rid = 0
+        for step in range(400):
+            now = float(step)
+            op = rng.random()
+            if op < 0.6:
+                app = rng.choice(apps)
+                del calls[:]
+                ctrl.try_deploy(app, rid, now)
+                rid += 1
+                for needed, budget, plan, expect in calls:
+                    assert needed == app.num_blocks
+                    assert budget == ctrl.max_moved_blocks
+                    deploy_planned += _assert_plan_is_scan(plan, expect)
+            elif op < 0.9 and ctrl.deployments:
+                ctrl.release(ctrl.deployments[
+                    rng.choice(sorted(ctrl.deployments))], now)
+            else:
+                board = rng.randrange(num_boards)
+                if board in ctrl.failed_boards():
+                    ctrl.repair_board(board, now)
+                elif len(ctrl.failed_boards()) < num_boards // 2:
+                    ctrl.fail_board(board, now)
+            if rows == "shuffled":  # id order: test_random_histories
+                planned += _plans_equal_scan(ctrl, sizes)
+        assert deploy_planned > 0
+        assert planned > 0 or rows == "by-id"

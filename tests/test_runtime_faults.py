@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.board import BoardHealth
 from repro.runtime.audit import AuditEvent
 from repro.runtime.controller import SystemController
 from repro.runtime.isolation import verify_isolation
@@ -34,7 +33,7 @@ class TestFailBoard:
         victims = controller.fail_board(board, now=1.0)
         assert [v.request_id for v in victims] == [1]
         assert controller.deployments == {}
-        assert controller.board_health[board] is BoardHealth.FAILED
+        assert board in controller.failed_boards()
         assert controller.resource_db.allocated_count() == 0
         assert controller.audit.live_requests() == set()
 
@@ -48,7 +47,7 @@ class TestFailBoard:
                                            compiled_small):
         d1 = controller.try_deploy(compiled_small, 1, now=0.0)
         board = d1.placement.boards[0]
-        survivor_board = next(b for b in controller.board_health
+        survivor_board = next(b for b in controller.healthy_boards()
                               if b != board)
         # force the second deployment onto a different board by failing
         # everything else is too blunt; instead deploy then check
@@ -142,7 +141,7 @@ class TestRepairBoard:
 
     def test_repaired_board_accepts_deployments_again(
             self, controller, compiled_small):
-        for board in list(controller.board_health):
+        for board in controller.healthy_boards():
             if board != 0:
                 controller.fail_board(board)
         controller.fail_board(0)
@@ -170,7 +169,7 @@ class TestRecovery:
     def test_redeploy_fails_gracefully_when_full(self, controller,
                                                  compiled_small):
         d = controller.try_deploy(compiled_small, 1, now=0.0)
-        for board in list(controller.board_health):
+        for board in controller.healthy_boards():
             controller.fail_board(board)
         replacement = controller.redeploy_evicted(d, now=1.0)
         assert replacement is None
@@ -185,7 +184,7 @@ class TestReconfigTransientFaults:
         controller.release(clean, now=0.0)
         controller.inject_reconfig_fault(board, attempts=2)
         # exhaust other boards so the next deploy lands on `board`
-        for other in list(controller.board_health):
+        for other in controller.healthy_boards():
             if other != board:
                 controller.fail_board(other)
         retried = controller.try_deploy(compiled_small, 2, now=10.0)
@@ -200,7 +199,7 @@ class TestReconfigTransientFaults:
     def test_armed_faults_are_consumed(self, controller,
                                        compiled_small):
         controller.inject_reconfig_fault(0, attempts=1)
-        for other in list(controller.board_health):
+        for other in controller.healthy_boards():
             if other != 0:
                 controller.fail_board(other)
         first = controller.try_deploy(compiled_small, 1, now=0.0)
@@ -211,7 +210,7 @@ class TestReconfigTransientFaults:
     def test_retries_are_bounded(self, controller, compiled_small):
         controller.reconfig_max_retries = 3
         controller.inject_reconfig_fault(0, attempts=1000)
-        for other in list(controller.board_health):
+        for other in controller.healthy_boards():
             if other != 0:
                 controller.fail_board(other)
         d = controller.try_deploy(compiled_small, 1, now=0.0)

@@ -168,3 +168,86 @@ class TestMigrationStateSurvivesRestart:
         assert restored.migration_pause_s == 0.0
         assert all(d.migrations == 0
                    for d in restored.deployments.values())
+
+
+def _view(controller):
+    view = controller._allocatable
+    return view.ids, view.rows.tolist(), view.excluded.tolist()
+
+
+class TestHealthHasOneRecord:
+    """Board health is the ResourceDB's failed rows: a snapshot taken
+    with failed and quarantined boards comes back equal through
+    ``restore`` and through an in-place warm restart."""
+
+    @pytest.fixture()
+    def degraded(self, cluster, compiled_small, compiled_medium,
+                 compiled_large):
+        from repro.cluster.cluster import make_cluster
+        from repro.runtime.guard import DegradedModeGuard, GuardConfig
+        controller = SystemController(
+            make_cluster(6, partition=cluster.partition))
+        controller.attach_guard(DegradedModeGuard(GuardConfig(
+            failure_threshold=1, quarantine_s=50.0,
+            min_healthy_boards=1)))
+        # a 10-block app per board leaves 5 free on each, so the next
+        # two span boards
+        for rid, app in enumerate([compiled_large] * 8
+                                  + [compiled_medium, compiled_small]):
+            assert controller.try_deploy(app, rid, float(rid))
+        spanned = {b for d in controller.deployments.values()
+                   if d.spans_boards for b in d.placement.boards}
+        lone = [b for b in range(6) if b not in spanned]
+        controller.fail_board(lone[0], now=20.0)  # evicts, quarantines
+        controller.guard.record_board_failure(lone[1], now=21.0)
+        controller.degrade_icap(0, latency_multiplier=3.0)
+        controller.inject_reconfig_fault(1, attempts=2)
+        assert controller.failed_boards() == [lone[0]]
+        assert controller.guard.excluded_boards() == set(lone[:2])
+        assert any(d.spans_boards
+                   for d in controller.deployments.values())
+        db = BitstreamDB(cluster.footprint)
+        for app in (compiled_small, compiled_medium, compiled_large):
+            db.register(app)
+        return controller, db
+
+    def test_restore_round_trips(self, degraded):
+        controller, db = degraded
+        state = json.loads(json.dumps(controller.snapshot()))
+        restored = SystemController.restore(controller.cluster, state,
+                                            db)
+        assert restored.snapshot() == controller.snapshot()
+        assert restored.failed_boards() == controller.failed_boards()
+        assert restored.healthy_boards() == controller.healthy_boards()
+        assert _view(restored) == _view(controller)
+        restored.resource_db.verify()
+
+    def test_warm_restart_round_trips(self, degraded):
+        from repro.sim.chaos import simulate_warm_restart
+        controller, _ = degraded
+        before = (controller.snapshot(), controller.failed_boards(),
+                  _view(controller), sorted(vars(controller)))
+        instance = controller._instance_id
+        flows = len(controller.cluster.network._flows)
+        simulate_warm_restart(controller)
+        assert (controller.snapshot(), controller.failed_boards(),
+                _view(controller), sorted(vars(controller))) == before
+        assert controller._instance_id != instance
+        assert len(controller.cluster.network._flows) == flows
+        controller.resource_db.verify()
+        verify_isolation(controller)
+
+
+class TestUnknownBoard:
+    @pytest.mark.parametrize("call", [
+        lambda c: c.fail_board(99),
+        lambda c: c.repair_board(99),
+        lambda c: c.inject_reconfig_fault(99),
+        lambda c: c.degrade_icap(99, latency_multiplier=2.0),
+        lambda c: c.restore_icap(99),
+    ], ids=["fail_board", "repair_board", "inject_reconfig_fault",
+            "degrade_icap", "restore_icap"])
+    def test_same_key_error(self, cluster, call):
+        with pytest.raises(KeyError) as raised:
+            call(SystemController(cluster))
+        assert raised.value.args == ("no board 99 in this cluster",)
