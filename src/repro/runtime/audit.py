@@ -68,56 +68,82 @@ class AuditLog:
     them to the last recorded time (and keeps the reported value in the
     entry detail), since library callers may release with a stale clock
     while the log itself must stay monotonic to be replayable.
+
+    Records are kept as columns -- time, event, request id, tenant, and
+    the detail as a tuple of values under a key tuple shared by every
+    record of the same detail shape -- and the sequence number is the
+    row index.  A long run logs two records per request, so a frozen
+    entry, a boxed sequence number and a kwargs dict per record were
+    most of the log's bytes.  Queries rebuild equal :class:`AuditEntry`
+    objects on demand (each with its own fresh ``detail`` dict).
     """
 
     def __init__(self, strict: bool = False) -> None:
         self.strict = strict
-        self._entries: list[AuditEntry] = []
+        self._time: list[float] = []
+        self._event: list[AuditEvent] = []
+        self._request: list[int] = []
+        self._tenant: list[str] = []
+        #: per row, the detail's key tuple (one shared object per shape)
+        self._keys: list[tuple] = []
+        #: per row, the detail's values in key order
+        self._values: list[tuple] = []
+        #: key tuple -> the one instance every row of that shape shares
+        self._shapes: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     def record(self, time_s: float, event: AuditEvent, request_id: int,
                tenant: str, **detail) -> AuditEntry:
-        if self._entries and time_s < self._entries[-1].time_s:
+        times = self._time
+        if times and time_s < times[-1]:
             if self.strict:
                 raise ValueError(
                     f"audit time went backwards: {time_s} < "
-                    f"{self._entries[-1].time_s}")
+                    f"{times[-1]}")
             detail = dict(detail, reported_t=time_s)
-            time_s = self._entries[-1].time_s
+            time_s = times[-1]
+        keys = tuple(detail)
+        sequence = len(times)
+        times.append(time_s)
+        self._event.append(event)
+        self._request.append(request_id)
+        self._tenant.append(tenant)
+        self._keys.append(self._shapes.setdefault(keys, keys))
+        self._values.append(tuple(detail.values()))
         # ``detail`` is this call's own kwargs dict -- fresh per call,
-        # so storing it directly is safe and skips a copy per entry
-        entry = AuditEntry(
-            sequence=len(self._entries),
-            time_s=time_s,
-            event=event,
-            request_id=request_id,
-            tenant=tenant,
-            detail=detail,
-        )
-        self._entries.append(entry)
-        return entry
+        # so the returned entry may own it
+        return AuditEntry(sequence, time_s, event, request_id, tenant,
+                          detail)
+
+    def _entry(self, row: int) -> AuditEntry:
+        return AuditEntry(row, self._time[row], self._event[row],
+                          self._request[row], self._tenant[row],
+                          dict(zip(self._keys[row], self._values[row])))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._time)
 
     def entries(self) -> list[AuditEntry]:
-        return list(self._entries)
+        return [self._entry(row) for row in range(len(self._time))]
 
     def by_tenant(self, tenant: str) -> list[AuditEntry]:
-        return [e for e in self._entries if e.tenant == tenant]
+        return [self._entry(row)
+                for row, who in enumerate(self._tenant) if who == tenant]
 
     def by_request(self, request_id: int) -> list[AuditEntry]:
-        return [e for e in self._entries
-                if e.request_id == request_id]
+        return [self._entry(row)
+                for row, rid in enumerate(self._request)
+                if rid == request_id]
 
     def window(self, t0: float, t1: float) -> list[AuditEntry]:
-        return [e for e in self._entries if t0 <= e.time_s <= t1]
+        return [self._entry(row)
+                for row, t in enumerate(self._time) if t0 <= t <= t1]
 
     def counts(self) -> dict[AuditEvent, int]:
         out: dict[AuditEvent, int] = {}
-        for entry in self._entries:
-            out[entry.event] = out.get(entry.event, 0) + 1
+        for event in self._event:
+            out[event] = out.get(event, 0) + 1
         return out
 
     # ------------------------------------------------------------------
@@ -126,12 +152,13 @@ class AuditLog:
         re-derived purely from the log, for cross-checking the
         controller."""
         live: set[int] = set()
-        for entry in self._entries:
-            if entry.event is AuditEvent.DEPLOY:
-                live.add(entry.request_id)
-            elif entry.event in (AuditEvent.RELEASE, AuditEvent.EVICT):
-                live.discard(entry.request_id)
+        for event, request_id in zip(self._event, self._request):
+            if event is AuditEvent.DEPLOY:
+                live.add(request_id)
+            elif event in (AuditEvent.RELEASE, AuditEvent.EVICT):
+                live.discard(request_id)
         return live
 
     def to_jsonl(self) -> str:
-        return "\n".join(e.to_json() for e in self._entries)
+        return "\n".join(self._entry(row).to_json()
+                         for row in range(len(self._time)))

@@ -110,15 +110,24 @@ class SystemController(ClusterManager):
         self.bitstream_db = BitstreamDB(
             next(iter(cluster.footprints())))
         self.relocator = Relocator()
-        #: relocation compatibility memo: (image id, block address)
-        #: pairs already validated, storing the image itself so a
-        #: recycled ``id()`` can never alias a fresh image (the block
-        #: at a fixed address never changes -- cluster topology is
-        #: static).  Relocation checks are pure in (image, block) --
-        #: same footprint/capacity comparison every time -- so
-        #: re-validating a pair the controller has already bound is
-        #: pure overhead.
+        #: relocation compatibility memo: (image id, board kind, block
+        #: index) triples already validated, storing the image itself
+        #: so a recycled ``id()`` can never alias a fresh image.  A
+        #: relocation check reads only the image's footprint and usage
+        #: and the block's footprint and capacity, so it is pure in
+        #: (image, block signature); boards whose blocks match index by
+        #: index (every clone of one partition) share a kind, and the
+        #: memo stays at images x kinds x blocks-per-board entries
+        #: however many boards the cluster has.  Cluster topology is
+        #: static, so kinds are computed once here.
         self._reloc_checked: dict = {}
+        kinds: dict = {}
+        self._board_kind = [
+            kinds.setdefault(
+                tuple((block.footprint, block.capacity)
+                      for block in board.partition.blocks),
+                len(kinds))
+            for board in cluster.boards]
         self.model_dram_contention = model_dram_contention
         #: transient reconfig faults: bounded retries w/ exp. backoff
         self.reconfig_max_retries = 5
@@ -518,15 +527,18 @@ class SystemController(ClusterManager):
                          candidates: list[int],
                          ) -> Deployment | None:
         # runtime relocation: bind every image to its physical block
-        # (validation memoized per (image, block) -- see __init__)
+        # (validation memoized per (image, board kind, block) -- see
+        # __init__)
         checked = self._reloc_checked
+        board_kind = self._board_kind
         images = app.images
-        block_at = self.cluster.block_at
         for vb, address in placement.mapping.items():
             image = images[vb]
-            key = (id(image), address)
+            board, index = address
+            key = (id(image), board_kind[board], index)
             if checked.get(key) is not image:
-                self.relocator.relocate(image, block_at(address))
+                self.relocator.relocate(image,
+                                        self.cluster.block_at(address))
                 if len(checked) >= 1 << 16:
                     checked.clear()
                 checked[key] = image

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from typing import Any
 
 import numpy as np
@@ -208,22 +209,33 @@ class TimeWeightedValue:
     ``average_where(mask, t0, t1)`` restricts to intervals where the
     (step-function) mask is truthy -- e.g. "utilization while requests
     were waiting".
+
+    The breakpoints live in one flat ``array('d')``, ``t0, v0, t1, v1,
+    ...``: 16 bytes a point, where a list of ``(t, v)`` tuples held a
+    tuple and two boxed numbers.  Doubles are exact for the counts the
+    collector records (integers below 2**53), so every sum, product and
+    comparison reads the same values as before.  The pairs stay
+    interleaved, not split into two columns, so the long-run numpy path
+    sees the same ``(n, 2)`` layout -- the same strided BLAS dot, hence
+    the same bits -- that ``np.asarray`` of the tuples gave.
     """
 
     def __init__(self, initial: float = 0.0) -> None:
-        self._points: list[tuple[float, float]] = [(0.0, initial)]
+        self._tv = array("d", (0.0, initial))
 
     def record(self, t: float, value: float) -> None:
-        last_t, last_v = self._points[-1]
+        tv = self._tv
+        last_t = tv[-2]
         if t < last_t:
             raise ValueError(f"time went backwards: {t} < {last_t}")
-        if value == last_v:
+        if value == tv[-1]:
             return
-        self._points.append((t, value))
+        tv.extend((t, value))
 
     def value_at(self, t: float) -> float:
-        value = self._points[0][1]
-        for pt, pv in self._points:
+        tv = self._tv
+        value = tv[1]
+        for pt, pv in zip(tv[0::2], tv[1::2]):
             if pt > t:
                 break
             value = pv
@@ -231,23 +243,25 @@ class TimeWeightedValue:
 
     def _segments(self, t0: float, t1: float):
         """Yield (duration, value) pieces covering [t0, t1]."""
-        points = self._points
-        for i, (pt, pv) in enumerate(points):
+        tv = self._tv
+        times = tv[0::2]
+        ends = times[1:]
+        ends.append(t1)
+        for pt, pv, end in zip(times, tv[1::2], ends):
             seg_start = max(pt, t0)
-            seg_end = points[i + 1][0] if i + 1 < len(points) else t1
-            seg_end = min(seg_end, t1)
+            seg_end = min(end, t1)
             if seg_end > seg_start:
                 yield seg_end - seg_start, pv
 
     def average(self, t0: float, t1: float) -> float:
         if t1 <= t0:
             return self.value_at(t0)
-        points = self._points
-        if len(points) > 4096:
+        tv = self._tv
+        if len(tv) > 2 * 4096:
             # long runs accumulate one point per state change (hundreds
             # of thousands at 1M requests); integrate the step function
             # as three array ops instead of a Python generator sweep
-            arr = np.asarray(points)
+            arr = np.array(tv).reshape(-1, 2)
             starts = np.maximum(arr[:, 0], t0)
             ends = np.empty_like(starts)
             ends[:-1] = starts[1:]
@@ -268,30 +282,31 @@ class TimeWeightedValue:
         # construction, so the current value of each can be carried
         # along instead of re-scanning from the head per interval;
         # the accumulated terms (and their order) are unchanged.
-        mine, theirs = self._points, mask._points
+        mine_t, mine_v = self._tv[0::2], self._tv[1::2]
+        theirs_t, theirs_v = mask._tv[0::2], mask._tv[1::2]
         bounds = (t0, t1)
         i = j = k = 0
-        cur_self = mine[0][1]
-        cur_mask = theirs[0][1]
+        cur_self = mine_v[0]
+        cur_mask = theirs_v[0]
         weighted = 0.0
         duration = 0.0
         prev: float | None = None
         prev_self = prev_mask = 0.0
-        while i < len(mine) or j < len(theirs) or k < len(bounds):
+        while i < len(mine_t) or j < len(theirs_t) or k < len(bounds):
             t = math.inf
-            if i < len(mine):
-                t = mine[i][0]
-            if j < len(theirs) and theirs[j][0] < t:
-                t = theirs[j][0]
+            if i < len(mine_t):
+                t = mine_t[i]
+            if j < len(theirs_t) and theirs_t[j] < t:
+                t = theirs_t[j]
             if k < len(bounds) and bounds[k] < t:
                 t = bounds[k]
             # absorb every point at exactly t (later points win, as in
             # value_at)
-            while i < len(mine) and mine[i][0] == t:
-                cur_self = mine[i][1]
+            while i < len(mine_t) and mine_t[i] == t:
+                cur_self = mine_v[i]
                 i += 1
-            while j < len(theirs) and theirs[j][0] == t:
-                cur_mask = theirs[j][1]
+            while j < len(theirs_t) and theirs_t[j] == t:
+                cur_mask = theirs_v[j]
                 j += 1
             while k < len(bounds) and bounds[k] == t:
                 k += 1

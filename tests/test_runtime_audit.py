@@ -3,10 +3,13 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.runtime.audit import AuditEvent, AuditLog
 from repro.runtime.controller import SystemController
 from repro.runtime.defrag import DefragmentingController
+from repro.sim.chaos import run_scenario, standard_scenarios
+from tests.reference_audit import ReferenceAuditLog
 
 
 class TestAuditLog:
@@ -112,3 +115,81 @@ class TestControllerIntegration:
                           if e.event is AuditEvent.MIGRATE]
             assert len(migrations) == controller.migrations_performed
             assert all(e.detail["pause_s"] > 0 for e in migrations)
+
+
+def _assert_same_log(log: AuditLog, ref: ReferenceAuditLog) -> None:
+    """Every query of the column log equals the entry-list oracle's."""
+    entries = ref.entries()
+    assert len(log) == len(ref)
+    assert log.entries() == entries
+    assert log.to_jsonl() == ref.to_jsonl()
+    assert log.counts() == ref.counts()
+    assert list(log.counts()) == list(ref.counts())
+    assert log.live_requests() == ref.live_requests()
+    for tenant in {e.tenant for e in entries} | {"nobody"}:
+        assert log.by_tenant(tenant) == ref.by_tenant(tenant)
+    for rid in {e.request_id for e in entries} | {-7}:
+        assert log.by_request(rid) == ref.by_request(rid)
+    times = sorted({e.time_s for e in entries})
+    for t0, t1 in zip(times[::3], times[2::3]):
+        assert log.window(t0, t1) == ref.window(t0, t1)
+
+
+class TestColumnsMatchEntryList:
+    """The column store against the one-entry-per-record log it
+    replaced (``tests/reference_audit.py``)."""
+
+    @pytest.mark.parametrize("scenario",
+                             ["rack-outage", "rack-outage-defrag"])
+    def test_chaos_run_replays_identically(self, monkeypatch, scenario):
+        calls, logs = [], []
+        record = AuditLog.record
+
+        def recording(self, *args, **detail):
+            entry = record(self, *args, **detail)
+            calls.append((args, dict(detail), entry))
+            if not logs or logs[-1] is not self:
+                logs.append(self)
+            return entry
+
+        monkeypatch.setattr(AuditLog, "record", recording)
+        [chosen] = [s for s in standard_scenarios()
+                    if s.name == scenario]
+        run_scenario(chosen)
+        [log] = logs
+        seen = {args[1] for args, _, _ in calls}
+        # the run logged placements, rejects, faults and evictions
+        assert {AuditEvent.DEPLOY, AuditEvent.RELEASE, AuditEvent.REJECT,
+                AuditEvent.FAIL, AuditEvent.EVICT,
+                AuditEvent.REPAIR} <= seen
+        ref = ReferenceAuditLog()
+        for args, detail, entry in calls:
+            assert ref.record(*args, **detail) == entry
+        _assert_same_log(log, ref)
+
+    @given(st.lists(st.tuples(
+        st.floats(-3.0, 6.0, allow_nan=False),
+        st.sampled_from(list(AuditEvent)),
+        st.integers(-1, 4),
+        st.sampled_from(["alice", "bob", "-"]),
+        st.sampled_from([
+            {}, {"app": "x"}, {"app": "y", "was_guest": True},
+            {"board": 3, "victims": 2},
+            {"app": "x", "boards": [0, 1], "blocks": 4, "spans": True,
+             "reconfig_s": 0.25},
+            {"reported_t": 1.5}])),
+        max_size=30), st.booleans())
+    def test_random_streams_incl_clamps(self, records, strict):
+        """Backwards times clamp (and add ``reported_t`` after the
+        caller's keys) or raise in strict mode, identically."""
+        log, ref = AuditLog(strict=strict), ReferenceAuditLog(strict)
+        for time_s, event, rid, tenant, detail in records:
+            outcomes = []
+            for target in (log, ref):
+                try:
+                    outcomes.append(target.record(
+                        time_s, event, rid, tenant, **detail))
+                except ValueError as err:
+                    outcomes.append(str(err))
+            assert outcomes[0] == outcomes[1]
+        _assert_same_log(log, ref)

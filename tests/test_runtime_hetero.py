@@ -4,10 +4,12 @@ import pytest
 
 from repro.cluster.cluster import FPGACluster, make_cluster, \
     make_heterogeneous_cluster
+from repro.compiler.relocation import RelocationError
 from repro.hls.kernels import benchmark
 from repro.runtime.hetero import HeterogeneousController, \
     HeterogeneousStack
 from repro.runtime.isolation import verify_isolation
+from repro.runtime.types import Placement
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +176,40 @@ class TestHeterogeneousStack:
         alien = dataclasses.replace(app, footprint="unknown-device")
         with pytest.raises(ValueError, match="matches no board group"):
             controller.register(alien)
+
+
+class TestRelocationMemo:
+    """The controller memoises relocation checks per (image, board
+    kind, block index); a kind is a board's block signature."""
+
+    def test_clones_of_one_partition_share_a_kind(self, hetero_cluster):
+        homogeneous = HeterogeneousController(make_cluster(num_boards=6))
+        assert len(set(homogeneous._board_kind)) == 1
+        kinds = HeterogeneousController(hetero_cluster)._board_kind
+        assert kinds[0] == kinds[1] != kinds[2] == kinds[3]
+
+    def test_incompatible_kind_still_raises(self, hetero_cluster,
+                                            cluster):
+        from repro.compiler.flow import CompilationFlow
+        controller = HeterogeneousController(hetero_cluster)
+        # an XCVU37P-group artifact (boards 0 and 1)
+        app = CompilationFlow(fabric=cluster.partition).compile(
+            benchmark("vgg16", "S"))
+        controller.register(app)
+        memo = controller._reloc_checked
+
+        def place(request_id, board):
+            return controller._finalize_deploy(
+                app, request_id, 0.0, "t",
+                Placement(mapping={0: (board, 0)}), [board])
+
+        assert place(1, 0) is not None
+        assert len(memo) == 1
+        assert place(2, 1) is not None    # same kind: a memo hit
+        assert len(memo) == 1
+        # same image, same block index, the other kind: the memoised
+        # success must not vouch for it
+        with pytest.raises(RelocationError, match="incompatible"):
+            place(3, 2)
+        assert len(memo) == 1
+        assert set(controller.deployments) == {1, 2}

@@ -1,12 +1,14 @@
 """Tests for the event queue and time-weighted statistics."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.events import ArrayEventQueue, TimeWeightedValue
-from tests.reference_events import ReferenceEventQueue
+from tests.reference_events import ReferenceEventQueue, \
+    ReferenceTimeWeightedValue
 
 
 class TestEventQueue:
@@ -253,7 +255,11 @@ class TestTimeWeightedValue:
     def test_duplicate_value_coalesced(self):
         v = TimeWeightedValue(initial=2.0)
         v.record(1.0, 2.0)
-        assert len(v._points) == 1
+        # no breakpoint was added at t=1: the last one is still t=0, so
+        # an earlier time is not "backwards" and takes effect from 0.5
+        v.record(0.5, 5.0)
+        assert v.value_at(0.7) == 5.0
+        assert v.average(0, 1) == pytest.approx(3.5)
 
     def test_average_where_mask(self):
         value = TimeWeightedValue(initial=10.0)
@@ -285,3 +291,82 @@ class TestTimeWeightedValue:
             values.append(value)
         avg = v.average(0, t + 1)
         assert min(values) - 1e-9 <= avg <= max(values) + 1e-9
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+#: (time step, value) pairs: equal times, repeated values (dedup),
+#: integer counts and fractional levels; a negative step goes backwards
+_steps = st.lists(st.tuples(
+    st.one_of(st.just(0.0), st.just(-1.0),
+              st.floats(0.0, 50.0, allow_nan=False),
+              st.integers(0, 5)),
+    st.one_of(st.integers(0, 6),
+              st.floats(0.0, 64.0, allow_nan=False))),
+    max_size=40)
+_windows = st.lists(st.tuples(st.floats(-5.0, 400.0, allow_nan=False),
+                              st.floats(-5.0, 400.0, allow_nan=False)),
+                    min_size=1, max_size=6)
+
+
+def _replay(steps, initial=0.0):
+    """Feed ``steps`` to the production and the tuple-list step
+    function; a backwards step must be refused by both, alike."""
+    mine = TimeWeightedValue(initial=initial)
+    theirs = ReferenceTimeWeightedValue(initial=initial)
+    t = 0.0
+    for dt, value in steps:
+        t = t + dt
+        outcomes = []
+        for fn in (mine.record, theirs.record):
+            try:
+                fn(t, value)
+                outcomes.append(None)
+            except ValueError as err:
+                outcomes.append(str(err).split(":")[0])
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0] is not None:
+            t -= dt
+    return mine, theirs, t
+
+
+class TestTimeWeightedValueMatchesTupleList:
+    """The flat double column against the tuple list it replaced:
+    every float bit-equal, every ``value_at`` equal."""
+
+    @given(_steps, _steps, _windows, st.integers(0, 3))
+    def test_random_histories(self, steps, mask_steps, windows,
+                              initial):
+        mine, theirs, end = _replay(steps, initial)
+        mask, mask_ref, _ = _replay(mask_steps)
+        for t0, t1 in windows + [(0.0, end + 1.0), (end, end)]:
+            assert _bits(mine.average(t0, t1)) \
+                == _bits(theirs.average(t0, t1))
+            assert _bits(mine.average_where(mask, t0, t1)) \
+                == _bits(theirs.average_where(mask_ref, t0, t1))
+            assert mine.value_at(t0) == theirs.value_at(t0)
+            assert mine.value_at(t1) == theirs.value_at(t1)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_numpy_path_above_4096_points(self, seed):
+        """Long histories take the array integration; a run's three
+        series record integer counts and fractional levels."""
+        rng = random.Random(seed)
+        steps = [(rng.choice([0.0, rng.expovariate(2.0)]),
+                  rng.randrange(40) if rng.random() < 0.7
+                  else rng.random() * 40)
+                 for _ in range(9000)]
+        mine, theirs, end = _replay(steps)
+        mask, mask_ref, _ = _replay(
+            [(rng.expovariate(1.0), rng.randrange(3))
+             for _ in range(6000)])
+        assert len(theirs._points) > 4096
+        for t0, t1 in [(0.0, end), (rng.random() * end, end),
+                       (end / 3, 2 * end / 3), (0.0, end * 2)]:
+            assert _bits(mine.average(t0, t1)) \
+                == _bits(theirs.average(t0, t1))
+            assert _bits(mine.average_where(mask, t0, t1)) \
+                == _bits(theirs.average_where(mask_ref, t0, t1))
+            assert mine.value_at(t1 / 2) == theirs.value_at(t1 / 2)
