@@ -7,11 +7,13 @@ is the starting point of every System-Layer experiment and example.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from repro.cluster.board import FPGABoard
 from repro.cluster.network import RingNetwork
 from repro.cluster.reconfig import Reconfigurer
+from repro.fabric.device import Die, FPGADevice
 from repro.fabric.devices import device_by_name, make_xcvu37p
 from repro.fabric.partition import FabricPartition, PartitionPlanner
 
@@ -101,21 +103,34 @@ class FPGACluster:
                 f"{self.total_blocks} physical blocks")
 
 
+def _twin(device: FPGADevice) -> FPGADevice:
+    """An identical device of its own: fresh :class:`Die` objects over
+    the same (immutable) column tuples, and the package capacity carried
+    over -- ``copy.copy`` does not run ``__post_init__``, which would
+    hash every die's column tuple again to sum it."""
+    twin = copy.copy(device)
+    twin.dies = [Die(die.index, die.columns, die.tile_rows,
+                     die.clock_region_rows) for die in device.dies]
+    return twin
+
+
 def make_cluster(num_boards: int = 4,
                  partition: FabricPartition | None = None) -> FPGACluster:
     """Build the paper's evaluation platform.
 
     The fabric partition is planned once (the Section 5.3 DSE runs for
     board 0 only) and cloned onto every other board -- they are
-    identical devices, each with its own :class:`FPGADevice` instance;
-    pass ``partition`` to experiment with other partitions.
+    identical devices, each with its own :class:`FPGADevice` instance,
+    all twins of one XCVU37P built here (one column tuple, one capacity
+    sum); pass ``partition`` to experiment with other partitions.
     """
+    device = make_xcvu37p()
     if partition is None:
-        partition = PartitionPlanner(make_xcvu37p()).plan()
+        partition = PartitionPlanner(device).plan()
     boards = []
     for board_id in range(num_boards):
         part = partition if board_id == 0 \
-            else partition.clone_for(make_xcvu37p())
+            else partition.clone_for(_twin(device))
         boards.append(FPGABoard(board_id=board_id, device=part.device,
                                 partition=part))
     return FPGACluster(

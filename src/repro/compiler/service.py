@@ -34,9 +34,7 @@ byte, modulo the ``cache.*`` lookup events.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,7 +49,14 @@ __all__ = ["CompileService", "POOL_MIN_MISSES", "pool_workers"]
 
 
 def _mp_context():
-    """Fork when the platform has it (cheap, no re-import); else spawn."""
+    """Fork when the platform has it (cheap, no re-import); else spawn.
+
+    ``multiprocessing`` and ``concurrent.futures`` are imported where a
+    pool is built, not with this module: only a cache miss with
+    ``jobs > 1`` uses them, and a warm ``repro simulate`` would pay
+    their import on every invocation.
+    """
+    import multiprocessing
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -221,6 +226,8 @@ class CompileService:
     # ------------------------------------------------------------------
     def _compile_parallel(self, specs: list[KernelSpec],
                           jobs: int) -> dict[str, CompiledApp]:
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(jobs, len(specs))
         with ProcessPoolExecutor(
                 max_workers=workers, mp_context=_mp_context(),

@@ -11,7 +11,8 @@ workloads, which allocate at deploy time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from typing import NamedTuple
 
 __all__ = ["ProtectionError", "MemorySegment", "VirtualMemory"]
 
@@ -23,9 +24,13 @@ class ProtectionError(RuntimeError):
     """A tenant touched memory outside its allocation."""
 
 
-@dataclass(frozen=True, slots=True)
-class MemorySegment:
-    """A contiguous physical range owned by one tenant."""
+class MemorySegment(NamedTuple):
+    """A contiguous physical range owned by one tenant.
+
+    An immutable value; a named tuple rather than a frozen dataclass
+    because every deployment maps one per board it touches, and the
+    tuple builds in about a third of the time.
+    """
 
     tenant: str
     virt_base: int
@@ -49,7 +54,18 @@ def _round_up(value: int, granularity: int) -> int:
 
 
 class VirtualMemory:
-    """Per-board translation unit with first-fit physical allocation."""
+    """Per-board translation unit with first-fit physical allocation.
+
+    Beside the per-tenant segment lists it keeps what allocation reads:
+    the span index -- every live segment's physical start and end, as
+    two address-ordered lists ``_starts`` / ``_ends`` -- and ``_held``,
+    each tenant's mapped bytes (the next segment's virtual base).
+    ``allocate`` is one first-fit walk over the index, which also finds
+    where the new span goes; ``release_segment`` removes the given
+    segment object (by identity) and bisects its span out.  The
+    rebuild-and-sort allocator this replaced is
+    ``tests/reference_dram.py``.
+    """
 
     def __init__(self, capacity_bytes: int,
                  page_bytes: int = PAGE_BYTES) -> None:
@@ -58,6 +74,11 @@ class VirtualMemory:
         self.capacity_bytes = capacity_bytes
         self.page_bytes = page_bytes
         self._segments: dict[str, list[MemorySegment]] = {}
+        #: physical [start, end) of every live segment, start-ordered
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+        #: tenant -> bytes its live segments map
+        self._held: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # allocation
@@ -67,32 +88,53 @@ class VirtualMemory:
         if size_bytes <= 0:
             raise ValueError("allocation must be positive")
         length = _round_up(size_bytes, self.page_bytes)
-        phys_base = self._find_gap(length)
+        phys_base, at = self._find_gap(length)
         if phys_base is None:
             raise MemoryError(
                 f"DRAM exhausted: {length} bytes requested, "
                 f"{self.free_bytes()} contiguous-free not available")
-        virt_base = sum(s.length for s in self._segments.get(tenant, []))
-        segment = MemorySegment(tenant=tenant, virt_base=virt_base,
-                                phys_base=phys_base, length=length)
-        self._segments.setdefault(tenant, []).append(segment)
+        held = self._held.get(tenant, 0)
+        segment = MemorySegment(tenant, held, phys_base, length)
+        owned = self._segments.get(tenant)
+        if owned is None:
+            self._segments[tenant] = [segment]
+        else:
+            owned.append(segment)
+        self._held[tenant] = held + length
+        self._starts.insert(at, phys_base)
+        self._ends.insert(at, phys_base + length)
         return segment
 
     def release(self, tenant: str) -> None:
         """Free everything the tenant owns (idempotent)."""
-        self._segments.pop(tenant, None)
+        for segment in self._segments.pop(tenant, ()):
+            self._drop_span(segment)
+        self._held.pop(tenant, None)
 
     def release_segment(self, segment: MemorySegment) -> None:
         """Free one specific segment (a tenant with several deployments
         keeps the others); idempotent."""
-        owned = self._segments.get(segment.tenant)
+        tenant = segment.tenant
+        owned = self._segments.get(tenant)
         if not owned:
             return
-        remaining = [s for s in owned if s != segment]
-        if remaining:
-            self._segments[segment.tenant] = remaining
+        for i, candidate in enumerate(owned):
+            if candidate is segment:
+                break
         else:
-            del self._segments[segment.tenant]
+            return
+        del owned[i]
+        self._drop_span(segment)
+        if owned:
+            self._held[tenant] -= segment.length
+        else:
+            del self._segments[tenant]
+            del self._held[tenant]
+
+    def _drop_span(self, segment: MemorySegment) -> None:
+        at = bisect_left(self._starts, segment.phys_base)
+        del self._starts[at]
+        del self._ends[at]
 
     # ------------------------------------------------------------------
     # translation / protection
@@ -123,14 +165,15 @@ class VirtualMemory:
         return list(self._segments)
 
     def used_bytes(self) -> int:
-        return sum(s.length for segs in self._segments.values()
-                   for s in segs)
+        return sum(self._held.values())
 
     def free_bytes(self) -> int:
         return self.capacity_bytes - self.used_bytes()
 
     def check_isolation(self) -> None:
-        """Assert no two segments overlap physically (defense in depth)."""
+        """Assert no two segments overlap physically (defense in depth),
+        rescanning the segments themselves, and that the span index and
+        byte totals allocation reads agree with them."""
         spans = sorted(
             (s.phys_base, s.phys_end, s.tenant)
             for segs in self._segments.values() for s in segs)
@@ -140,21 +183,24 @@ class VirtualMemory:
                 raise ProtectionError(
                     f"segments of {a_t!r} and {b_t!r} overlap "
                     f"at {b_start:#x}")
+        if list(zip(self._starts, self._ends)) \
+                != [(start, end) for start, end, _ in spans]:
+            raise ProtectionError("span index diverges from the segments")
+        held = {tenant: sum(s.length for s in segs)
+                for tenant, segs in self._segments.items()}
+        if self._held != held:
+            raise ProtectionError(
+                "per-tenant byte totals diverge from the segments")
 
     # ------------------------------------------------------------------
-    def _find_gap(self, length: int) -> int | None:
-        """First-fit search for a free physical range."""
-        spans = [(s.phys_base, s.phys_end)
-                 for segs in self._segments.values() for s in segs]
-        if not spans:
-            return 0 if self.capacity_bytes >= length else None
-        if len(spans) > 1:
-            spans.sort()
+    def _find_gap(self, length: int) -> tuple[int | None, int]:
+        """First-fit search for a free physical range: ``(its start, its
+        position in the span index)``, start ``None`` when none fits."""
         cursor = 0
-        for start, end in spans:
+        for at, start in enumerate(self._starts):
             if start - cursor >= length:
-                return cursor
-            cursor = max(cursor, end)
+                return cursor, at
+            cursor = self._ends[at]
         if self.capacity_bytes - cursor >= length:
-            return cursor
-        return None
+            return cursor, len(self._starts)
+        return None, 0

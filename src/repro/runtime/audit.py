@@ -92,28 +92,31 @@ class AuditLog:
         self._shapes: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
-    def record(self, time_s: float, event: AuditEvent, request_id: int,
-               tenant: str, **detail) -> AuditEntry:
+    def append(self, time_s: float, event: AuditEvent, request_id: int,
+               tenant: str, **detail) -> None:
+        """Log one record: one value onto each column, no entry built
+        (the runtime's own writes; :meth:`record` also returns it)."""
         times = self._time
         if times and time_s < times[-1]:
             if self.strict:
                 raise ValueError(
                     f"audit time went backwards: {time_s} < "
                     f"{times[-1]}")
-            detail = dict(detail, reported_t=time_s)
+            detail["reported_t"] = time_s
             time_s = times[-1]
         keys = tuple(detail)
-        sequence = len(times)
         times.append(time_s)
         self._event.append(event)
         self._request.append(request_id)
         self._tenant.append(tenant)
         self._keys.append(self._shapes.setdefault(keys, keys))
         self._values.append(tuple(detail.values()))
-        # ``detail`` is this call's own kwargs dict -- fresh per call,
-        # so the returned entry may own it
-        return AuditEntry(sequence, time_s, event, request_id, tenant,
-                          detail)
+
+    def record(self, time_s: float, event: AuditEvent, request_id: int,
+               tenant: str, **detail) -> AuditEntry:
+        """:meth:`append`, returning the entry as logged."""
+        self.append(time_s, event, request_id, tenant, **detail)
+        return self._entry(len(self._time) - 1)
 
     def _entry(self, row: int) -> AuditEntry:
         return AuditEntry(row, self._time[row], self._event[row],

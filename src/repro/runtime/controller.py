@@ -57,13 +57,6 @@ DRAM_DEMAND_GBPS_PER_BLOCK = 18.0
 MIGRATION_DMA_BYTES_PER_S = 12e9
 
 
-@dataclass(slots=True)
-class _ServiceModel:
-    service_time_s: float
-    comm_slowdown: float
-    latency_overhead_s: float
-
-
 @dataclass(frozen=True, slots=True)
 class _Allocatable:
     """The boards a placement may use right now: in service, not
@@ -232,7 +225,7 @@ class SystemController(ClusterManager):
         if self.guard is not None:
             self.guard.advance(now)
         if not self._within_quota(tenant, app.num_blocks):
-            self.audit.record(now, AuditEvent.REJECT, request_id,
+            self.audit.append(now, AuditEvent.REJECT, request_id,
                               tenant, app=app_name,
                               reason="quota-exceeded")
             if tracer:
@@ -249,7 +242,7 @@ class SystemController(ClusterManager):
         view = self._allocatable_for(app)
         placement = self._place(app, view)
         if placement is None:
-            self.audit.record(now, AuditEvent.REJECT, request_id,
+            self.audit.append(now, AuditEvent.REJECT, request_id,
                               tenant, app=app_name,
                               reason="no-free-blocks")
             if tracer:
@@ -532,13 +525,12 @@ class SystemController(ClusterManager):
         checked = self._reloc_checked
         board_kind = self._board_kind
         images = app.images
-        for vb, address in placement.mapping.items():
+        for vb, (board, index) in placement.mapping.items():
             image = images[vb]
-            board, index = address
             key = (id(image), board_kind[board], index)
             if checked.get(key) is not image:
-                self.relocator.relocate(image,
-                                        self.cluster.block_at(address))
+                self.relocator.relocate(
+                    image, self.cluster.block_at((board, index)))
                 if len(checked) >= 1 << 16:
                     checked.clear()
                 checked[key] = image
@@ -550,7 +542,7 @@ class SystemController(ClusterManager):
             # roll back so a transient DRAM shortage cannot leak blocks;
             # the request simply waits like any other resource shortage
             self.resource_db.release(request_id)
-            self.audit.record(now, AuditEvent.REJECT, request_id,
+            self.audit.append(now, AuditEvent.REJECT, request_id,
                               tenant, app=app.name,
                               reason="dram-exhausted")
             if self.tracer:
@@ -568,10 +560,13 @@ class SystemController(ClusterManager):
         self._attach_dram_demand(tenant, placement)
         # model first (contention_factor counts the prospective flow),
         # then register the flow so later arrivals see it
-        model = self._service_model(app, placement)
-        if placement.spans_boards:
+        boards = placement.boards
+        spans = len(boards) > 1
+        service_s, slowdown, overhead_s = self._service_model(
+            app, placement)
+        if spans:
             self.cluster.network.register_flow(
-                self._flow_key(request_id), placement.boards)
+                self._flow_key(request_id), boards)
         deployment = Deployment(
             request_id=request_id,
             app=app,
@@ -579,35 +574,30 @@ class SystemController(ClusterManager):
             placement=placement,
             deployed_at=now,
             reconfig_time_s=reconfig,
-            service_time_s=model.service_time_s,
-            comm_slowdown=model.comm_slowdown,
-            latency_overhead_s=model.latency_overhead_s,
+            service_time_s=service_s,
+            comm_slowdown=slowdown,
+            latency_overhead_s=overhead_s,
         )
         self._track_deployment(deployment)
-        self._refresh_fragmentation()
-        boards = placement.boards
+        if self._frag_gauge is not None:
+            self._refresh_fragmentation()
         blocks = len(placement.mapping)
-        spans = len(boards) > 1
         app_name = app.name
-        self.audit.record(
+        self.audit.append(
             now, AuditEvent.DEPLOY, request_id, tenant,
             app=app_name, boards=boards, blocks=blocks, spans=spans,
             reconfig_s=round(reconfig, 6))
         if self.tracer:
-            by_board: dict[int, int] = {}
-            for board, _ in placement.mapping.values():
-                by_board[board] = by_board.get(board, 0) + 1
             self.tracer.event(
                 "ctrl.deploy", t=now, request=request_id,
                 tenant=tenant, app=app_name, reason="placed",
                 boards=boards, blocks=blocks, spans=spans,
-                # one pass over this placement's own addresses: the
-                # timeline aggregator needs per-board counts to keep
-                # occupancy incremental, and the cost is O(app blocks),
-                # not O(cluster boards)
-                blocks_by_board=sorted(by_board.items()),
+                # the placement's own fold: the timeline aggregator
+                # needs per-board counts to keep occupancy incremental,
+                # and the cost is O(app blocks), not O(cluster boards)
+                blocks_by_board=placement.per_board,
                 reconfig_s=reconfig,
-                comm_slowdown=model.comm_slowdown,
+                comm_slowdown=slowdown,
                 # the candidate set is the boards considered; per-board
                 # free counts would cost O(boards) per deployment
                 candidates=candidates)
@@ -626,7 +616,7 @@ class SystemController(ClusterManager):
                 f"request {deployment.request_id} is not deployed")
         self._teardown(deployment)
         app_name = deployment.app.name
-        self.audit.record(now, AuditEvent.RELEASE,
+        self.audit.append(now, AuditEvent.RELEASE,
                           deployment.request_id, deployment.tenant,
                           app=app_name)
         if self.tracer:
@@ -638,14 +628,18 @@ class SystemController(ClusterManager):
 
     def _teardown(self, deployment: Deployment) -> None:
         """Free everything one deployment holds, exactly once."""
-        self.resource_db.release(deployment.request_id)
-        self.cluster.network.release_flow(
-            self._flow_key(deployment.request_id))
-        self._release_memory(deployment.request_id)
-        self._detach_dram_demand(deployment.tenant,
-                                 deployment.placement)
+        request_id = deployment.request_id
+        placement = deployment.placement
+        self.resource_db.release(request_id)
+        # a ring flow exists exactly for a spanning placement: every
+        # path that installs a placement registers one iff it spans
+        if placement.spans_boards:
+            self.cluster.network.release_flow(self._flow_key(request_id))
+        self._release_memory(request_id)
+        self._detach_dram_demand(deployment.tenant, placement)
         self._untrack_deployment(deployment)
-        self._refresh_fragmentation()
+        if self._frag_gauge is not None:
+            self._refresh_fragmentation()
 
     # ------------------------------------------------------------------
     # failure handling (fault model)
@@ -669,14 +663,14 @@ class SystemController(ClusterManager):
             (d for d in self.deployments.values()
              if board_id in d.placement.boards),
             key=lambda d: d.deployed_at)
-        self.audit.record(now, AuditEvent.FAIL, -1, "-",
+        self.audit.append(now, AuditEvent.FAIL, -1, "-",
                           board=board_id, victims=len(victims))
         if self.tracer:
             self.tracer.event("ctrl.board_fail", t=now, board=board_id,
                               victims=[d.request_id for d in victims])
         for deployment in victims:
             self._teardown(deployment)
-            self.audit.record(now, AuditEvent.EVICT,
+            self.audit.append(now, AuditEvent.EVICT,
                               deployment.request_id, deployment.tenant,
                               app=deployment.app.name,
                               reason=f"board-{board_id}-failed")
@@ -710,7 +704,7 @@ class SystemController(ClusterManager):
         self.resource_db.set_board_repaired(board_id)
         self._refresh_allocatable()
         self._refresh_fragmentation()
-        self.audit.record(now, AuditEvent.REPAIR, -1, "-",
+        self.audit.append(now, AuditEvent.REPAIR, -1, "-",
                           board=board_id)
         if self.tracer:
             self.tracer.event("ctrl.board_repair", t=now,
@@ -743,7 +737,7 @@ class SystemController(ClusterManager):
                                       deployment.request_id, now,
                                       tenant=deployment.tenant)
         if replacement is not None:
-            self.audit.record(now, AuditEvent.RECOVER,
+            self.audit.append(now, AuditEvent.RECOVER,
                               deployment.request_id,
                               deployment.tenant,
                               app=deployment.app.name,
@@ -874,24 +868,22 @@ class SystemController(ClusterManager):
         self.migration_pause_s += pause
         self._refresh_fragmentation()
         from_boards = old_placement.boards
-        self.audit.record(now, AuditEvent.MIGRATE, request_id,
+        to_boards = placement.boards
+        self.audit.append(now, AuditEvent.MIGRATE, request_id,
                           deployment.tenant,
                           app=deployment.app.name, reason=reason,
                           from_boards=from_boards,
-                          to_boards=placement.boards,
+                          to_boards=to_boards,
                           pause_s=round(pause, 6))
         if self.tracer:
-            by_board: dict[int, int] = {}
-            for board, _ in placement.mapping.values():
-                by_board[board] = by_board.get(board, 0) + 1
             self.tracer.event(
                 "ctrl.migrate", t=now, request=request_id,
                 tenant=deployment.tenant, app=deployment.app.name,
                 reason=reason, from_boards=from_boards,
-                boards=placement.boards,
-                to_boards=placement.boards,
+                boards=to_boards,
+                to_boards=to_boards,
                 blocks=len(placement.mapping),
-                blocks_by_board=sorted(by_board.items()),
+                blocks_by_board=placement.per_board,
                 spans=placement.spans_boards,
                 dram_bytes=state.dram_bytes,
                 fifo_beats=state.fifo_beats,
@@ -957,35 +949,35 @@ class SystemController(ClusterManager):
         deployment-scoped release path.
         """
         granted: list[tuple[int, object]] = []
+        memories = self.memories
         try:
-            for board in placement.boards:
-                blocks_here = len(placement.blocks_on(board))
-                segment = self.memories[board].allocate(
-                    tenant, blocks_here * DRAM_BYTES_PER_BLOCK)
-                granted.append((board, segment))
+            for board, blocks in placement.per_board:
+                granted.append((board, memories[board].allocate(
+                    tenant, blocks * DRAM_BYTES_PER_BLOCK)))
         except MemoryError:
             for board, segment in granted:
-                self.memories[board].release_segment(segment)
+                memories[board].release_segment(segment)
             raise
         return granted
 
     def _release_memory(self, request_id: int) -> None:
+        memories = self.memories
         for board, segment in self._segments_of.pop(request_id, ()):
-            self.memories[board].release_segment(segment)
+            memories[board].release_segment(segment)
 
     def _attach_dram_demand(self, tenant: str,
                             placement: Placement) -> None:
-        for board in placement.boards:
-            blocks_here = len(placement.blocks_on(board))
-            self.dram_arbiters[board].add_demand(
-                tenant, blocks_here * DRAM_DEMAND_GBPS_PER_BLOCK)
+        arbiters = self.dram_arbiters
+        for board, blocks in placement.per_board:
+            arbiters[board].add_demand(
+                tenant, blocks * DRAM_DEMAND_GBPS_PER_BLOCK)
 
     def _detach_dram_demand(self, tenant: str,
                             placement: Placement) -> None:
-        for board in placement.boards:
-            blocks_here = len(placement.blocks_on(board))
-            self.dram_arbiters[board].remove_demand(
-                tenant, blocks_here * DRAM_DEMAND_GBPS_PER_BLOCK)
+        arbiters = self.dram_arbiters
+        for board, blocks in placement.per_board:
+            arbiters[board].remove_demand(
+                tenant, blocks * DRAM_DEMAND_GBPS_PER_BLOCK)
 
     def _reconfig_time(self, app: CompiledApp, placement: Placement,
                        now: float = 0.0, request_id: int = -1,
@@ -1004,9 +996,10 @@ class SystemController(ClusterManager):
         reconfigurer = self.cluster.reconfigurer
         guard = self.guard
         finish = now
-        for board in placement.boards:
-            duration = reconfigurer.partial_time_for_blocks(
-                app.images[0].size_mb, len(placement.blocks_on(board)))
+        size_mb = app.images[0].size_mb
+        for board, blocks in placement.per_board:
+            duration = reconfigurer.partial_time_for_blocks(size_mb,
+                                                            blocks)
             # a gray ICAP programs correctly, just slower -- every
             # attempt (including failed ones below) pays the multiplier
             multiplier = self._icap_multiplier.get(board)
@@ -1030,7 +1023,7 @@ class SystemController(ClusterManager):
                         backoff = self.reconfig_backoff_base_s \
                             * (2 ** attempt)
                     duration += per_attempt + backoff
-                    self.audit.record(
+                    self.audit.append(
                         now, AuditEvent.RETRY, request_id, tenant,
                         board=board, attempt=attempt + 1,
                         backoff_s=round(backoff, 6))
@@ -1047,15 +1040,15 @@ class SystemController(ClusterManager):
             finish = max(finish, start + duration)
         return finish - now
 
-    def _service_model(self, app: CompiledApp,
-                       placement: Placement) -> _ServiceModel:
+    def _service_model(self, app: CompiledApp, placement: Placement,
+                       ) -> tuple[float, float, float]:
+        """``(service time, comm slowdown, latency overhead)`` of
+        ``placement`` as admitted now."""
         base = app.service_time_s()
         mem_slowdown = self._dram_slowdown(placement)
         if not placement.spans_boards:
             service = base * mem_slowdown
-            return _ServiceModel(service_time_s=service,
-                                 comm_slowdown=1.0,
-                                 latency_overhead_s=service - base)
+            return service, 1.0, service - base
         ring = LINKS[LinkClass.INTER_FPGA]
         network = self.cluster.network
         # co-resident spanning flows contend for the busiest shared ring
@@ -1086,18 +1079,15 @@ class SystemController(ClusterManager):
             * mem_slowdown
         # pipeline fill/drain across the ring, once per job
         latency = 2 * max_hops * network.hop_latency_us * 1e-6
-        return _ServiceModel(
-            service_time_s=base * slowdown + latency,
-            comm_slowdown=slowdown,
-            latency_overhead_s=base * (slowdown - 1.0) + latency,
-        )
+        return (base * slowdown + latency, slowdown,
+                base * (slowdown - 1.0) + latency)
 
     def _dram_slowdown(self, placement: Placement) -> float:
         """Memory-contention slowdown at admission (optional model)."""
         if not self.model_dram_contention:
             return 1.0
         worst = 1.0
-        for board in placement.boards:
+        for board, _ in placement.per_board:
             arbiter = self.dram_arbiters[board]
             demand = arbiter.total_demand()
             if demand > arbiter.capacity_gbps:

@@ -350,7 +350,8 @@ class CommunicationAwarePolicy(AllocationPolicy):
                     - int(np.count_nonzero(counts >= needed)))
             blocks = blocks_of(board)
             return Placement(mapping={
-                vb: (board, blocks[vb]) for vb in range(needed)})
+                vb: (board, blocks[vb]) for vb in range(needed)},
+                _fold=((board, needed),))
         present_rows = np.nonzero(counts)[0]
         free_arr = counts[present_rows]
         boards = ids[present_rows].tolist()

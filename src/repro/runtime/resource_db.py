@@ -220,40 +220,55 @@ class ResourceDB:
     # ------------------------------------------------------------------
     def allocate(self, request_id: int,
                  addresses: list[BlockAddress]) -> None:
-        """Atomically claim ``addresses`` for ``request_id``."""
+        """Atomically claim ``addresses`` for ``request_id``.
+
+        Addresses are taken in runs of one board (a placement's blocks
+        come board by board, bar the odd split): each run looks its
+        owner row up once and writes the free-count vector once.
+        """
         if request_id < 0:
             raise ValueError(
                 f"request id {request_id} is negative; negative owner "
                 "values mark free and failed blocks")
         owner, row_of = self._owner, self._row_of
-        rows: list[int] = []
+        runs: list[tuple[int, list[int], list[int]]] = []
+        board_now = None
         for address in addresses:
             board, block = address
-            row = row_of[board]
-            cells = owner[row]
-            if not 0 <= block < len(cells):
+            if board != board_now:
+                board_now = board
+                row = row_of[board]
+                cells = owner[row]
+                size = len(cells)
+                blocks: list[int] = []
+                runs.append((row, cells, blocks))
+            if not 0 <= block < size:
                 raise KeyError(address)
             value = cells[block]
-            if value == FAILED:
-                raise RuntimeError(
-                    f"block {address} is on a failed board")
             if value != FREE:
+                if value == FAILED:
+                    raise RuntimeError(
+                        f"block {address} is on a failed board")
                 raise RuntimeError(
                     f"block {address} already allocated to "
                     f"request {value}")
-            rows.append(row)
+            blocks.append(block)
         claimed = set(addresses)
         if len(claimed) != len(addresses):
             raise RuntimeError(
                 f"request {request_id} lists a block twice")
-        for (_, block), row in zip(addresses, rows):
-            owner[row][block] = request_id
+        free_counts = self._free_counts
+        for row, cells, blocks in runs:
+            for block in blocks:
+                cells[block] = request_id
+            free_counts[row] -= len(blocks)
         owned = self._owned.get(request_id)
         if owned is None:
             self._owned[request_id] = claimed
         else:
             owned |= claimed
-        self._count(rows, -1)
+        self._total_free -= len(claimed)
+        self._allocated += len(claimed)
 
     def release(self, request_id: int) -> list[BlockAddress]:
         """Free every block of ``request_id``; error if it owns none."""
@@ -263,22 +278,23 @@ class ResourceDB:
                 f"request {request_id} owns no blocks to release")
         freed = sorted(owned)
         owner, row_of = self._owner, self._row_of
-        rows = [row_of[board] for board, _ in freed]
-        for (_, block), row in zip(freed, rows):
-            owner[row][block] = FREE
-        self._count(rows, +1)
+        free_counts = self._free_counts
+        # sorted, so each board's blocks are one run
+        board_now = row = None
+        run = 0
+        for board, block in freed:
+            if board != board_now:
+                if run:
+                    free_counts[row] += run
+                board_now, run = board, 0
+                row = row_of[board]
+                cells = owner[row]
+            cells[block] = FREE
+            run += 1
+        free_counts[row] += run
+        self._total_free += len(freed)
+        self._allocated -= len(freed)
         return freed
-
-    def _count(self, rows: list[int], sign: int) -> None:
-        """Move one block per entry of ``rows`` between the free and
-        allocated summaries, one ndarray write per board touched."""
-        per_row: dict[int, int] = {}
-        for row in rows:
-            per_row[row] = per_row.get(row, 0) + sign
-        for row, delta in per_row.items():
-            self._free_counts[row] += delta
-        self._total_free += sign * len(rows)
-        self._allocated -= sign * len(rows)
 
     def set_board_failed(self, board_id: int) -> None:
         """Take every block of ``board_id`` out of service.

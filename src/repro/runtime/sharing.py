@@ -75,7 +75,7 @@ class FunctionSharingController(SystemController):
             # a guest leaves: free its DRAM segments and registration
             # (the blocks stay with the host)
             self._guests[host].discard(request_id)
-            self.audit.record(now, AuditEvent.RELEASE, request_id,
+            self.audit.append(now, AuditEvent.RELEASE, request_id,
                               deployment.tenant,
                               app=deployment.app.name, was_guest=True)
             self._release_memory(request_id)
@@ -97,7 +97,7 @@ class FunctionSharingController(SystemController):
                                      deployment.placement)
             self.cluster.network.release_flow(
                 self._flow_key(request_id))
-            self.audit.record(now, AuditEvent.RELEASE, request_id,
+            self.audit.append(now, AuditEvent.RELEASE, request_id,
                               deployment.tenant,
                               app=deployment.app.name,
                               promoted_heir=heir)
@@ -127,7 +127,7 @@ class FunctionSharingController(SystemController):
         self._segments_of[request_id] = segments
         self._guests.setdefault(host, set()).add(request_id)
         self._shared_with[request_id] = host
-        self.audit.record(now, AuditEvent.DEPLOY, request_id, tenant,
+        self.audit.append(now, AuditEvent.DEPLOY, request_id, tenant,
                           app=app.name, shared_with=host)
 
         base = app.service_time_s()

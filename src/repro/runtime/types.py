@@ -27,13 +27,11 @@ class Placement:
 
     #: virtual block id -> physical block address
     mapping: dict[int, BlockAddress]
-    #: lazy ``boards`` memo -- placements are immutable in practice
-    #: (rebuilt, never edited in place), and the controller reads the
-    #: board list many times per deployment
-    _boards: "list[int] | None" = field(default=None, repr=False,
-                                        compare=False)
-    #: lazy board -> block-index grouping backing :meth:`blocks_on`
-    _by_board: "dict[int, list[int]] | None" = field(
+    #: lazy :attr:`per_board` memo -- placements are immutable in
+    #: practice (rebuilt, never edited in place); a constructor that
+    #: already knows the fold (the policy's single-board answer) may
+    #: pass it
+    _fold: "tuple[tuple[int, int], ...] | None" = field(
         default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
@@ -42,32 +40,37 @@ class Placement:
         return list(self.mapping.values())
 
     @property
+    def per_board(self) -> tuple[tuple[int, int], ...]:
+        """``(board, blocks hosted there)`` pairs in ascending board
+        order, folded once per placement.  Every per-board fact of a
+        deploy and release -- DRAM segments and demand, ICAP time, the
+        boards the audit and trace name -- is read off this fold."""
+        fold = self._fold
+        if fold is None:
+            counts: dict[int, int] = {}
+            for board, _ in self.mapping.values():
+                counts[board] = counts.get(board, 0) + 1
+            fold = self._fold = tuple(sorted(counts.items()))
+        return fold
+
+    @property
     def boards(self) -> list[int]:
-        cached = self._boards
-        if cached is None:
-            cached = self._boards = sorted(
-                {board for board, _ in self.mapping.values()})
-        return list(cached)
+        fold = self.per_board
+        # list() of a tuple comes out sized exactly, where a
+        # comprehension over-allocates: the audit log keeps one of these
+        # lists per deployment for the whole run
+        return list(next(zip(*fold))) if fold else []
 
     @property
     def num_boards(self) -> int:
-        cached = self._boards
-        if cached is None:
-            cached = self._boards = sorted(
-                {board for board, _ in self.mapping.values()})
-        return len(cached)
+        return len(self.per_board)
 
     @property
     def spans_boards(self) -> bool:
-        return self.num_boards > 1
+        return len(self.per_board) > 1
 
     def blocks_on(self, board: int) -> list[int]:
-        grouped = self._by_board
-        if grouped is None:
-            grouped = self._by_board = {}
-            for b, blk in self.mapping.values():
-                grouped.setdefault(b, []).append(blk)
-        return list(grouped.get(board, ()))
+        return [blk for b, blk in self.mapping.values() if b == board]
 
     def board_of(self, virtual_block: int) -> int:
         return self.mapping[virtual_block][0]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from typing import Any
 
 import numpy as np
@@ -277,13 +278,23 @@ class TimeWeightedValue:
         """Average of self over sub-intervals where ``mask`` > 0."""
         if t1 <= t0:
             return self.value_at(t0)
+        # the mask's values in force somewhere in [t0, t1): from the
+        # last point at or before t0 up to the last point before t1.
+        # None above zero selects no interval -- the sweep's empty sum
+        # -- so skip walking every breakpoint of self (an unqueued run's
+        # queue-length mask is one point)
+        mask_t = mask._tv[0::2]
+        lo = max(bisect_right(mask_t, t0) - 1, 0)
+        hi = max(bisect_left(mask_t, t1), lo + 1)
+        if max(mask._tv[2 * lo + 1:2 * hi:2]) <= 0:
+            return 0.0
         # One synchronized sweep over the merged breakpoints of both
         # step functions.  Both point lists are time-sorted by
         # construction, so the current value of each can be carried
         # along instead of re-scanning from the head per interval;
         # the accumulated terms (and their order) are unchanged.
         mine_t, mine_v = self._tv[0::2], self._tv[1::2]
-        theirs_t, theirs_v = mask._tv[0::2], mask._tv[1::2]
+        theirs_t, theirs_v = mask_t, mask._tv[1::2]
         bounds = (t0, t1)
         i = j = k = 0
         cur_self = mine_v[0]

@@ -309,15 +309,16 @@ def _collector_paused():
     """Automatic garbage collection paused for the ``with`` body.
 
     A long run accumulates hundreds of thousands of long-lived
-    containers (audit entries, request records, step-function points),
+    containers (request records, step-function points, audit columns),
     and every full generational collection rescans that entire heap --
     a superlinear tax that dominated million-request runs (~1.6x wall
-    at 1024 boards x 100k requests).  Whatever cyclic garbage the run
-    left behind (an observed run leaves tens of MB) is collected right
-    where collection resumes, not by whichever later allocation
-    happens to trip generation 2 -- otherwise peak memory of
-    back-to-back runs depends on where that trip lands.  A caller that
-    runs with the collector off keeps it off, uncollected.
+    at 1024 boards x 100k requests).  Resuming forces no collection:
+    a run builds no reference cycles (the replay kernel, the controller
+    and its guard die by reference counting; ``tests/test_gc_cycles.py``
+    and ``TestCollectorPause`` check it), so a full pass at the end
+    found nothing to free and only paid its heap scan -- about 40 ms
+    of a 20 000-request run.  The collector's previous state is
+    restored: a caller that runs with it off keeps it off.
     """
     was_enabled = gc.isenabled()
     if was_enabled:
@@ -327,7 +328,6 @@ def _collector_paused():
     finally:
         if was_enabled:
             gc.enable()
-            gc.collect()
 
 
 class _Replay:

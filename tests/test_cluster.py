@@ -135,6 +135,32 @@ class TestCluster:
                 capacity = capacity + die_total
             assert board.device.capacity == capacity == alone.device.capacity
 
+    def test_twinned_devices_equal_the_per_board_build(self, partition):
+        """64 boards of twins of one device against the build that made
+        a fresh XCVU37P per board: same capacities, dies, partitions
+        and footprints, and no board shares a device or die object."""
+        cluster = make_cluster(num_boards=64, partition=partition)
+        dies = set()
+        for board in cluster.boards:
+            own = partition.clone_for(make_xcvu37p())
+            device = board.device
+            assert board.partition.device is device
+            assert (device.name, device.year, device.capacity) \
+                == (own.device.name, own.device.year, own.device.capacity)
+            assert [(d.index, d.columns, d.tile_rows, d.clock_region_rows)
+                    for d in device.dies] \
+                == [(d.index, d.columns, d.tile_rows, d.clock_region_rows)
+                    for d in own.device.dies]
+            assert [d.total_resources() for d in device.dies] \
+                == [d.total_resources() for d in own.device.dies]
+            assert board.partition.blocks == own.blocks
+            assert board.partition.regions == own.regions
+            assert board.partition.block_capacity == own.block_capacity
+            dies.update(id(d) for d in device.dies)
+        assert len({id(b.device) for b in cluster.boards}) == 64
+        assert len(dies) == 64 * 3
+        assert cluster.footprints() == {partition.blocks[0].footprint}
+
 
 class TestReconfigurer:
     def test_partial_faster_than_full(self):

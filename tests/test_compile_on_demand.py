@@ -10,6 +10,7 @@ says it pays.  Reports are the same bytes either way.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 from concurrent.futures import ProcessPoolExecutor
 
@@ -216,7 +217,7 @@ class TestPoolRule:
 
     def test_cli_pool_engages_at_the_threshold(self, monkeypatch,
                                                capsys):
-        monkeypatch.setattr(service_mod, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             _FakePool)
         monkeypatch.setattr(service_mod, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(service_mod, "_WORKER_FLOW", None)
@@ -228,14 +229,14 @@ class TestPoolRule:
         assert _FakePool.last_workers == 2
 
     def test_cli_below_threshold_runs_inline(self, monkeypatch, capsys):
-        monkeypatch.setattr(service_mod, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             _PoolBomb)
         monkeypatch.setattr(service_mod, "_usable_cpus", lambda: 8)
         # set 1 has only 7 designs, whatever the stream length
         assert self._simulate(1, 40) == 0
 
     def test_cli_single_cpu_runs_inline(self, monkeypatch, capsys):
-        monkeypatch.setattr(service_mod, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             _PoolBomb)
         monkeypatch.setattr(service_mod, "_usable_cpus", lambda: 1)
         assert self._simulate(7, 10) == 0
@@ -246,7 +247,7 @@ class TestPoolRule:
         specs = specs_for(WorkloadGenerator(seed=0).generate(7, 10))
         assert len(specs) >= POOL_MIN_MISSES
         compile_benchmarks(make_cluster(num_boards=1), specs=specs[2:])
-        monkeypatch.setattr(service_mod, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             _PoolBomb)
         monkeypatch.setattr(service_mod, "_usable_cpus", lambda: 8)
         assert self._simulate(7, 10) == 0
@@ -262,7 +263,7 @@ class TestPoolRule:
                 created.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(service_mod, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             CountingPool)
         outputs = {}
         for cpus in (2, 1):

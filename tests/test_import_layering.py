@@ -33,6 +33,9 @@ COMPILE_STACK = ("numpy", "scipy", "repro.compiler",
 #: what no reporting subcommand needs (numpy is allowed: the cluster
 #: model and the timeline use it)
 GRAPH_STACK = ("scipy",)
+#: what only a compile-service process pool needs (a cache miss with
+#: ``jobs > 1``)
+POOL_STACK = ("multiprocessing", "concurrent.futures")
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -109,7 +112,8 @@ _SIMULATE = ["simulate", "--set", "7", "--requests", "30", "--boards",
 
 def test_simulate_compiles_cold_and_loads_warm(tmp_path, monkeypatch):
     """Cold: exactly the replayed designs compile (one cache entry
-    each).  Warm: the same bytes on stdout, and no graph stack."""
+    each).  Warm: the same bytes on stdout, and neither the graph
+    stack nor the process-pool modules."""
     from repro.compiler.cache import machine_cache_dir
     from repro.sim.experiment import specs_for
     from repro.sim.workload import WorkloadGenerator
@@ -124,7 +128,7 @@ def test_simulate_compiles_cold_and_loads_warm(tmp_path, monkeypatch):
     replayed = specs_for(WorkloadGenerator(seed=0).generate(7, 30))
     assert sorted(f"{e['family']}-{e['size']}" for e in entries) \
         == sorted(spec.name for spec in replayed)
-    assert _loaded(_SIMULATE, watched=GRAPH_STACK) \
+    assert _loaded(_SIMULATE, watched=GRAPH_STACK + POOL_STACK) \
         == {"rc": 0, "loaded": []}
 
 

@@ -143,16 +143,17 @@ class TestColumnsMatchEntryList:
                              ["rack-outage", "rack-outage-defrag"])
     def test_chaos_run_replays_identically(self, monkeypatch, scenario):
         calls, logs = [], []
-        record = AuditLog.record
+        append = AuditLog.append
 
         def recording(self, *args, **detail):
-            entry = record(self, *args, **detail)
-            calls.append((args, dict(detail), entry))
+            append(self, *args, **detail)
+            calls.append((args, detail, self._entry(len(self) - 1)))
             if not logs or logs[-1] is not self:
                 logs.append(self)
-            return entry
 
-        monkeypatch.setattr(AuditLog, "record", recording)
+        # the runtime logs through ``append`` (no entry built per
+        # record); each record's entry is read back off the columns
+        monkeypatch.setattr(AuditLog, "append", recording)
         [chosen] = [s for s in standard_scenarios()
                     if s.name == scenario]
         run_scenario(chosen)

@@ -203,9 +203,8 @@ class TestSpanningModelEqualsPerFlowLoop:
                          for _ in range(rng.randint(0, 20))}
             app = _FlowApp(flows, rng.uniform(0.5, 200.0))
             placement = Placement(mapping=mapping)
-            model = ctrl._service_model(app, placement)
-            got = (model.service_time_s, model.comm_slowdown,
-                   model.latency_overhead_s)
+            # (service time, comm slowdown, latency overhead)
+            got = ctrl._service_model(app, placement)
             assert got == _per_flow_model(ctrl, app, placement)
             assert all(type(x) is float for x in got)
             cases += 1

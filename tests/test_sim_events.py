@@ -349,6 +349,29 @@ class TestTimeWeightedValueMatchesTupleList:
             assert mine.value_at(t0) == theirs.value_at(t0)
             assert mine.value_at(t1) == theirs.value_at(t1)
 
+    @given(_steps, _windows, st.integers(0, 3))
+    def test_mask_never_above_zero_in_the_window(self, steps, windows,
+                                                 initial):
+        """A mask at zero all through ``[t0, t1]`` -- zero everywhere,
+        or positive only before and after the window -- selects no
+        interval: 0.0 without the sweep, equal to the sweep's answer."""
+        mine, theirs, end = _replay(steps, initial)
+        zero, zero_ref, _ = _replay([(1.0, 0), (2.0, 0.0)])
+        # 2 on [5, 10), 0 on [10, 20), 3 from 20 on
+        outside, outside_ref, _ = _replay([(5.0, 2), (5.0, 0), (10.0, 3)])
+        # 2 from its initial value (before time 0 too) until 5, then 0
+        early, early_ref, _ = _replay([(5.0, 0)], initial=2)
+        quiet = [(10.0, 20.0), (12.5, 15.0), (10.0, 10.5)]
+        for t0, t1 in windows + quiet + [(0.0, end + 1.0), (-4.0, -1.0),
+                                         (-1.0, 0.0), (5.0, 9.0)]:
+            for m, m_ref in ((zero, zero_ref), (outside, outside_ref),
+                             (early, early_ref)):
+                assert _bits(mine.average_where(m, t0, t1)) \
+                    == _bits(theirs.average_where(m_ref, t0, t1))
+        for t0, t1 in quiet:
+            assert mine.average_where(zero, t0, t1) == 0.0
+            assert mine.average_where(outside, t0, t1) == 0.0
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_numpy_path_above_4096_points(self, seed):
         """Long histories take the array integration; a run's three

@@ -139,9 +139,9 @@ class _Cycle:
 
 
 class TestCollectorPause:
-    """The loop runs with the collector paused; what it hands back is
-    the caller's collector state, with the run's garbage already gone
-    when (and only when) the caller had collection on."""
+    """The loop runs with the collector paused and hands back the
+    caller's collector state.  Resuming forces no collection: a run
+    leaves no cyclic garbage for one to free."""
 
     @pytest.fixture
     def collector_state(self):
@@ -174,15 +174,40 @@ class TestCollectorPause:
             gc.callbacks.remove(on_gc)
         return dropped[0], collected
 
-    def test_enabled_stays_enabled_and_collects(
+    def test_enabled_stays_enabled_without_a_forced_collection(
             self, collector_state, cluster, compiled_apps,
             compiled_small):
+        """No full collection runs on the way out, and none is owed:
+        under ``DEBUG_SAVEALL`` a collection after the run finds no
+        cyclic garbage the run left behind."""
+        collected = []
+
+        def probe(now, manager):
+            assert not gc.isenabled()
+
+        def on_gc(phase, info):
+            if phase == "start":
+                collected.append(info["generation"])
+
+        reqs = requests_for([compiled_small] * 6,
+                            [1 + i * 0.5 for i in range(6)])
+        debug = gc.get_debug()
         gc.enable()
-        cycle, collected = self._run(cluster, compiled_apps,
-                                     compiled_small)
-        assert gc.isenabled()
-        assert 2 in collected
-        assert cycle() is None
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.callbacks.append(on_gc)
+        try:
+            run_experiment(SystemController(cluster), reqs,
+                           compiled_apps, probe=probe)
+            assert gc.isenabled()
+            assert 2 not in collected
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.callbacks.remove(on_gc)
+            gc.set_debug(debug)
+            gc.garbage.clear()
+        assert garbage == []
 
     def test_disabled_stays_disabled_and_does_not_collect(
             self, collector_state, cluster, compiled_apps,
