@@ -22,9 +22,11 @@ of everything the artifact is a function of:
 - the flow configuration (shell clock, seed, detailed-P&R signoff flag)
   and :data:`~repro.compiler.flow.FLOW_VERSION`;
 - :func:`source_digest` of the compiler's own code -- every module under
-  ``repro/{compiler,hls,netlist,fabric}`` (:data:`COMPILE_PACKAGES`) --
-  so an edit to any of them misses every entry written before it, with
-  no version to bump by hand.
+  ``repro/{compiler,hls,netlist,fabric}`` (:data:`COMPILE_PACKAGES`)
+  except this module and ``compiler/service.py`` (:data:`NOT_COMPILED`),
+  which store and schedule compiles but never run inside one -- so an
+  edit to the code a compile runs misses every entry written before it,
+  with no version to bump by hand.
 
 Entries live in a bounded in-memory LRU; with ``cache_dir`` set, each
 stored artifact is also persisted as ``<fingerprint>.json``, surviving
@@ -63,7 +65,8 @@ from repro.hls.frontend import HLSFrontend
 from repro.hls.kernels import KernelSpec
 from repro.obs.tracer import Tracer
 
-__all__ = ["COMPILE_PACKAGES", "source_digest", "compile_fingerprint",
+__all__ = ["COMPILE_PACKAGES", "NOT_COMPILED", "source_digest",
+           "compile_fingerprint",
            "fingerprint_for_flow", "machine_cache_dir", "CompileCache"]
 
 _DEFAULT_FRONTEND = HLSFrontend()
@@ -74,25 +77,34 @@ _DEFAULT_FRONTEND = HLSFrontend()
 #: artifact), and ``tests/test_compile_cache_integrity.py`` holds it to that
 COMPILE_PACKAGES = ("compiler", "fabric", "hls", "netlist")
 
+#: modules of :data:`COMPILE_PACKAGES` that a compile never runs: the
+#: cache and the pool that schedules compiles (pooled and inline
+#: compiles are bit-identical, ``tests/test_compile_service.py``).  The
+#: compile digest skips them, so editing them keeps every cached entry.
+NOT_COMPILED = ("compiler/cache.py", "compiler/service.py")
+
 #: the ``repro`` package directory the digests read
 _REPRO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @functools.cache
-def source_digest(packages: "tuple[str, ...]") -> str:
+def source_digest(packages: "tuple[str, ...]",
+                  exclude: "tuple[str, ...]" = ()) -> str:
     """sha256 over the path and bytes of every module in ``packages``.
 
     ``packages`` names ``repro`` sub-packages; their ``.py`` files are
     read in sorted path order, once per process (the compile set is
-    about 235 KB, about 2 ms).  Folded into a cache key, it
-    makes any edit to the code behind a result miss every entry that
-    code wrote.
+    about 235 KB, about 2 ms), skipping the ``repro``-relative paths in
+    ``exclude``.  Folded into a cache key, it makes any edit to the
+    code behind a result miss every entry that code wrote.
     """
     digest = hashlib.sha256()
     for package in sorted(packages):
         for path in sorted((_REPRO_ROOT / package).rglob("*.py")):
-            data = path.read_bytes()
             rel = path.relative_to(_REPRO_ROOT).as_posix()
+            if rel in exclude:
+                continue
+            data = path.read_bytes()
             digest.update(f"{rel}\0{len(data)}\0".encode())
             digest.update(data)
     return digest.hexdigest()
@@ -122,7 +134,8 @@ def compile_fingerprint(spec: KernelSpec,
     byte-identical artifacts: same spec, same abstraction geometry, same
     front-end (``macro_lut``, ``frontend_seed``), same flow
     configuration, same flow version, same compiler source
-    (:func:`source_digest` of :data:`COMPILE_PACKAGES`).  Anything else
+    (:func:`source_digest` of :data:`COMPILE_PACKAGES` without
+    :data:`NOT_COMPILED`).  Anything else
     -- cluster size, board count, tracer, wall clock -- deliberately
     stays out.
     """
@@ -149,7 +162,7 @@ def compile_fingerprint(spec: KernelSpec,
             "seed": seed,
             "detailed_pnr": detailed_pnr,
             "version": flow_version,
-            "source": source_digest(COMPILE_PACKAGES),
+            "source": source_digest(COMPILE_PACKAGES, NOT_COMPILED),
         },
     }
     blob = json.dumps(key, sort_keys=True, separators=(",", ":"))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -55,14 +55,15 @@ class BlockGrid:
     num_blocks: int
     capacity: ResourceVector
     aspect_ratio: float = 1.0
+    #: the cell layout, derived from ``num_blocks`` once per grid; not
+    #: part of equality, hashing or ``repr``
+    cols: int = field(init=False, repr=False, compare=False)
+    rows: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def cols(self) -> int:
-        return max(1, math.ceil(math.sqrt(self.num_blocks)))
-
-    @property
-    def rows(self) -> int:
-        return math.ceil(self.num_blocks / self.cols)
+    def __post_init__(self) -> None:
+        cols = max(1, math.ceil(math.sqrt(self.num_blocks)))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "rows", math.ceil(self.num_blocks / cols))
 
     def center(self, block: int) -> tuple[float, float]:
         """Center coordinates of a block's cell."""
@@ -197,7 +198,19 @@ class QuadraticPlacer:
             for uid in cluster.members:
                 prim_to_cluster[uid] = ci
         edges: dict[tuple[int, int], float] = {}
+        cluster_of = prim_to_cluster.get
         for net in netlist.nets.values():
+            sinks = net.sinks
+            if len(sinks) == 1:
+                # a two-terminal net (all the netlist builder emits): the
+                # clique below is the one ordered pair, weight width / 1
+                a = cluster_of(net.driver)
+                b = cluster_of(sinks[0])
+                if a is None or b is None or a == b:
+                    continue
+                key = (a, b) if a < b else (b, a)
+                edges[key] = edges.get(key, 0.0) + net.width_bits / 1
+                continue
             ends = net.endpoints()
             if len(ends) > _MAX_CLIQUE:
                 continue
@@ -296,12 +309,15 @@ class QuadraticPlacer:
         The inner loop runs ``sa_moves`` times per placement iteration, so
         it works on flat per-component float lists and keeps one overflow
         term per block, recomputing only the two blocks a move touches.
+        A move's usage stays in locals until the move is decided, and the
+        lists are written once: the new values on accept, and on reject
+        what mutate-then-restore (``u -= x; u += x``) would leave.
 
         Invariant: a block's term is always derived from its usage lists,
-        never remembered across a move.  A rejected move restores usage
-        with ``u -= x; u += x``, which for fractional BRAM does not give
-        back the same float; that rounding drift is carried by the usage
-        lists into every later move, so the terms of both blocks are
+        never remembered across a move.  A rejected move leaves
+        ``(u - x) + x``, which for fractional BRAM is not the float it
+        started from; that rounding drift is carried by the usage lists
+        into every later move, so the terms of both blocks are
         recomputed from the restored usage.  The cost is summed over the
         blocks left to right on every move -- float addition does not
         associate, and an incrementally updated sum picks other moves.
@@ -343,45 +359,36 @@ class QuadraticPlacer:
             u_dsp[b] += r_dsp[i]
             u_bram[b] += r_bram[i]
 
-        unprovided = penalty * math.inf
-
-        def block_term(b: int) -> float:
-            # penalty * ResourceVector.utilization_of for a block that
-            # does not fit, 0 for one that does; component order
-            # preserved (lut, dff, dsp, bram) for identical floats
-            lut, dff = u_lut[b], u_dff[b]
-            dsp, bram = u_dsp[b], u_bram[b]
-            if (lut <= cap_lut and dff <= cap_dff
-                    and dsp <= cap_dsp and bram <= cap_bram):
-                return 0.0
+        def overflow_term(lut: float, dff: float, dsp: float,
+                          bram: float) -> float:
+            # penalty * ResourceVector.utilization_of of usage that does
+            # not fit (a block that fits scores 0.0 without a call).
+            # With every capacity component non-zero that is one max of
+            # the four ratios: a zero usage's ratio is 0.0, a drifted
+            # negative one's never beats 0.0, and ``max`` keeps the
+            # first of equal values, as the walk below does.  A block
+            # type that lacks a resource walks the components in order
+            # (lut, dff, dsp, bram) for identical floats.
+            if provided:
+                return penalty * max(0.0, lut / cap_lut, dff / cap_dff,
+                                     dsp / cap_dsp, bram / cap_bram)
             worst = 0.0
-            if lut != 0:
-                if cap_lut == 0:
-                    return unprovided
-                ratio = lut / cap_lut
-                if ratio > worst:
-                    worst = ratio
-            if dff != 0:
-                if cap_dff == 0:
-                    return unprovided
-                ratio = dff / cap_dff
-                if ratio > worst:
-                    worst = ratio
-            if dsp != 0:
-                if cap_dsp == 0:
-                    return unprovided
-                ratio = dsp / cap_dsp
-                if ratio > worst:
-                    worst = ratio
-            if bram != 0:
-                if cap_bram == 0:
-                    return unprovided
-                ratio = bram / cap_bram
-                if ratio > worst:
-                    worst = ratio
+            for used, capacity in ((lut, cap_lut), (dff, cap_dff),
+                                   (dsp, cap_dsp), (bram, cap_bram)):
+                if used != 0:
+                    if capacity == 0:
+                        return unprovided
+                    ratio = used / capacity
+                    if ratio > worst:
+                        worst = ratio
             return penalty * worst
 
-        terms = [block_term(b) for b in range(num_blocks)]
+        provided = bool(cap_lut and cap_dff and cap_dsp and cap_bram)
+        unprovided = penalty * math.inf
+        terms = [0.0 if (u_lut[b] <= cap_lut and u_dff[b] <= cap_dff
+                         and u_dsp[b] <= cap_dsp and u_bram[b] <= cap_bram)
+                 else overflow_term(u_lut[b], u_dff[b], u_dsp[b], u_bram[b])
+                 for b in range(num_blocks)]
         # Eq. 3 move distance of every (cluster, block) pair
         move = [[(aspect * abs(b % cols + 0.5 - px[i])
                   + abs(b // cols + 0.5 - py[i])) / n
@@ -410,17 +417,36 @@ class QuadraticPlacer:
             if new_b == old_b:
                 same_block += 1
                 continue
+            # the move's usage, in locals until it is decided
             lut, dff, dsp, bram = r_lut[i], r_dff[i], r_dsp[i], r_bram[i]
-            u_lut[old_b] -= lut
-            u_dff[old_b] -= dff
-            u_dsp[old_b] -= dsp
-            u_bram[old_b] -= bram
-            u_lut[new_b] += lut
-            u_dff[new_b] += dff
-            u_dsp[new_b] += dsp
-            u_bram[new_b] += bram
-            terms[old_b] = block_term(old_b)
-            terms[new_b] = block_term(new_b)
+            o_lut = u_lut[old_b] - lut
+            o_dff = u_dff[old_b] - dff
+            o_dsp = u_dsp[old_b] - dsp
+            o_bram = u_bram[old_b] - bram
+            n_lut = u_lut[new_b] + lut
+            n_dff = u_dff[new_b] + dff
+            n_dsp = u_dsp[new_b] + dsp
+            n_bram = u_bram[new_b] + bram
+            # the two overflow terms, scored inline (overflow_term's
+            # body, with its call kept for a block that lacks a resource)
+            if (o_lut <= cap_lut and o_dff <= cap_dff
+                    and o_dsp <= cap_dsp and o_bram <= cap_bram):
+                terms[old_b] = 0.0
+            elif provided:
+                terms[old_b] = penalty * max(
+                    0.0, o_lut / cap_lut, o_dff / cap_dff,
+                    o_dsp / cap_dsp, o_bram / cap_bram)
+            else:
+                terms[old_b] = overflow_term(o_lut, o_dff, o_dsp, o_bram)
+            if (n_lut <= cap_lut and n_dff <= cap_dff
+                    and n_dsp <= cap_dsp and n_bram <= cap_bram):
+                terms[new_b] = 0.0
+            elif provided:
+                terms[new_b] = penalty * max(
+                    0.0, n_lut / cap_lut, n_dff / cap_dff,
+                    n_dsp / cap_dsp, n_bram / cap_bram)
+            else:
+                terms[new_b] = overflow_term(n_lut, n_dff, n_dsp, n_bram)
             move_i = move[i]
             new_move_total = move_total - move_i[old_b] + move_i[new_b]
             overflow = 0.0
@@ -428,38 +454,59 @@ class QuadraticPlacer:
                 overflow += term
             new_cost = new_move_total + overflow / num_blocks
             delta = new_cost - cost
-            if delta <= 0 or random_() < exp(
-                    -delta / max(temperature, 1e-9)):
+            if delta <= 0 or random_() < exp(-delta / (
+                    1e-9 if temperature < 1e-9 else temperature)):
                 assignment[i] = new_b
                 move_total = new_move_total
                 cost = new_cost
                 accepted += 1
             else:
-                u_lut[old_b] += lut
-                u_dff[old_b] += dff
-                u_dsp[old_b] += dsp
-                u_bram[old_b] += bram
-                u_lut[new_b] -= lut
-                u_dff[new_b] -= dff
-                u_dsp[new_b] -= dsp
-                u_bram[new_b] -= bram
-                terms[old_b] = block_term(old_b)
-                terms[new_b] = block_term(new_b)
+                # what ``u -= x`` then ``u += x`` leaves on the old
+                # block, and its mirror on the new one: the drift every
+                # later move reads
+                o_lut += lut
+                o_dff += dff
+                o_dsp += dsp
+                o_bram += bram
+                n_lut -= lut
+                n_dff -= dff
+                n_dsp -= dsp
+                n_bram -= bram
+                terms[old_b] = 0.0 if (
+                    o_lut <= cap_lut and o_dff <= cap_dff
+                    and o_dsp <= cap_dsp and o_bram <= cap_bram) \
+                    else overflow_term(o_lut, o_dff, o_dsp, o_bram)
+                terms[new_b] = 0.0 if (
+                    n_lut <= cap_lut and n_dff <= cap_dff
+                    and n_dsp <= cap_dsp and n_bram <= cap_bram) \
+                    else overflow_term(n_lut, n_dff, n_dsp, n_bram)
+            u_lut[old_b] = o_lut
+            u_dff[old_b] = o_dff
+            u_dsp[old_b] = o_dsp
+            u_bram[old_b] = o_bram
+            u_lut[new_b] = n_lut
+            u_dff[new_b] = n_dff
+            u_dsp[new_b] = n_dsp
+            u_bram[new_b] = n_bram
             temperature *= cooling
         self.sa_proposed += self.sa_moves - same_block
         self.sa_accepted += accepted
 
-        usage = [ResourceVector(u_lut[b], u_dff[b], u_dsp[b], u_bram[b])
-                 for b in range(num_blocks)]
-        self._refine(clusters, assignment, usage, edges)
+        self._refine(clusters, assignment, (u_lut, u_dff, u_dsp, u_bram),
+                     edges)
         return assignment
 
     def _refine(self, clusters: list[Cluster], assignment: list[int],
-                usage: list[ResourceVector],
+                usage: tuple[list[float], list[float], list[float],
+                             list[float]],
                 edges: dict[tuple[int, int], float]) -> None:
         """Recovery pass: move clusters to adjacent blocks when that
         reduces wirelength without creating over-utilization (the
-        density-preserving refinement adapted from POLAR)."""
+        density-preserving refinement adapted from POLAR).
+
+        ``usage`` is the per-block lut, dff, dsp and bram lists, updated
+        in place: a candidate's fit is four additions and compares.
+        """
         grid = self.grid
         cols = grid.cols
         aspect = grid.aspect_ratio
@@ -479,20 +526,33 @@ class QuadraticPlacer:
                               + (y - cy[jb]) ** 2)
             return total
 
-        for i in range(len(clusters)):
+        u_lut, u_dff, u_dsp, u_bram = usage
+        cap = grid.capacity
+        cap_lut, cap_dff = cap.lut, cap.dff
+        cap_dsp, cap_bram = cap.dsp, cap.bram_mb
+        for i, cluster in enumerate(clusters):
+            res = cluster.resources
+            lut, dff, dsp, bram = res.lut, res.dff, res.dsp, res.bram_mb
             here = assignment[i]
             best_block, best_cost = here, star_cost(i, here)
             for cand in grid.neighbors(here):
-                new_usage = usage[cand] + clusters[i].resources
-                if not new_usage.fits_in(grid.capacity):
+                if not (u_lut[cand] + lut <= cap_lut
+                        and u_dff[cand] + dff <= cap_dff
+                        and u_dsp[cand] + dsp <= cap_dsp
+                        and u_bram[cand] + bram <= cap_bram):
                     continue
                 cand_cost = star_cost(i, cand)
                 if cand_cost < best_cost:
                     best_block, best_cost = cand, cand_cost
             if best_block != here:
-                usage[here] = usage[here] - clusters[i].resources
-                usage[best_block] = usage[best_block] \
-                    + clusters[i].resources
+                u_lut[here] -= lut
+                u_dff[here] -= dff
+                u_dsp[here] -= dsp
+                u_bram[here] -= bram
+                u_lut[best_block] += lut
+                u_dff[best_block] += dff
+                u_dsp[best_block] += dsp
+                u_bram[best_block] += bram
                 assignment[i] = best_block
 
     # ------------------------------------------------------------------

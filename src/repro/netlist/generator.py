@@ -36,6 +36,9 @@ __all__ = ["ModuleHandle", "NetlistBuilder"]
 MAX_BRAM_MB_PER_MACRO = 0.108
 MAX_DSP_PER_MACRO = 4.0
 
+#: widths of a module's pipeline and feedback buses, drawn uniformly
+_BUS_WIDTHS = (16, 32, 32, 64)
+
 
 @dataclass(slots=True)
 class ModuleHandle:
@@ -93,13 +96,17 @@ class NetlistBuilder:
         # pipeline backbone
         for a, b in zip(uids, uids[1:]):
             net.add_net(a, [b], width_bits=self._bus_width())
-        # locality-biased shortcuts
+        # locality-biased shortcuts; a width is ``1 + rng.randrange(32)``,
+        # drawn as ``randrange`` draws it: six bits until one is below 32
+        getrandbits = self.rng.getrandbits
         for i, uid in enumerate(uids):
             for _ in range(self.local_fanout):
                 j = self._nearby_index(i, len(uids))
                 if j != i:
-                    net.add_net(uid, [uids[j]], width_bits=1
-                                + self.rng.randrange(32))
+                    width = getrandbits(6)
+                    while width >= 32:
+                        width = getrandbits(6)
+                    net.add_net(uid, (uids[j],), width_bits=1 + width)
         if feedback and len(uids) >= 2:
             net.add_net(uids[-1], [uids[0]],
                         width_bits=self._bus_width())
@@ -149,10 +156,27 @@ class NetlistBuilder:
         return self.modules[module]
 
     def _bus_width(self) -> int:
-        return self.rng.choice((16, 32, 32, 64))
+        """``rng.choice(_BUS_WIDTHS)``, drawn as ``choice`` draws it:
+        three bits until one is below 4."""
+        getrandbits = self.rng.getrandbits
+        r = getrandbits(3)
+        while r >= 4:
+            r = getrandbits(3)
+        return _BUS_WIDTHS[r]
 
     def _nearby_index(self, i: int, n: int) -> int:
-        """Random index biased toward ``i`` (geometric-ish locality)."""
+        """Random index biased toward ``i`` (geometric-ish locality).
+
+        The offset is ``rng.randint(-span, span)`` spelled out as the
+        rejection sampling over ``getrandbits`` that ``randrange``
+        performs: the same draw from the same Mersenne stream, without
+        the two library frames.
+        """
         span = max(1, n // 8)
-        offset = self.rng.randint(-span, span)
-        return min(n - 1, max(0, i + offset))
+        width = 2 * span + 1
+        k = width.bit_length()
+        getrandbits = self.rng.getrandbits
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        return min(n - 1, max(0, i + r - span))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.fabric.resources import ResourceVector
 from repro.netlist.primitives import Primitive, PrimitiveType
@@ -36,9 +37,13 @@ class Port:
     primitive_uid: int  # the IOPAD primitive realizing the port
 
 
-@dataclass(frozen=True, slots=True)
-class Net:
+class Net(NamedTuple):
     """A directed multi-terminal connection.
+
+    Immutable, equal and hashed by its fields.  A named tuple rather than
+    a frozen dataclass: the netlist builder makes tens of thousands per
+    design, and :meth:`Netlist.add_net` builds each with one
+    ``tuple.__new__`` call instead of a generated ``__init__``.
 
     Attributes:
         uid: net id, unique within the netlist.
@@ -110,12 +115,13 @@ class Netlist:
             raise ValueError("net width must be positive")
         uid = self._next_net_uid
         self._next_net_uid += 1
-        net = Net(uid=uid, driver=driver, sinks=tuple(sinks),
-                  width_bits=width_bits, name=name)
-        self.nets[uid] = net
-        self._incident[driver].append(uid)
-        for sink in net.sinks:
-            self._incident[sink].append(uid)
+        sinks = tuple(sinks)
+        self.nets[uid] = tuple.__new__(
+            Net, (uid, driver, sinks, width_bits, name))
+        incident = self._incident
+        incident[driver].append(uid)
+        for sink in sinks:
+            incident[sink].append(uid)
         return uid
 
     def add_port(self, name: str, direction: PortDirection,
@@ -144,18 +150,29 @@ class Netlist:
 
     def neighbors(self, prim_uid: int) -> set[int]:
         """All primitives sharing a net with ``prim_uid`` (excl. itself)."""
+        nets = self.nets
         out: set[int] = set()
         for net_uid in self._incident[prim_uid]:
-            out.update(self.nets[net_uid].endpoints())
+            net = nets[net_uid]
+            # endpoints() order, driver then sinks: insertion order fixes
+            # the set's iteration order, which the packer's ties read
+            out.add(net.driver)
+            out.update(net.sinks)
         out.discard(prim_uid)
         return out
 
     def resource_usage(self) -> ResourceVector:
         """Total resources of all primitives (the Table 2 footprint)."""
-        total = ResourceVector.zero()
+        # component-wise, in primitive order: the floats of summing the
+        # vectors one by one
+        lut = dff = dsp = bram = 0.0
         for prim in self.primitives.values():
-            total = total + prim.resources
-        return total
+            res = prim.resources
+            lut += res.lut
+            dff += res.dff
+            dsp += res.dsp
+            bram += res.bram_mb
+        return ResourceVector(lut, dff, dsp, bram)
 
     def input_ports(self) -> list[Port]:
         return [p for p in self.ports if p.direction is PortDirection.INPUT]
@@ -171,7 +188,17 @@ class Netlist:
         reaches, matching how many physical channels would carry it.
         """
         total = 0.0
+        part = assignment.get
         for net in self.nets.values():
+            sinks = net.sinks
+            if len(sinks) == 1:
+                # a two-terminal net: crossing when both ends are
+                # assigned, to different partitions
+                src = part(net.driver)
+                dst = part(sinks[0])
+                if src is not None and dst is not None and src != dst:
+                    total += net.width_bits
+                continue
             parts = {assignment[uid] for uid in net.endpoints()
                      if uid in assignment}
             if len(parts) > 1:

@@ -26,8 +26,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.compiler.cache import COMPILE_PACKAGES, CompileCache, \
-    compile_fingerprint, machine_cache_dir
+from repro.compiler.cache import COMPILE_PACKAGES, NOT_COMPILED, \
+    CompileCache, compile_fingerprint, machine_cache_dir
 from repro.compiler.service import CompileService
 from repro.sim.campaign import CAMPAIGN_PACKAGES
 
@@ -228,6 +228,20 @@ def test_fingerprints_do_not_depend_on_the_checkout_path(source_copy):
         == campaign_fingerprint(CampaignConfig(name="x"))
 
 
+def _fingerprints_with_one_byte_changed(root: Path, module: str) -> dict:
+    """The fingerprints of the copy at ``root`` with the case of the
+    first docstring byte of ``module`` swapped (the file is restored)."""
+    path = root / "repro" / module
+    original = path.read_bytes()
+    i = original.index(b'"""') + 3
+    path.write_bytes(original[:i] + original[i:i + 1].swapcase()
+                     + original[i + 1:])
+    try:
+        return _fingerprints_of(root)
+    finally:
+        path.write_bytes(original)
+
+
 @pytest.mark.parametrize("module", [
     "compiler/packing.py", "fabric/resources.py", "hls/kernels.py",
     "netlist/primitives.py", "runtime/controller.py", "sim/events.py"])
@@ -237,16 +251,24 @@ def test_one_changed_byte_changes_every_fingerprint(source_copy,
     every compile key for a compile module, the campaign key for any
     module a scenario run imports."""
     root, before = source_copy
-    path = root / "repro" / module
-    original = path.read_bytes()
-    i = original.index(b'"""') + 3
-    path.write_bytes(original[:i] + original[i:i + 1].swapcase()
-                     + original[i + 1:])
-    try:
-        after = _fingerprints_of(root)
-    finally:
-        path.write_bytes(original)
+    after = _fingerprints_with_one_byte_changed(root, module)
     compiled = module.split("/")[0] in COMPILE_PACKAGES
+    for old, new in zip(before["compile"], after["compile"]):
+        assert (old != new) == compiled
+    assert after["campaign"] != before["campaign"]
+
+
+@pytest.mark.parametrize("module,compiled", [
+    ("compiler/service.py", False), ("compiler/cache.py", False),
+    ("compiler/placement.py", True)])
+def test_only_code_a_compile_runs_moves_the_compile_keys(
+        source_copy, module, compiled):
+    """The cache and the pool that schedules compiles never run inside
+    a compile: editing them keeps every compile key (so every cached
+    design), editing the placer moves them all."""
+    assert (module in NOT_COMPILED) != compiled
+    root, before = source_copy
+    after = _fingerprints_with_one_byte_changed(root, module)
     for old, new in zip(before["compile"], after["compile"]):
         assert (old != new) == compiled
     assert after["campaign"] != before["campaign"]
@@ -287,6 +309,10 @@ def test_a_compile_imports_only_digested_code():
         == ["repro._lazy", "repro.obs", "repro.obs.tracer"]
     assert {m.split(".")[1] for m in modules if "." in m} \
         >= set(COMPILE_PACKAGES)
+    # what the compile digest skips, a compile does not load
+    skipped = {"repro." + path.removesuffix(".py").replace("/", ".")
+               for path in NOT_COMPILED}
+    assert skipped.isdisjoint(modules)
 
 
 def test_a_scenario_run_imports_only_digested_code():

@@ -1,15 +1,19 @@
 """The partition hot loops against their pre-optimization reference.
 
-``GreedyPacker._grow`` and ``QuadraticPlacer._legalize`` were rewritten
-for speed under a byte-identity contract; ``tests/reference_partition.py``
-holds the loops they replaced.  Same seed in, same clusters, positions and
-block assignment out -- on the Table-2 designs and on randomized cluster
-sets that exercise what those designs do not (fractional BRAM drift on
-every block, a resource the block does not provide, 1-12 blocks).
+The packer (``_grow``, ``_merge_small``) and the placer (``_legalize``,
+``_refine``, ``_cluster_edges``) were rewritten for speed under a
+byte-identity contract; ``tests/reference_partition.py`` holds the loops
+they replaced.  Same seed in, same clusters, positions and block
+assignment out -- on the Table-2 designs and on randomized cluster sets
+and netlists that exercise what those designs do not (fractional BRAM
+drift on every block, each resource in turn missing from the block type,
+whole-number ties at capacity, 1-12 blocks, hubs, multi-sink nets).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
 
 import numpy as np
@@ -26,7 +30,7 @@ from repro.netlist.netlist import Netlist
 from repro.netlist.primitives import PrimitiveType
 
 from tests.reference_partition import ReferencePacker, ReferencePlacer, \
-    reference_partition_edges
+    reference_cut_bandwidth, reference_partition_edges
 
 #: (flow seed, macro_lut); (0, 512) with svhn-L / resnet18-L is the case
 #: where putting the remembered overflow terms back after a rejected SA
@@ -95,26 +99,56 @@ def test_counters_reach_the_partition_result(block_capacity):
         <= placement.iterations * 4000
 
 
-def _random_case(rng: random.Random, num_blocks: int, zero_dsp: bool):
+_COMPONENTS = ("lut", "dff", "dsp", "bram_mb")
+
+
+def _random_case(rng: random.Random, num_blocks: int, missing: str | None,
+                 integral: bool):
     """Clusters with fractional demand, blocks full enough to overflow.
 
     Positions sit on a half-cell lattice, so many moves change neither
     distance nor overflow: whether such a move's ``delta`` reads 0 or one
     ulp decides if the SA loop draws a random number, and one ulp is what
-    the rounding drift of a rejected move leaves in a block's term.
+    the rounding drift of a rejected move leaves in a block's term (and
+    what emptied blocks keep as a slightly negative usage).  ``missing``
+    names a resource the block type does not provide.  ``integral``
+    cases use whole-number demand and a capacity of three times a whole
+    number, so usage often equals capacity exactly (the fits test's
+    ``<=``) and ratios are not exact in binary.
     """
     n = rng.randint(1, 40)
-    clusters = [
-        Cluster(uid=i, members=[i], resources=ResourceVector(
-            lut=rng.uniform(50, 900), dff=rng.uniform(50, 1800),
-            dsp=float(rng.randint(0, 6)),
-            bram_mb=rng.uniform(0.0, 0.4) * rng.random()))
-        for i in range(n)]
-    # ~80% full on average: blocks overflow early and settle late
-    fill = 1.25 * n / num_blocks
-    capacity = ResourceVector(
-        lut=475 * fill, dff=925 * fill,
-        dsp=0.0 if zero_dsp else 3 * fill, bram_mb=0.1 * fill)
+    if integral:
+        clusters = [
+            Cluster(uid=i, members=[i], resources=ResourceVector(
+                lut=float(rng.randint(1, 9) * 100),
+                dff=float(rng.randint(1, 18) * 100),
+                dsp=float(rng.randint(0, 6)),
+                bram_mb=float(rng.randint(0, 4))))
+            for i in range(n)]
+        fill = max(1, round(0.4 * n / num_blocks))
+        capacity = ResourceVector(lut=1500.0 * fill, dff=3000.0 * fill,
+                                  dsp=9.0 * fill, bram_mb=3.0 * fill)
+    else:
+        clusters = [
+            Cluster(uid=i, members=[i], resources=ResourceVector(
+                lut=rng.uniform(50, 900), dff=rng.uniform(50, 1800),
+                dsp=float(rng.randint(0, 6)),
+                bram_mb=rng.uniform(0.0, 0.4) * rng.random()))
+            for i in range(n)]
+        # ~80% full on average: blocks overflow early and settle late
+        fill = 1.25 * n / num_blocks
+        capacity = ResourceVector(
+            lut=475 * fill, dff=925 * fill, dsp=3 * fill,
+            bram_mb=0.1 * fill)
+    if missing is not None:
+        capacity = dataclasses.replace(capacity, **{missing: 0.0})
+        if rng.random() < 0.5:
+            # nothing demands it: the walk scores every other resource
+            # (demand for it makes a block's term infinite)
+            clusters = [dataclasses.replace(
+                c, resources=dataclasses.replace(c.resources,
+                                                 **{missing: 0.0}))
+                for c in clusters]
     grid = BlockGrid(num_blocks, capacity,
                      aspect_ratio=rng.choice((1.0, 0.5, 2.0)))
     positions = np.array([[rng.randint(0, 2 * grid.cols) / 2,
@@ -126,21 +160,55 @@ def _random_case(rng: random.Random, num_blocks: int, zero_dsp: bool):
     return clusters, grid, positions, edges
 
 
-@pytest.mark.parametrize("zero_dsp", (False, True))
-def test_random_cluster_sets_legalize_identically(zero_dsp):
+class _FinalUsage(QuadraticPlacer):
+    """Records the usage the SA loop hands to refinement."""
+
+    def _refine(self, clusters, assignment, usage, edges) -> None:
+        self.final_usage = [list(component) for component in usage]
+        super()._refine(clusters, assignment, usage, edges)
+
+
+@pytest.mark.parametrize("missing_resource", (False, True))
+def test_random_cluster_sets_legalize_identically(missing_resource):
+    """With ``missing_resource`` each trial's block type lacks one
+    resource, in turn lut, dff, dsp and bram; 1-block grids,
+    whole-number ties and negative drifted usage all occur."""
     rng = random.Random(20200316)
-    for trial in range(36):
+    negative_drift = 0
+    for trial in range(48):
         num_blocks = 1 + trial % 12
+        missing = _COMPONENTS[trial % 4] if missing_resource else None
         clusters, grid, positions, edges = _random_case(
-            rng, num_blocks, zero_dsp)
-        new = QuadraticPlacer(grid, seed=trial, sa_moves=1500)
+            rng, num_blocks, missing, integral=trial % 3 == 2)
+        new = _FinalUsage(grid, seed=trial, sa_moves=1500)
         ref = ReferencePlacer(grid, seed=trial, sa_moves=1500)
         # twice: the second call starts from the RNG state the first left
         for _ in range(2):
             assert new._legalize(clusters, positions, edges) \
                 == ref._legalize(clusters, positions, edges), trial
+            negative_drift += any(
+                u < 0 for component in new.final_usage for u in component)
         assert new.rng.getstate() == ref.rng.getstate(), trial
         assert new.sa_accepted <= new.sa_proposed <= 2 * 1500
+    assert negative_drift
+
+
+def test_block_grid_layout_is_computed_once_and_not_compared():
+    cap = ResourceVector(lut=10.0)
+    for num_blocks in range(1, 201):
+        grid = BlockGrid(num_blocks, cap, aspect_ratio=0.5)
+        cols = max(1, math.ceil(math.sqrt(num_blocks)))
+        assert (grid.cols, grid.rows) \
+            == (cols, math.ceil(num_blocks / cols)), num_blocks
+        assert repr(grid) == (f"BlockGrid(num_blocks={num_blocks}, "
+                              f"capacity={cap!r}, aspect_ratio=0.5)")
+        twin = BlockGrid(num_blocks, cap, aspect_ratio=0.5)
+        object.__setattr__(twin, "cols", grid.cols + 1)
+        object.__setattr__(twin, "rows", 0)
+        assert twin == grid and hash(twin) == hash(grid)
+        assert grid != BlockGrid(num_blocks + 1, cap, aspect_ratio=0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.cols = 3
 
 
 def test_packer_handles_isolated_and_multi_terminal_nets():
@@ -160,9 +228,66 @@ def test_packer_handles_isolated_and_multi_terminal_nets():
         assert packer.clusters_grown >= len(uids) // 6
 
 
+def _hub_netlist(rng: random.Random, n: int) -> Netlist:
+    """Primitives of a few whole-number sizes (fill ties), hubs with
+    dozens of neighbours (resized sets whose order is not sorted
+    order), multi-sink nets with repeated sinks, and self-loops."""
+    netlist = Netlist("hubs")
+    sizes = [ResourceVector(lut=float(k), dff=float(2 * k), dsp=d)
+             for k in (1, 2, 3) for d in (0.0, 1.0)]
+    uids = [netlist.add_primitive(PrimitiveType.LUT,
+                                  resources=rng.choice(sizes))
+            for _ in range(n)]
+    hubs = rng.sample(uids, 4)
+    for uid in uids:
+        netlist.add_net(uid, [rng.choice(hubs)], width_bits=8)
+    for _ in range(2 * n):
+        driver = rng.choice(uids)
+        sinks = rng.choices(uids, k=rng.randint(1, 4))
+        netlist.add_net(driver, sinks + [driver] * (rng.random() < 0.1),
+                        width_bits=rng.randint(1, 32))
+    return netlist
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pack_with_shared_neighbour_sets_matches_reference(seed):
+    """Hubs, whole-number fill ties and merges: the packer reading each
+    primitive's neighbour set once packs as the reference does."""
+    rng = random.Random(seed)
+    netlist = _hub_netlist(rng, rng.randint(200, 400))
+    capacity = ResourceVector(lut=rng.choice((6.0, 9.0, 14.0)),
+                              dff=30.0, dsp=3.0)
+    packer = GreedyPacker(capacity, seed=seed)
+    reference = ReferencePacker(capacity, seed=seed)
+    assert _members(packer.pack(netlist)) == _members(
+        reference.pack(netlist))
+    assert packer.rng.getstate() == reference.rng.getstate()
+
+
+def test_cluster_edges_match_the_clique_walk():
+    """Multi-sink nets (repeated sinks, self-loops, more than
+    ``_MAX_CLIQUE`` endpoints) and primitives in no cluster."""
+    rng = random.Random(3)
+    netlist = _hub_netlist(rng, 300)
+    uids = list(netlist.primitives)
+    for _ in range(20):
+        netlist.add_net(rng.choice(uids), rng.choices(uids, k=30))
+    clusters = GreedyPacker(ResourceVector(lut=8.0, dff=40.0, dsp=4.0),
+                            seed=1).pack(netlist)
+    for drop in (0, 3):
+        kept = clusters[drop:]
+        index = {c.uid: i for i, c in enumerate(kept)}
+        grid = BlockGrid(4, ResourceVector(lut=100.0))
+        got = QuadraticPlacer(grid)._cluster_edges(kept, netlist, index)
+        want = ReferencePlacer(grid)._cluster_edges(kept, netlist, index)
+        assert list(got.items()) == list(want.items())
+        assert all(type(w) is float for w in got.values())
+
+
 def test_partition_flows_match_the_dataflow_graph_walk():
-    """Same flows in the same key order as the networkx edge walk,
-    with parallel nets, self-loops and unassigned primitives."""
+    """Same flows in the same key order as the networkx edge walk, and
+    the same cut bandwidth as one partition set per net, with parallel
+    nets, self-loops and unassigned primitives."""
     spec = next(s for s in SPECS if s.name == "cifar10-L")
     netlist = HLSFrontend(macro_lut=256).synthesize(spec)
     uids = list(netlist.primitives)
@@ -179,3 +304,6 @@ def test_partition_flows_match_the_dataflow_graph_walk():
         assert list(flows.items()) == list(
             reference_partition_edges(netlist, assignment).items())
         assert all(type(bits) is float for bits in flows.values())
+        cut = netlist.cut_bandwidth(assignment)
+        assert cut == reference_cut_bandwidth(netlist, assignment)
+        assert type(cut) is float
