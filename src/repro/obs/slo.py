@@ -194,36 +194,10 @@ class SLOEngine:
     # ------------------------------------------------------------------
     def on_record(self, kind: str, name: str, t: float,
                   duration_s: float | None, fields: dict) -> None:
-        if kind != "event" or name.startswith("slo.") or self.finalized:
+        handler = _HANDLERS.get(name)
+        if handler is None or kind != "event" or self.finalized:
             return
-        if name == "sim.complete":
-            if self._want_response:
-                self._responses.append(
-                    (t, float(fields.get("response_s", 0.0))))
-            if self._want_goodput:
-                useful = float(fields.get("service_s", 0.0))
-                self._useful.append((t, useful))
-                self._useful_total += useful
-        elif name == "sim.evict":
-            if fields.get("reason") == "requeued":
-                if self._want_mttr:
-                    self._evicted_at[fields.get("request")] = t
-                if self._want_goodput:
-                    lost = float(fields.get("progress_lost_s", 0.0))
-                    self._lost.append((t, lost))
-                    self._lost_total += lost
-            elif fields.get("reason") == "migrated" and self._want_mttr:
-                self._recoveries.append(
-                    (t, float(fields.get("recovery_s", 0.0))))
-        elif name == "sim.deploy" and self._want_mttr:
-            evicted = self._evicted_at.pop(fields.get("request"), None)
-            if evicted is not None:
-                # recovery closes when the replacement is programmed --
-                # the exact quantity MetricsCollector.record_recovery
-                # accumulates on the re-queue path
-                self._recoveries.append(
-                    (t, t + float(fields.get("reconfig_s", 0.0))
-                     - evicted))
+        handler(self, t, fields)
 
     def observe(self, entry: dict) -> None:
         """Replay one exported JSONL trace entry."""
@@ -344,3 +318,50 @@ class SLOEngine:
         """True when no rule is still in violation -- the
         "recovered within SLO" assertion for fault-injection runs."""
         return not any(s.violated for s in self._states)
+
+
+# ----------------------------------------------------------------------
+# distribution intake: record name -> handler(engine, t, fields).  A
+# module table, not bound methods kept on the instance, so an engine
+# holds no reference back to itself; ``slo.*`` events have no entry.
+# ----------------------------------------------------------------------
+def _complete(engine: SLOEngine, t: float, fields: dict) -> None:
+    if engine._want_response:
+        engine._responses.append(
+            (t, float(fields.get("response_s", 0.0))))
+    if engine._want_goodput:
+        useful = float(fields.get("service_s", 0.0))
+        engine._useful.append((t, useful))
+        engine._useful_total += useful
+
+
+def _evict(engine: SLOEngine, t: float, fields: dict) -> None:
+    if fields.get("reason") == "requeued":
+        if engine._want_mttr:
+            engine._evicted_at[fields.get("request")] = t
+        if engine._want_goodput:
+            lost = float(fields.get("progress_lost_s", 0.0))
+            engine._lost.append((t, lost))
+            engine._lost_total += lost
+    elif fields.get("reason") == "migrated" and engine._want_mttr:
+        engine._recoveries.append(
+            (t, float(fields.get("recovery_s", 0.0))))
+
+
+def _deploy(engine: SLOEngine, t: float, fields: dict) -> None:
+    if not engine._want_mttr:
+        return
+    evicted = engine._evicted_at.pop(fields.get("request"), None)
+    if evicted is not None:
+        # recovery closes when the replacement is programmed -- the
+        # exact quantity MetricsCollector.record_recovery accumulates
+        # on the re-queue path
+        engine._recoveries.append(
+            (t, t + float(fields.get("reconfig_s", 0.0)) - evicted))
+
+
+_HANDLERS = {
+    "sim.complete": _complete,
+    "sim.evict": _evict,
+    "sim.deploy": _deploy,
+}

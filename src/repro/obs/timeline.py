@@ -80,6 +80,9 @@ class TimelineAggregator:
         self.buckets: list[dict] = []
         self.finished = False
         self._bucket = 0          # index of the bucket being filled
+        #: no event before this time can close a bucket (see
+        #: :meth:`_edge_of`), so :meth:`on_record` skips ``_advance``
+        self._next_edge = self._edge_of(0)
         self._listeners: list = []
         self._closing = False     # re-entrancy guard (sinks of sinks)
         # ---- tracked state (current values) --------------------------
@@ -147,14 +150,15 @@ class TimelineAggregator:
     def on_record(self, kind: str, name: str, t: float,
                   duration_s: float | None, fields: dict) -> None:
         """Tracer-sink entry point (live streaming)."""
-        if kind != "event" or self.finished:
+        if kind != "event" or self.finished or self._closing:
             return  # spans carry their *start* time; state is event-fed
-        if name.startswith("slo."):
+        handler = _HANDLERS.get(name)
+        if handler is None and name.startswith("slo."):
             return  # emitted during bucket close; never re-enter
-        if self._closing:
-            return
-        self._advance(t)
-        self._apply(name, fields)
+        if not t < self._next_edge:   # NaN still reaches _bucket_of
+            self._advance(t)
+        if handler is not None:
+            handler(self, fields)
 
     def observe(self, entry: dict) -> None:
         """Replay one exported JSONL trace entry (batch recomputation)."""
@@ -210,6 +214,18 @@ class TimelineAggregator:
             return k + 1
         return k
 
+    def _edge_of(self, bucket: int) -> float:
+        """A time below which :meth:`_bucket_of` is at most ``bucket``.
+
+        ``_bucket_of(t)`` first exceeds ``bucket`` where the quotient
+        ``t / interval_s`` comes within a relative 1e-9 of
+        ``bucket + 1``; the edge sits a relative 1e-8 below that
+        boundary, far outside what the division and the snap can round
+        by, so every ``t`` under it buckets into ``bucket`` or earlier.
+        Events just under a boundary merely take the exact path.
+        """
+        return (bucket + 1) * self.interval_s * (1.0 - 1e-8)
+
     def _advance(self, t: float) -> None:
         target = self._bucket_of(t)
         while self._bucket < target:
@@ -222,6 +238,7 @@ class TimelineAggregator:
                 (self._bucket + 1) * self.interval_s)
             self.buckets.append(sample)
             self._bucket += 1
+            self._next_edge = self._edge_of(self._bucket)
             self._arrivals = self._deploys = self._completions = 0
             self._migrations = 0
             for listener in self._listeners:
@@ -272,60 +289,16 @@ class TimelineAggregator:
             return 0
         return self._ring.peak_segment_flows()
 
-    # ---- per-event state transitions ---------------------------------
-    def _apply(self, name: str, fields: dict) -> None:
-        if name == "sim.arrival":
-            self._queue += 1
-            self._arrivals += 1
-        elif name == "sim.deploy":
-            self._queue -= 1
-            self._deploys += 1
-        elif name == "sim.complete":
-            self._completions += 1
-        elif name == "sim.evict":
-            if fields.get("reason") == "requeued":
-                self._queue += 1
-        elif name == "sim.permanent_failure":
-            self._queue -= 1
-        elif name == "ctrl.deploy":
-            self._deploy(fields)
-        elif name == "ctrl.migrate":
-            self._migrations += 1
-            if fields.get("blocks_by_board") is not None:
-                # re-key the holding onto its new boards (release +
-                # deploy keeps occupancy/tenant/ring math incremental);
-                # legacy events without per-board counts only bump the
-                # rate counter
-                self._deploy(fields)
-        elif name in ("ctrl.release", "ctrl.evict"):
-            self._release(fields)
-        elif name == "ctrl.board_fail":
-            board = fields.get("board")
-            if board is not None:
-                self._failed_boards.add(int(board))
-        elif name == "ctrl.board_repair":
-            board = fields.get("board")
-            if board is not None:
-                self._failed_boards.discard(int(board))
-        elif name == "sim.shed":
-            self._queue -= 1
-        elif name == "ctrl.quarantine":
-            board = fields.get("board")
-            if board is not None:
-                self._quarantined.add(int(board))
-        elif name == "ctrl.probation":
-            # probation boards serve traffic again; only full
-            # quarantine counts as lost capacity in the series
-            board = fields.get("board")
-            if board is not None:
-                self._quarantined.discard(int(board))
-
+    # ---- per-event state transitions (see _HANDLERS) ------------------
     def _deploy(self, fields: dict) -> None:
         request = fields.get("request")
         blocks = int(fields.get("blocks", 0))
         tenant = fields.get("tenant", "")
-        per_board = tuple((int(b), int(n)) for b, n in
-                          fields.get("blocks_by_board") or ())
+        per_board = fields.get("blocks_by_board") or ()
+        if type(per_board) is not tuple:
+            # a replayed trace's lists; the controller records its
+            # placement's fold, already a tuple of int pairs
+            per_board = tuple((int(b), int(n)) for b, n in per_board)
         spans = bool(fields.get("spans")) and len(per_board) > 1
         if request in self._holdings:
             # a redeploy without a matching release would double-count
@@ -464,6 +437,7 @@ class TimelineAggregator:
                        num_boards=state["num_boards"],
                        board_capacity=state["board_capacity"])
         timeline._bucket = state["bucket"]
+        timeline._next_edge = timeline._edge_of(timeline._bucket)
         timeline.finished = state["finished"]
         timeline.buckets = [dict(b) for b in state["buckets"]]
         timeline._allocated = state["allocated"]
@@ -490,6 +464,87 @@ class TimelineAggregator:
         # pre-migration snapshots carry three rate counters
         timeline._migrations = rates[3] if len(rates) > 3 else 0
         return timeline
+
+
+# ----------------------------------------------------------------------
+# per-event state transitions: record name -> handler(timeline, fields).
+# A module table, not bound methods kept on the instance, so a timeline
+# holds no reference back to itself.
+# ----------------------------------------------------------------------
+def _arrival(tl: TimelineAggregator, fields: dict) -> None:
+    tl._queue += 1
+    tl._arrivals += 1
+
+
+def _sim_deploy(tl: TimelineAggregator, fields: dict) -> None:
+    tl._queue -= 1
+    tl._deploys += 1
+
+
+def _complete(tl: TimelineAggregator, fields: dict) -> None:
+    tl._completions += 1
+
+
+def _sim_evict(tl: TimelineAggregator, fields: dict) -> None:
+    if fields.get("reason") == "requeued":
+        tl._queue += 1
+
+
+def _dequeued(tl: TimelineAggregator, fields: dict) -> None:
+    tl._queue -= 1
+
+
+def _migrate(tl: TimelineAggregator, fields: dict) -> None:
+    tl._migrations += 1
+    if fields.get("blocks_by_board") is not None:
+        # re-key the holding onto its new boards (release + deploy
+        # keeps occupancy/tenant/ring math incremental); legacy events
+        # without per-board counts only bump the rate counter
+        tl._deploy(fields)
+
+
+def _board_fail(tl: TimelineAggregator, fields: dict) -> None:
+    board = fields.get("board")
+    if board is not None:
+        tl._failed_boards.add(int(board))
+
+
+def _board_repair(tl: TimelineAggregator, fields: dict) -> None:
+    board = fields.get("board")
+    if board is not None:
+        tl._failed_boards.discard(int(board))
+
+
+def _quarantine(tl: TimelineAggregator, fields: dict) -> None:
+    board = fields.get("board")
+    if board is not None:
+        tl._quarantined.add(int(board))
+
+
+def _probation(tl: TimelineAggregator, fields: dict) -> None:
+    # probation boards serve traffic again; only full quarantine counts
+    # as lost capacity in the series
+    board = fields.get("board")
+    if board is not None:
+        tl._quarantined.discard(int(board))
+
+
+_HANDLERS = {
+    "sim.arrival": _arrival,
+    "sim.deploy": _sim_deploy,
+    "sim.complete": _complete,
+    "sim.evict": _sim_evict,
+    "sim.permanent_failure": _dequeued,
+    "sim.shed": _dequeued,
+    "ctrl.deploy": TimelineAggregator._deploy,
+    "ctrl.migrate": _migrate,
+    "ctrl.release": TimelineAggregator._release,
+    "ctrl.evict": TimelineAggregator._release,
+    "ctrl.board_fail": _board_fail,
+    "ctrl.board_repair": _board_repair,
+    "ctrl.quarantine": _quarantine,
+    "ctrl.probation": _probation,
+}
 
 
 def _csv_cell(value) -> str:

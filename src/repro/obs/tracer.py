@@ -21,8 +21,10 @@ Cost model: a *disabled* tracer is falsy and every instrumentation site
 guards with ``if tracer:`` before building any payload, so the disabled
 path is a single attribute check -- simulation results are bit-identical
 with tracing on, off, or absent, because the tracer only observes.
-Recording appends one tuple per event; JSON formatting happens only at
-export.
+Recording appends one row per entry -- ``t``, a span's duration, the
+field values -- to the table of the entry's *shape* (kind, name and
+field keys, interned once).  JSON formatting happens only at export,
+through one template compiled per shape (DESIGN §19).
 
 Streaming consumers (the timeline aggregator and SLO engine of
 :mod:`repro.obs.timeline` / :mod:`repro.obs.slo`) subscribe with
@@ -37,6 +39,9 @@ a health-monitored run's memory O(1) in trace length.
 from __future__ import annotations
 
 import json
+from array import array
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -60,9 +65,139 @@ def _encode_set(value: Any) -> list:
 
 
 #: the one export encoder (``json.dumps`` would build a fresh one per
-#: entry): compact, key-sorted; tuples it writes as lists unaided
+#: entry): compact, key-sorted; tuples it writes as lists unaided.  The
+#: compiled export (:meth:`Tracer.to_jsonl`) hands it every value it
+#: does not format itself, so its text is the definition of the format
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                             default=_encode_set)
+
+#: value types whose JSON text never depends on anything but the value
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+#: indexed by a bool
+_BOOL_TEXT = ("false", "true")
+
+
+def _value_text(value: Any, memo: dict) -> str:
+    """One field value's JSON text, exactly as :data:`_ENCODER` writes
+    it nested in an entry.  Exact scalars are formatted here; anything
+    else (subclasses, containers, non-finite floats) goes to the
+    encoder.  A tuple of scalars is immutable all the way down, so its
+    text is memoised by identity in ``memo``; the caller holds every
+    value it passes for as long as ``memo`` lives, so no other object
+    can take a memoised id."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and isfinite(value):
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is tuple:
+        text = memo.get(id(value))
+        if text is None:
+            text = _ENCODER.encode(value)
+            if all(type(item) in _SCALARS for item in value):
+                memo[id(value)] = text
+        return text
+    return _ENCODER.encode(value)
+
+
+def _column_text(column: list) -> list:
+    """What a template's ``%s`` needs for one column of one shape.
+
+    ``%s`` of an exact int or of a finite float is its ``repr``, which
+    is the encoder's text, so such columns pass through unconverted; an
+    all-``str`` or all-``bool`` column is converted in one C-level map;
+    anything else value by value, with one tuple memo per column (the
+    column holds the tuples, so the memo dies before they can)."""
+    kinds = set(map(type, column))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind is int or (kind is float and all(map(isfinite, column))):
+            return column
+        if kind is str:
+            return list(map(encode_basestring_ascii, column))
+        if kind is bool:
+            return list(map(_BOOL_TEXT.__getitem__, column))
+    memo: dict[int, str] = {}
+    return [_value_text(value, memo) for value in column]
+
+
+class _Shape:
+    """One (kind, name, field keys) combination: its rows and template.
+
+    ``rows`` is this shape's table, flattened: each retained entry adds
+    ``width`` values -- ``t``, a span's duration, then the field values
+    in ``keys`` order -- so a column is one slice.  The template is the
+    entry's JSON text with a ``%s`` per varying value (duration, fields
+    in sorted key order, seq, t) and every key, the kind and the name as
+    literals.
+    """
+
+    __slots__ = ("id", "kind", "name", "keys", "timed", "width", "rows",
+                 "template", "columns")
+
+    def __init__(self, shape_id: int, kind: str, name: str,
+                 keys: tuple) -> None:
+        self.id = shape_id
+        self.kind = kind
+        self.name = name
+        self.keys = keys
+        #: spans carry a duration, events do not
+        self.timed = kind == "span"
+        first = 2 if self.timed else 1
+        self.width = first + len(keys)
+        self.rows: list = []
+        # keyword arguments are str-keyed; a shape whose keys are not
+        # (a span's ``fields`` edited by hand) exports through the
+        # encoder, entry by entry
+        self.template: str | None = None
+        if not all(type(key) is str for key in keys):
+            return
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        #: row offsets in template order; ``None`` stands for seq
+        self.columns = ([1] if self.timed else []) \
+            + [first + i for i in order] + [None, 0]
+
+        def literal(text: str) -> str:
+            return text.replace("%", "%%")
+
+        parts = ['{"duration_s":%s,' if self.timed else "{"]
+        if keys:
+            parts.append('"fields":{' + ",".join(
+                literal(encode_basestring_ascii(keys[i])) + ":%s"
+                for i in order) + "},")
+        parts.append(literal(
+            f'"kind":{_ENCODER.encode(kind)},'
+            f'"name":{_ENCODER.encode(name)},'))
+        parts.append('"seq":%s,"t":%s}')
+        self.template = "".join(parts)
+
+    def entry(self, seq: int, row: list) -> dict:
+        """One row as a JSONL-schema dict, payloads as recorded."""
+        entry: dict[str, Any] = {
+            "seq": seq, "t": row[0], "kind": self.kind, "name": self.name}
+        if self.timed:
+            entry["duration_s"] = row[1]
+        if self.keys:
+            entry["fields"] = dict(zip(
+                self.keys, row[2 if self.timed else 1:]))
+        return entry
+
+    def lines(self, seqs: list[int]) -> list[str]:
+        """The JSONL lines of every row, given each row's seq."""
+        rows, width = self.rows, self.width
+        if self.template is None:
+            return [_ENCODER.encode(self.entry(
+                        seq, rows[i * width:(i + 1) * width]))
+                    for i, seq in enumerate(seqs)]
+        columns = [_column_text(rows[i::width]) if i is not None
+                   else seqs for i in self.columns]
+        return list(map(self.template.__mod__, zip(*columns)))
 
 
 class Span:
@@ -143,8 +278,12 @@ class Tracer:
         self.record_wall = record_wall
         self.retain = retain
         self.now = 0.0
-        #: (kind, name, t, duration_s | None, fields)
-        self._entries: list[tuple] = []
+        #: (kind, name, field keys) -> its shape; ``_shapes[id]`` too
+        self._shape_of: dict[tuple, _Shape] = {}
+        self._shapes: list[_Shape] = []
+        #: the shape id of every retained entry, in record order (the
+        #: entries themselves are rows of their shape's table)
+        self._order = array("I")
         #: streaming subscribers: ``fn(kind, name, t, duration_s,
         #: fields)`` called once per recorded entry, in subscription
         #: order.  Empty (the common case) costs one falsy check.
@@ -154,27 +293,39 @@ class Tracer:
         return self.enabled
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._order)
 
     def add_sink(self, sink) -> None:
         """Subscribe a streaming consumer to every future entry.
 
         ``sink(kind, name, t, duration_s, fields)`` is invoked with the
         raw (pre-JSON) payload at record time.  Sinks must treat
-        ``fields`` as read-only -- it is the same dict the retained
-        entry references.
+        ``fields`` as read-only: the retained row holds its values.
         """
         if not callable(sink):
             raise TypeError(f"sink must be callable, got {sink!r}")
         self._sinks.append(sink)
 
     # ------------------------------------------------------------------
+    def _shape(self, key: tuple) -> _Shape:
+        """Intern a new (kind, name, field keys) shape."""
+        shape = self._shape_of[key] = _Shape(len(self._shapes), *key)
+        self._shapes.append(shape)
+        return shape
+
     def _record(self, kind: str, name: str, t: float,
-                duration_s: float | None, fields: dict) -> None:
+                duration_s: float, fields: dict) -> None:
+        """Record a span (the one caller: :meth:`Span.end`)."""
         if not self.enabled:
             return
         if self.retain:
-            self._entries.append((kind, name, t, duration_s, fields))
+            key = (kind, name, tuple(fields))
+            shape = self._shape_of.get(key) or self._shape(key)
+            self._order.append(shape.id)
+            rows = shape.rows
+            rows.append(t)
+            rows.append(duration_s)
+            rows.extend(fields.values())
         if self._sinks:
             for sink in self._sinks:
                 sink(kind, name, t, duration_s, fields)
@@ -186,8 +337,12 @@ class Tracer:
             return
         t_event = self.now if t is None else t
         if self.retain:
-            self._entries.append(
-                ("event", name, t_event, None, fields))
+            key = ("event", name, tuple(fields))
+            shape = self._shape_of.get(key) or self._shape(key)
+            self._order.append(shape.id)
+            rows = shape.rows
+            rows.append(t_event)
+            rows.extend(fields.values())
         if self._sinks:
             for sink in self._sinks:
                 sink("event", name, t_event, None, fields)
@@ -200,24 +355,20 @@ class Tracer:
         return Span(self, name, self.now if t is None else t, fields)
 
     def clear(self) -> None:
-        self._entries.clear()
+        self._order = array("I")
+        self._shape_of.clear()
+        self._shapes.clear()
 
     # ------------------------------------------------------------------
-    def _raw_entries(self) -> Iterator[dict]:
-        """Entries in the JSONL schema, payloads as recorded."""
-        for seq, (kind, name, t, duration_s, fields) in \
-                enumerate(self._entries):
-            entry: dict[str, Any] = {
-                "seq": seq, "t": t, "kind": kind, "name": name}
-            if duration_s is not None:
-                entry["duration_s"] = duration_s
-            if fields:
-                entry["fields"] = fields
-            yield entry
-
     def entries(self) -> Iterator[dict]:
         """Yield entries as dicts (the JSONL schema, pre-serialization)."""
-        for entry in self._raw_entries():
+        shapes = self._shapes
+        used = [0] * len(shapes)
+        for seq, shape_id in enumerate(self._order):
+            shape = shapes[shape_id]
+            start = used[shape_id]
+            used[shape_id] = end = start + shape.width
+            entry = shape.entry(seq, shape.rows[start:end])
             if "fields" in entry:
                 entry["fields"] = {
                     k: _jsonable(v)
@@ -227,17 +378,24 @@ class Tracer:
     def to_jsonl(self) -> str:
         """One compact, key-sorted JSON object per line (byte-stable).
 
-        Payloads go to the encoder as recorded: it sorts keys, writes
-        tuples as lists and sets sorted, which is the text the
-        normalized :meth:`entries` serialize to.
+        The text is what :data:`_ENCODER` writes for each entry dict --
+        sorted keys, tuples as lists, sets sorted -- produced shape by
+        shape: each shape's table is formatted column-wise through its
+        template, then the lines are merged back into record order.
         """
-        return "\n".join(map(_ENCODER.encode, self._raw_entries()))
+        seqs: list[list[int]] = [[] for _ in self._shapes]
+        for seq, shape_id in enumerate(self._order):
+            seqs[shape_id].append(seq)
+        lines = [iter(shape.lines(of_shape))
+                 for shape, of_shape in zip(self._shapes, seqs)]
+        del seqs   # before the join allocates the whole text
+        return "\n".join(map(next, map(lines.__getitem__, self._order)))
 
     def dump(self, path: "str | Path") -> int:
         """Write the JSONL trace; returns the number of entries."""
         text = self.to_jsonl()
         Path(path).write_text(text + "\n" if text else "")
-        return len(self._entries)
+        return len(self._order)
 
 
 #: Shared disabled tracer for call sites that want a non-None default.

@@ -63,10 +63,11 @@ class _Allocatable:
     guard-quarantined and -- on mixed clusters -- of one footprint.
 
     Replaced whole wherever membership changes and never mutated in
-    place: ``ctrl.deploy`` records retain ``ids``.
+    place: ``ctrl.deploy`` records retain ``ids``, and the trace export
+    encodes that tuple once per view, not once per record.
     """
 
-    ids: list[int]            #: board ids, board order
+    ids: tuple[int, ...]      #: board ids, board order
     rows: "np.ndarray"        #: their rows in the ResourceDB vectors
     excluded: "np.ndarray"    #: every other row
 
@@ -74,7 +75,7 @@ class _Allocatable:
     def from_mask(cls, mask: "np.ndarray",
                   board_ids: "np.ndarray") -> "_Allocatable":
         rows = np.nonzero(mask)[0]
-        return cls(board_ids[rows].tolist(), rows,
+        return cls(tuple(board_ids[rows].tolist()), rows,
                    np.nonzero(~mask)[0])
 
 
@@ -517,7 +518,7 @@ class SystemController(ClusterManager):
     def _finalize_deploy(self, app: CompiledApp, request_id: int,
                          now: float, tenant: str,
                          placement: Placement,
-                         candidates: list[int],
+                         candidates: tuple[int, ...],
                          ) -> Deployment | None:
         # runtime relocation: bind every image to its physical block
         # (validation memoized per (image, board kind, block) -- see
@@ -659,9 +660,10 @@ class SystemController(ClusterManager):
         self._require_board(board_id)
         if board_id in self.resource_db.failed_boards():
             return []
+        # the placement's fold names each board once: no boards list
         victims = sorted(
             (d for d in self.deployments.values()
-             if board_id in d.placement.boards),
+             for board, _ in d.placement.per_board if board == board_id),
             key=lambda d: d.deployed_at)
         self.audit.append(now, AuditEvent.FAIL, -1, "-",
                           board=board_id, victims=len(victims))

@@ -67,9 +67,9 @@ def _single_board_donors(deployments: dict[int, Deployment],
     than a rescan of every deployment per candidate target."""
     donors: dict[int, list[Deployment]] = {}
     for deployment in deployments.values():
-        boards = deployment.placement.boards
-        if len(boards) == 1:
-            donors.setdefault(boards[0], []).append(deployment)
+        fold = deployment.placement.per_board
+        if len(fold) == 1:
+            donors.setdefault(fold[0][0], []).append(deployment)
     return donors
 
 

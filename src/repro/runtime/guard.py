@@ -266,11 +266,11 @@ class DegradedModeGuard:
                    window_s=self.config.failure_window_s,
                    until=now + self.config.quarantine_s)
 
-    def _admittable_boards(self) -> list[int]:
+    def _admittable_boards(self) -> tuple[int, ...]:
         """Boards allocation may currently use at all."""
         controller = self._controller
         if controller is None:
-            return []
+            return ()
         return controller._allocatable.ids
 
     # ------------------------------------------------------------------

@@ -199,7 +199,12 @@ class ArrayEventQueue:
         return (len(self._kinds) - self._ptr) + len(self._dyn)
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        # the loop's ``while queue`` test: no Python-level __len__
+        if self._dyn:
+            return True
+        if not self._sealed:
+            return bool(self._stage_t)
+        return self._ptr < len(self._kinds)
 
 
 class TimeWeightedValue:

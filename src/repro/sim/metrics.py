@@ -179,6 +179,7 @@ class MetricsCollector:
         self.busy_blocks = TimeWeightedValue()
         self.running_apps = TimeWeightedValue()
         self.queue_len = TimeWeightedValue()
+        self._queued = 0          #: queue_len's current value
         self.first_arrival = math.inf
         self.last_completion = 0.0
         #: running maxima, maintained per state snapshot so summarize()
@@ -197,7 +198,11 @@ class MetricsCollector:
                      running: int, queued: int) -> None:
         self.busy_blocks.record(now, busy_blocks)
         self.running_apps.record(now, running)
-        self.queue_len.record(now, queued)
+        # an unchanged length adds no breakpoint, so skip the call; the
+        # two series above have just checked ``now`` for going backwards
+        if queued != self._queued:
+            self.queue_len.record(now, queued)
+            self._queued = queued
         if running > self._peak_running:
             self._peak_running = int(running)
         if queued > self._peak_queue:

@@ -58,6 +58,9 @@ class RequestQueue:
     def __len__(self) -> int:
         return self._tail - self._head
 
+    def __bool__(self) -> bool:
+        return self._tail != self._head
+
     def __getitem__(self, index: int) -> Request:
         return self._items[self._head + index]
 

@@ -232,7 +232,7 @@ def _check_view(controller) -> None:
     db = controller.resource_db
     for footprint, view in views.items():
         ids = _expected_ids(controller, footprint)
-        assert view.ids == ids, footprint
+        assert view.ids == tuple(ids), footprint
         assert all(type(b) is int for b in view.ids)  # JSON-safe
         rows = [db.board_row(b) for b in ids]
         assert view.rows.tolist() == rows
@@ -304,11 +304,11 @@ class TestAllocatableView:
         guard = DegradedModeGuard(GuardConfig(failure_threshold=1))
         controller.attach_guard(guard)
         guard.record_board_failure(2, now=1.0)
-        assert controller._allocatable.ids == [0, 1, 3]
+        assert controller._allocatable.ids == (0, 1, 3)
         assert controller._allocatable.excluded.tolist() == [2]
         controller.attach_guard(None)
         _check_view(controller)
-        assert controller._allocatable.ids == [0, 1, 2, 3]
+        assert controller._allocatable.ids == (0, 1, 2, 3)
 
 
 class TestSearchEffortFromCountVector:

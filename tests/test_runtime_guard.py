@@ -130,7 +130,7 @@ class TestBreaker:
         vital.register(compiled_small)
         guard.record_board_failure(0, now=1.0)
         candidates = vital._allocatable_for(compiled_small).ids
-        assert candidates == [1, 2, 3]
+        assert candidates == (1, 2, 3)
         deployment = vital.try_deploy(compiled_small, 0, now=2.0)
         assert deployment is not None
         assert 0 not in deployment.placement.boards
