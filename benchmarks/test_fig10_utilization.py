@@ -79,13 +79,13 @@ def test_fig10_relocation_snapshots(benchmark, cluster, apps, emit):
     from repro.sim.workload import WorkloadGenerator
 
     controller = SystemController(cluster)
+    audit = controller.attach_audit()
     requests = WorkloadGenerator(seed=10).generate(
         7, num_requests=40, mean_interarrival_s=5.0)
     benchmark.pedantic(run_experiment,
                        args=(controller, requests, apps),
                        rounds=1, iterations=1)
-    timeline = occupancy_timeline(controller.audit, cluster,
-                                  max_snapshots=6)
+    timeline = occupancy_timeline(audit, cluster, max_snapshots=6)
     emit("fig10_snapshots",
          "Fig. 10 -- flexible sharing via relocation "
          "(occupancy snapshots; letters are deployments)\n\n"

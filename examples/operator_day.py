@@ -31,6 +31,7 @@ def main() -> None:
         db.register(app)
         apps[size] = app
     controller = DefragmentingController(cluster)
+    audit = controller.attach_audit()   # kept only once attached
 
     # -- quotas: the free tier gets at most 6 blocks -------------------
     controller.set_quota("free-tier", 6)
@@ -63,10 +64,9 @@ def main() -> None:
     verify_isolation(controller)
 
     # -- the audit log answers 'what happened?' ------------------------
-    print(f"\naudit log: {len(controller.audit)} entries, "
-          f"{controller.audit.counts()}")
+    print(f"\naudit log: {len(audit)} entries, {audit.counts()}")
     print("last three entries:")
-    for entry in controller.audit.entries()[-3:]:
+    for entry in audit.entries()[-3:]:
         print(f"  {entry.to_json()}")
 
     # -- warm restart: new controller, same silicon --------------------
@@ -79,8 +79,7 @@ def main() -> None:
     verify_isolation(restored)
 
     print("\noccupancy timeline (from the audit log):")
-    print(occupancy_timeline(controller.audit, cluster,
-                             max_snapshots=3))
+    print(occupancy_timeline(audit, cluster, max_snapshots=3))
 
 
 if __name__ == "__main__":

@@ -62,6 +62,8 @@ def occupancy_timeline(audit: AuditLog, cluster,
     Block-accurate for deploys/releases recorded by the system
     controller (which logs boards and block counts); migrations update
     board assignments.  Snapshots are sampled evenly across the log.
+    The log is one the controller had attached (``attach_audit``)
+    before the run it replays.
     """
     # reconstruct block maps from log entries
     state: dict[tuple[int, int], int] = {}   # address -> request id

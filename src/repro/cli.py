@@ -609,6 +609,7 @@ def _drill_controller(num_boards: int,
     from repro.runtime.controller import SystemController
     cluster = make_cluster(num_boards=num_boards)
     controller = SystemController(cluster)
+    controller.attach_audit()   # the fail-board drill prints its tail
     for board in sorted(pre_failed):
         controller.fail_board(board)
     flow = CompilationFlow(fabric=cluster.partition)

@@ -7,6 +7,11 @@ rejection and migration as an immutable, timestamped entry, queryable by
 tenant, request and time window -- and the isolation tests replay it to
 cross-check the controller's live state (a divergent log is itself a
 bug).
+
+The log exists only where it is read: ``SystemController.attach_audit``
+installs one (the chaos invariant probe and the CLI's fail-board drill
+do), which then keeps its columns of the controller's ``ctrl.*`` records
+(:meth:`AuditLog.on_record`).  A plain simulation run keeps no audit row.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ class AuditEvent(enum.Enum):
     REJECT = "reject"
     RELEASE = "release"
     MIGRATE = "migrate"
-    ISOLATION_CHECK = "isolation-check"
     #: a board fail-stopped (request id -1: board-scoped, not a tenant's)
     FAIL = "fail"
     #: a deployment was torn down because its board failed
@@ -61,6 +65,27 @@ class AuditEntry:
         })
 
 
+#: ``ctrl.*`` record name -> the event it is logged as and the record
+#: fields the log keeps, in the detail's key order.  A record without a
+#: ``request`` field is board-scoped: request -1, tenant ``"-"``.
+_RECORDS = {name: (event, tuple(keys.split())) for name, event, keys in (
+    ("ctrl.deploy", AuditEvent.DEPLOY, "app boards blocks spans reconfig_s"),
+    ("ctrl.reject", AuditEvent.REJECT, "app reason"),
+    ("ctrl.release", AuditEvent.RELEASE, "app"),
+    ("ctrl.evict", AuditEvent.EVICT, "app reason"),
+    ("ctrl.recover", AuditEvent.RECOVER, "app boards"),
+    ("ctrl.migrate", AuditEvent.MIGRATE,
+     "app reason from_boards to_boards pause_s"),
+    ("ctrl.reconfig_retry", AuditEvent.RETRY, "board attempt backoff_s"),
+    ("ctrl.board_fail", AuditEvent.FAIL, "board victims"),
+    ("ctrl.board_repair", AuditEvent.REPAIR, "board"))}
+
+#: detail key -> how the log keeps that field: durations to the
+#: microsecond, a failed board's victim list as a count
+_FOLDS = dict.fromkeys(("reconfig_s", "pause_s", "backoff_s"),
+                       lambda seconds: round(seconds, 6)) | {"victims": len}
+
+
 class AuditLog:
     """Append-only event store with simple queries.
 
@@ -95,7 +120,7 @@ class AuditLog:
     def append(self, time_s: float, event: AuditEvent, request_id: int,
                tenant: str, **detail) -> None:
         """Log one record: one value onto each column, no entry built
-        (the runtime's own writes; :meth:`record` also returns it)."""
+        (:meth:`record` also returns it)."""
         times = self._time
         if times and time_s < times[-1]:
             if self.strict:
@@ -111,6 +136,19 @@ class AuditLog:
         self._tenant.append(tenant)
         self._keys.append(self._shapes.setdefault(keys, keys))
         self._values.append(tuple(detail.values()))
+
+    def on_record(self, name: str, t: float, fields: dict,
+                  tenant: "str | None" = None) -> None:
+        """Log one controller record as :data:`_RECORDS` maps it.
+
+        ``tenant`` names the tenant of a record whose fields do not
+        (a reconfiguration retry is traced without one)."""
+        event, keys = _RECORDS[name]
+        detail = {key: _FOLDS[key](fields[key]) if key in _FOLDS
+                  else fields[key] for key in keys}
+        self.append(t, event, fields.get("request", -1),
+                    fields.get("tenant", "-") if tenant is None
+                    else tenant, **detail)
 
     def record(self, time_s: float, event: AuditEvent, request_id: int,
                tenant: str, **detail) -> AuditEntry:

@@ -31,7 +31,7 @@ from repro.obs.stats import fragmentation_index
 from repro.obs.tracer import Tracer
 from repro.peripherals.bandwidth import BandwidthArbiter
 from repro.peripherals.dram import VirtualMemory
-from repro.runtime.audit import AuditEvent, AuditLog
+from repro.runtime.audit import AuditLog
 from repro.runtime.bitstream_db import BitstreamDB
 from repro.runtime.guard import DegradedModeGuard
 from repro.runtime.policy import AllocationPolicy, CommunicationAwarePolicy
@@ -91,9 +91,11 @@ class SystemController(ClusterManager):
                  tracer: Tracer | None = None) -> None:
         self.cluster = cluster
         self.policy = policy or CommunicationAwarePolicy()
-        #: structured decision tracing; ``None`` (the default) keeps the
-        #: hot path at a single falsy check per instrumentation site
-        self.tracer: Tracer | None = None
+        #: the audit log (``attach_audit``); ``None`` keeps no audit row
+        self.audit: AuditLog | None = None
+        #: structured decision tracing; with neither attached (the
+        #: default) every ``ctrl.*`` record site is one falsy check
+        self.tracer = None
         if tracer is not None:
             self.attach_tracer(tracer)
         #: live fragmentation gauge (``attach_metrics``); ``None`` keeps
@@ -129,7 +131,6 @@ class SystemController(ClusterManager):
         #: optional degraded-mode guard (``attach_guard``); ``None``
         #: keeps every hot path at a single falsy check
         self.guard = None
-        self.audit = AuditLog()
         self._reset_state()
         self._refresh_allocatable()
 
@@ -139,19 +140,13 @@ class SystemController(ClusterManager):
         and then :meth:`load_snapshot`; the cluster, policy, tracer,
         guard, audit log and bitstream database outlive it.  Board
         health is the ResourceDB's ``FAILED`` rows."""
-        cluster = self.cluster
-        self.resource_db = ResourceDB(cluster)
-        self.memories = {
-            board.board_id: VirtualMemory(board.dram_capacity_bytes)
-            for board in cluster.boards}
-        self.dram_arbiters = {
-            board.board_id: BandwidthArbiter(
-                sum(d.bandwidth_gbps for d in board.dimms))
-            for board in cluster.boards}
-        # each board has one configuration port (ICAP); simultaneous
-        # deployments targeting the same board queue behind it
-        self._config_port_free_at = {
-            board.board_id: 0.0 for board in cluster.boards}
+        self.resource_db = ResourceDB(self.cluster)
+        # per board: DRAM, its bandwidth arbiter and the one
+        # configuration port (ICAP) simultaneous deployments queue behind
+        self.memories, self.dram_arbiters = {}, {}
+        self._config_port_free_at: dict[int, float] = {}
+        for board in self.cluster.boards:
+            self._wipe_board(board)
         self._instance_id = next(SystemController._instance_counter)
         #: board id -> ICAP programming attempts armed to fail
         self._armed_reconfig_faults: dict[int, int] = {}
@@ -180,10 +175,36 @@ class SystemController(ClusterManager):
         """Add a compiled application to the bitstream database."""
         self.bitstream_db.register(app)
 
+    @property
+    def tracer(self) -> Tracer | None:
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer: Tracer | None) -> None:
+        self._tracer = tracer
+        self._recording = bool(tracer) or self.audit is not None
+
     def attach_tracer(self, tracer: Tracer | None) -> None:
         """Wire ``tracer`` into this controller and its policy."""
         self.tracer = tracer
         self.policy.tracer = tracer
+
+    def attach_audit(self) -> AuditLog:
+        """Log this controller's decisions from now on into a new
+        :class:`AuditLog`; returns the log."""
+        self.audit = AuditLog()
+        self._recording = True
+        return self.audit
+
+    def _emit(self, name: str, now: float,
+              audit_tenant: str | None = None, /, **fields) -> None:
+        """One ``ctrl.*`` record to the audit log (``audit_tenant``: for
+        a record traced without its tenant) and the tracer; callers
+        check ``_recording`` first, so an unobserved run builds none."""
+        if self.audit is not None:
+            self.audit.on_record(name, now, fields, audit_tenant)
+        if self._tracer:
+            self._tracer.event(name, t=now, **fields)
 
     def attach_guard(self, guard) -> bool:
         """Wire a :class:`repro.runtime.guard.DegradedModeGuard` into
@@ -219,20 +240,15 @@ class SystemController(ClusterManager):
                    tenant: str | None = None) -> Deployment | None:
         """Deploy if resources allow; ``None`` means "wait and retry"."""
         self._register_if_needed(app)
-        app_name = app.name
         tenant = tenant or f"tenant-{request_id}"
 
-        tracer = self.tracer
         if self.guard is not None:
             self.guard.advance(now)
         if not self._within_quota(tenant, app.num_blocks):
-            self.audit.append(now, AuditEvent.REJECT, request_id,
-                              tenant, app=app_name,
-                              reason="quota-exceeded")
-            if tracer:
-                tracer.event(
-                    "ctrl.reject", t=now, request=request_id,
-                    tenant=tenant, app=app_name,
+            if self._recording:
+                self._emit(
+                    "ctrl.reject", now, request=request_id,
+                    tenant=tenant, app=app.name,
                     reason="quota-exceeded",
                     held=self.blocks_held_by(tenant),
                     quota=self.quotas.get(tenant),
@@ -243,17 +259,14 @@ class SystemController(ClusterManager):
         view = self._allocatable_for(app)
         placement = self._place(app, view)
         if placement is None:
-            self.audit.append(now, AuditEvent.REJECT, request_id,
-                              tenant, app=app_name,
-                              reason="no-free-blocks")
-            if tracer:
+            if self._recording:
                 # scalar candidate summary, and the policy's failed
                 # search folded in as one tuple: rejects dominate a
                 # saturated loop (the queue head retries on every
                 # event), so this stays one cheap entry per decision
-                tracer.event(
-                    "ctrl.reject", t=now, request=request_id,
-                    tenant=tenant, app=app_name,
+                self._emit(
+                    "ctrl.reject", now, request=request_id,
+                    tenant=tenant, app=app.name,
                     reason="no-free-blocks", needed=app.num_blocks,
                     candidate_boards=len(view.ids),
                     free_blocks=(self.resource_db.total_blocks
@@ -543,12 +556,9 @@ class SystemController(ClusterManager):
             # roll back so a transient DRAM shortage cannot leak blocks;
             # the request simply waits like any other resource shortage
             self.resource_db.release(request_id)
-            self.audit.append(now, AuditEvent.REJECT, request_id,
-                              tenant, app=app.name,
-                              reason="dram-exhausted")
-            if self.tracer:
-                self.tracer.event(
-                    "ctrl.reject", t=now, request=request_id,
+            if self._recording:
+                self._emit(
+                    "ctrl.reject", now, request=request_id,
                     tenant=tenant, app=app.name,
                     reason="dram-exhausted",
                     boards=placement.boards)
@@ -582,17 +592,12 @@ class SystemController(ClusterManager):
         self._track_deployment(deployment)
         if self._frag_gauge is not None:
             self._refresh_fragmentation()
-        blocks = len(placement.mapping)
-        app_name = app.name
-        self.audit.append(
-            now, AuditEvent.DEPLOY, request_id, tenant,
-            app=app_name, boards=boards, blocks=blocks, spans=spans,
-            reconfig_s=round(reconfig, 6))
-        if self.tracer:
-            self.tracer.event(
-                "ctrl.deploy", t=now, request=request_id,
-                tenant=tenant, app=app_name, reason="placed",
-                boards=boards, blocks=blocks, spans=spans,
+        if self._recording:
+            self._emit(
+                "ctrl.deploy", now, request=request_id,
+                tenant=tenant, app=app.name, reason="placed",
+                boards=boards, blocks=len(placement.mapping),
+                spans=spans,
                 # the placement's own fold: the timeline aggregator
                 # needs per-board counts to keep occupancy incremental,
                 # and the cost is O(app blocks), not O(cluster boards)
@@ -607,7 +612,7 @@ class SystemController(ClusterManager):
     def release(self, deployment: Deployment, now: float = 0.0) -> None:
         """Tear one deployment down and free its resources.
 
-        The RELEASE audit entry is recorded only after teardown
+        The ``ctrl.release`` record is written only after teardown
         completes (mirroring ``_finalize_deploy``): an exception
         mid-teardown must not leave the log claiming the request is gone
         while its blocks stay allocated.
@@ -616,15 +621,10 @@ class SystemController(ClusterManager):
             raise RuntimeError(
                 f"request {deployment.request_id} is not deployed")
         self._teardown(deployment)
-        app_name = deployment.app.name
-        self.audit.append(now, AuditEvent.RELEASE,
-                          deployment.request_id, deployment.tenant,
-                          app=app_name)
-        if self.tracer:
-            self.tracer.event(
-                "ctrl.release", t=now,
-                request=deployment.request_id,
-                tenant=deployment.tenant, app=app_name,
+        if self._recording:
+            self._emit(
+                "ctrl.release", now, request=deployment.request_id,
+                tenant=deployment.tenant, app=deployment.app.name,
                 reason="completed")
 
     def _teardown(self, deployment: Deployment) -> None:
@@ -665,21 +665,14 @@ class SystemController(ClusterManager):
             (d for d in self.deployments.values()
              for board, _ in d.placement.per_board if board == board_id),
             key=lambda d: d.deployed_at)
-        self.audit.append(now, AuditEvent.FAIL, -1, "-",
-                          board=board_id, victims=len(victims))
-        if self.tracer:
-            self.tracer.event("ctrl.board_fail", t=now, board=board_id,
-                              victims=[d.request_id for d in victims])
+        if self._recording:
+            self._emit("ctrl.board_fail", now, board=board_id,
+                       victims=[d.request_id for d in victims])
         for deployment in victims:
             self._teardown(deployment)
-            self.audit.append(now, AuditEvent.EVICT,
-                              deployment.request_id, deployment.tenant,
-                              app=deployment.app.name,
-                              reason=f"board-{board_id}-failed")
-            if self.tracer:
-                self.tracer.event(
-                    "ctrl.evict", t=now,
-                    request=deployment.request_id,
+            if self._recording:
+                self._emit(
+                    "ctrl.evict", now, request=deployment.request_id,
                     tenant=deployment.tenant,
                     app=deployment.app.name,
                     reason=f"board-{board_id}-failed")
@@ -687,16 +680,19 @@ class SystemController(ClusterManager):
         self._refresh_allocatable()
         self._refresh_fragmentation()
         # the crash loses DRAM contents and any queued ICAP work
-        board = self.cluster.board(board_id)
-        self.memories[board_id] = VirtualMemory(
-            board.dram_capacity_bytes)
-        self.dram_arbiters[board_id] = BandwidthArbiter(
-            sum(d.bandwidth_gbps for d in board.dimms))
-        self._config_port_free_at[board_id] = 0.0
+        self._wipe_board(self.cluster.board(board_id))
         self._armed_reconfig_faults.pop(board_id, None)
         if self.guard is not None:
             self.guard.record_board_failure(board_id, now)
         return victims
+
+    def _wipe_board(self, board) -> None:
+        """Empty DRAM, no bandwidth demand and an idle ICAP on ``board``."""
+        self.memories[board.board_id] = VirtualMemory(
+            board.dram_capacity_bytes)
+        self.dram_arbiters[board.board_id] = BandwidthArbiter(
+            sum(d.bandwidth_gbps for d in board.dimms))
+        self._config_port_free_at[board.board_id] = 0.0
 
     def repair_board(self, board_id: int, now: float = 0.0) -> None:
         """Return a failed board to service (empty: the crash wiped it)."""
@@ -706,11 +702,8 @@ class SystemController(ClusterManager):
         self.resource_db.set_board_repaired(board_id)
         self._refresh_allocatable()
         self._refresh_fragmentation()
-        self.audit.append(now, AuditEvent.REPAIR, -1, "-",
-                          board=board_id)
-        if self.tracer:
-            self.tracer.event("ctrl.board_repair", t=now,
-                              board=board_id)
+        if self._recording:
+            self._emit("ctrl.board_repair", now, board=board_id)
 
     def healthy_boards(self) -> list[int]:
         failed = self.resource_db.failed_boards()
@@ -738,19 +731,11 @@ class SystemController(ClusterManager):
         replacement = self.try_deploy(deployment.app,
                                       deployment.request_id, now,
                                       tenant=deployment.tenant)
-        if replacement is not None:
-            self.audit.append(now, AuditEvent.RECOVER,
-                              deployment.request_id,
-                              deployment.tenant,
-                              app=deployment.app.name,
-                              boards=replacement.placement.boards)
-            if self.tracer:
-                self.tracer.event(
-                    "ctrl.recover", t=now,
-                    request=deployment.request_id,
-                    tenant=deployment.tenant,
-                    app=deployment.app.name, reason="migrated",
-                    boards=replacement.placement.boards)
+        if replacement is not None and self._recording:
+            self._emit(
+                "ctrl.recover", now, request=deployment.request_id,
+                tenant=deployment.tenant, app=deployment.app.name,
+                reason="migrated", boards=replacement.placement.boards)
         return replacement
 
     # ------------------------------------------------------------------
@@ -869,21 +854,12 @@ class SystemController(ClusterManager):
         self.migrations_performed += 1
         self.migration_pause_s += pause
         self._refresh_fragmentation()
-        from_boards = old_placement.boards
-        to_boards = placement.boards
-        self.audit.append(now, AuditEvent.MIGRATE, request_id,
-                          deployment.tenant,
-                          app=deployment.app.name, reason=reason,
-                          from_boards=from_boards,
-                          to_boards=to_boards,
-                          pause_s=round(pause, 6))
-        if self.tracer:
-            self.tracer.event(
-                "ctrl.migrate", t=now, request=request_id,
+        if self._recording:
+            self._emit(
+                "ctrl.migrate", now, request=request_id,
                 tenant=deployment.tenant, app=deployment.app.name,
-                reason=reason, from_boards=from_boards,
-                boards=to_boards,
-                to_boards=to_boards,
+                reason=reason, from_boards=old_placement.boards,
+                boards=placement.boards, to_boards=placement.boards,
                 blocks=len(placement.mapping),
                 blocks_by_board=placement.per_board,
                 spans=placement.spans_boards,
@@ -993,7 +969,8 @@ class SystemController(ClusterManager):
         failed attempt occupies the port for the full programming time
         (the CRC check that catches it runs at the end) plus an
         exponentially growing backoff, bounded by
-        ``reconfig_max_retries``, and is audited as a RETRY.
+        ``reconfig_max_retries``, and is recorded as a
+        ``ctrl.reconfig_retry``.
         """
         reconfigurer = self.cluster.reconfigurer
         guard = self.guard
@@ -1025,13 +1002,9 @@ class SystemController(ClusterManager):
                         backoff = self.reconfig_backoff_base_s \
                             * (2 ** attempt)
                     duration += per_attempt + backoff
-                    self.audit.append(
-                        now, AuditEvent.RETRY, request_id, tenant,
-                        board=board, attempt=attempt + 1,
-                        backoff_s=round(backoff, 6))
-                    if self.tracer:
-                        self.tracer.event(
-                            "ctrl.reconfig_retry", t=now,
+                    if self._recording:
+                        self._emit(
+                            "ctrl.reconfig_retry", now, tenant,
                             request=request_id, board=board,
                             reason="transient-icap-fault",
                             attempt=attempt + 1, backoff_s=backoff)

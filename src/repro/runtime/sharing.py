@@ -71,18 +71,13 @@ class FunctionSharingController(SystemController):
     def release(self, deployment: Deployment, now: float = 0.0) -> None:
         request_id = deployment.request_id
         host = self._shared_with.pop(request_id, None)
+        guests = self._guests.pop(request_id, ()) if host is None else ()
         if host is not None:
             # a guest leaves: free its DRAM segments and registration
             # (the blocks stay with the host)
             self._guests[host].discard(request_id)
-            self.audit.append(now, AuditEvent.RELEASE, request_id,
-                              deployment.tenant,
-                              app=deployment.app.name, was_guest=True)
-            self._release_memory(request_id)
-            self._untrack_deployment(deployment)
-            return
-        guests = self._guests.pop(request_id, set())
-        if guests:
+            detail = {"was_guest": True}
+        elif guests:
             # the host leaves first: promote one guest to own the blocks
             heir = min(guests)
             self.resource_db.release(request_id)
@@ -92,18 +87,19 @@ class FunctionSharingController(SystemController):
                 self._shared_with[guest] = heir
             self._shared_with.pop(heir, None)
             # host's memory and bandwidth go; guests keep their own
-            self._release_memory(request_id)
             self._detach_dram_demand(deployment.tenant,
                                      deployment.placement)
             self.cluster.network.release_flow(
                 self._flow_key(request_id))
+            detail = {"promoted_heir": heir}
+        else:
+            return super().release(deployment, now)
+        self._release_memory(request_id)
+        if self.audit is not None:
             self.audit.append(now, AuditEvent.RELEASE, request_id,
-                              deployment.tenant,
-                              app=deployment.app.name,
-                              promoted_heir=heir)
-            self._untrack_deployment(deployment)
-            return
-        super().release(deployment, now)
+                              deployment.tenant, app=deployment.app.name,
+                              **detail)
+        self._untrack_deployment(deployment)
 
     # ------------------------------------------------------------------
     def sharers_of(self, request_id: int) -> int:
@@ -127,8 +123,9 @@ class FunctionSharingController(SystemController):
         self._segments_of[request_id] = segments
         self._guests.setdefault(host, set()).add(request_id)
         self._shared_with[request_id] = host
-        self.audit.append(now, AuditEvent.DEPLOY, request_id, tenant,
-                          app=app.name, shared_with=host)
+        if self.audit is not None:
+            self.audit.append(now, AuditEvent.DEPLOY, request_id, tenant,
+                              app=app.name, shared_with=host)
 
         base = app.service_time_s()
         deployment = Deployment(

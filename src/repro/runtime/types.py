@@ -57,8 +57,8 @@ class Placement:
     def boards(self) -> list[int]:
         fold = self.per_board
         # list() of a tuple comes out sized exactly, where a
-        # comprehension over-allocates: the audit log keeps one of these
-        # lists per deployment for the whole run
+        # comprehension over-allocates: an attached audit log keeps one
+        # of these lists per deployment for the whole run
         return list(next(zip(*fold))) if fold else []
 
     @property

@@ -11,8 +11,9 @@ probe called after *every* simulator event:
   already quarantined when the allocation decision was made;
 - **accounting conservation**: the resource database's allocated count
   equals the block total of the live deployments;
-- **audit consistency**: replaying the audit log yields exactly the
-  controller's live request set.
+- **audit consistency**: replaying the audit log (attached to the
+  controller by the probe) yields exactly the controller's live request
+  set.
 
 End-of-run checks add the goodput floor and substrate conservation
 (nothing leaked).  A violated invariant raises
@@ -258,8 +259,11 @@ def make_invariant_probe(controller: SystemController,
     """A ``probe(now, manager)`` asserting the per-event invariants.
 
     Returns ``(probe, state)``; ``state["checks"]`` counts invocations
-    so callers can assert the probe actually ran.
+    so callers can assert the probe actually ran.  The audit-replay
+    check reads a log this attaches to ``controller`` (a run keeps none
+    otherwise), so call it before the run starts.
     """
+    audit = controller.attach_audit()
     state = {"checks": 0}
     #: request id -> (deployed_at, migrations) of placements already
     #: vetted -- a live migration re-places a request *without*
@@ -303,7 +307,7 @@ def make_invariant_probe(controller: SystemController,
                 f"[{scenario_name}] t={now:g}: resource DB says "
                 f"{allocated} blocks allocated, live deployments "
                 f"hold {live_blocks}")
-        audit_live = controller.audit.live_requests()
+        audit_live = audit.live_requests()
         ctrl_live = set(controller.deployments)
         if audit_live != ctrl_live:
             raise ChaosInvariantError(

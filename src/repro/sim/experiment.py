@@ -249,8 +249,8 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
     enqueued in one pass without re-running the (provably futile)
     policy search per arrival.  The skipped searches would all have
     failed, so deployments, traces-when-enabled, metrics and summaries
-    are unchanged -- only the controller's internal audit log records
-    fewer redundant retry rejections.  The same observability gate
+    are unchanged -- only an attached audit log (``attach_audit``)
+    records fewer redundant retry rejections.  The same observability gate
     also enables a vectorized admission prefilter for ``backfill``
     scans: the manager's one-shot capacity bound (``fit_capacity``) over
     the queue's own demand vector (kept by
@@ -309,7 +309,8 @@ def _collector_paused():
     """Automatic garbage collection paused for the ``with`` body.
 
     A long run accumulates hundreds of thousands of long-lived
-    containers (request records, step-function points, audit columns),
+    containers (request records, step-function points, an attached
+    audit log's columns),
     and every full generational collection rescans that entire heap --
     a superlinear tax that dominated million-request runs (~1.6x wall
     at 1024 boards x 100k requests).  Resuming forces no collection:

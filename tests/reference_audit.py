@@ -4,16 +4,19 @@
 its records became columns: a list of frozen :class:`AuditEntry`
 objects, each with its boxed sequence number and its own kwargs dict,
 moved here verbatim (test-only: no oracle lives under ``src/``).
-``tests/test_runtime_audit.py`` replays recorded chaos runs and random
-record streams into both logs and requires equal entries and
-byte-equal JSONL.
+:func:`record_as_before` is how the controller filled it when every
+run kept a log: one hand-written ``append`` per ``ctrl.*`` record, next
+to the tracer call, before one emit fed both.
+``tests/test_runtime_audit.py`` replays recorded chaos and sharing runs
+and random record streams into both logs and requires equal entries
+and byte-equal JSONL.
 """
 
 from __future__ import annotations
 
 from repro.runtime.audit import AuditEntry, AuditEvent
 
-__all__ = ["ReferenceAuditLog"]
+__all__ = ["ReferenceAuditLog", "record_as_before"]
 
 
 class ReferenceAuditLog:
@@ -76,3 +79,44 @@ class ReferenceAuditLog:
 
     def to_jsonl(self) -> str:
         return "\n".join(e.to_json() for e in self._entries)
+
+
+def record_as_before(log, name: str, t: float, fields: dict,
+                     tenant: "str | None" = None) -> None:
+    """Log one ``ctrl.*`` record the way the controller's own
+    ``audit.append`` call next to each tracer call did: ``fields`` are
+    the traced fields, ``tenant`` the one a retry is traced without."""
+    f = fields
+    if name == "ctrl.reject":
+        log.record(t, AuditEvent.REJECT, f["request"], f["tenant"],
+                   app=f["app"], reason=f["reason"])
+    elif name == "ctrl.deploy":
+        log.record(t, AuditEvent.DEPLOY, f["request"], f["tenant"],
+                   app=f["app"], boards=f["boards"], blocks=f["blocks"],
+                   spans=f["spans"], reconfig_s=round(f["reconfig_s"], 6))
+    elif name == "ctrl.release":
+        log.record(t, AuditEvent.RELEASE, f["request"], f["tenant"],
+                   app=f["app"])
+    elif name == "ctrl.board_fail":
+        log.record(t, AuditEvent.FAIL, -1, "-",
+                   board=f["board"], victims=len(f["victims"]))
+    elif name == "ctrl.evict":
+        log.record(t, AuditEvent.EVICT, f["request"], f["tenant"],
+                   app=f["app"], reason=f["reason"])
+    elif name == "ctrl.board_repair":
+        log.record(t, AuditEvent.REPAIR, -1, "-", board=f["board"])
+    elif name == "ctrl.recover":
+        log.record(t, AuditEvent.RECOVER, f["request"], f["tenant"],
+                   app=f["app"], boards=f["boards"])
+    elif name == "ctrl.migrate":
+        log.record(t, AuditEvent.MIGRATE, f["request"], f["tenant"],
+                   app=f["app"], reason=f["reason"],
+                   from_boards=f["from_boards"],
+                   to_boards=f["to_boards"],
+                   pause_s=round(f["pause_s"], 6))
+    elif name == "ctrl.reconfig_retry":
+        log.record(t, AuditEvent.RETRY, f["request"], tenant,
+                   board=f["board"], attempt=f["attempt"],
+                   backoff_s=round(f["backoff_s"], 6))
+    else:
+        raise KeyError(name)

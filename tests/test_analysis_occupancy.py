@@ -37,10 +37,11 @@ class TestOccupancyTimeline:
     def test_timeline_from_audit(self, cluster, compiled_small,
                                  compiled_medium):
         controller = SystemController(cluster)
+        audit = controller.attach_audit()
         d1 = controller.try_deploy(compiled_small, 0, 1.0)
         d2 = controller.try_deploy(compiled_medium, 1, 2.0)
         controller.release(d1, 3.0)
-        text = occupancy_timeline(controller.audit, cluster)
+        text = occupancy_timeline(audit, cluster)
         assert "t=" in text
         # the final frame shows B but not A
         final = text.split("\n\n")[-1]
@@ -48,11 +49,12 @@ class TestOccupancyTimeline:
 
     def test_empty_log(self, cluster):
         controller = SystemController(cluster)
-        assert "no deployments" in occupancy_timeline(controller.audit,
-                                                      cluster)
+        assert "no deployments" in occupancy_timeline(
+            controller.attach_audit(), cluster)
 
     def test_snapshot_cap(self, cluster, compiled_small):
         controller = SystemController(cluster)
+        audit = controller.attach_audit()
         live = []
         for rid in range(20):
             d = controller.try_deploy(compiled_small, rid, float(rid))
@@ -60,6 +62,5 @@ class TestOccupancyTimeline:
                 live.append(d)
             elif live:
                 controller.release(live.pop(0), float(rid))
-        text = occupancy_timeline(controller.audit, cluster,
-                                  max_snapshots=5)
+        text = occupancy_timeline(audit, cluster, max_snapshots=5)
         assert text.count("t=") <= 5

@@ -194,6 +194,12 @@ class TestFaultDrills:
         assert "recovered on boards" in out
         assert "FAILED" in out
         assert "audit tail" in out
+        # the tail's rows, (event, request): every deployment on board
+        # 0 was logged when placed and again when re-placed on board 1
+        rows = out.split("audit tail\n")[1].splitlines()[2:]
+        assert [tuple(row.split()[:2]) for row in rows] == [
+            (event, str(rid)) for rid in range(4)
+            for event in ("deploy", "recover")]
 
     def test_fail_board_requeue_policy(self, capsys):
         assert main(["fail-board", "0", "--boards", "2",

@@ -96,6 +96,7 @@ def _drive(seed: int, reference: bool, partition, homogeneous_apps,
     controller = controller_cls(cluster, policy=policy)
     tracer = Tracer()
     controller.attach_tracer(tracer)
+    controller.attach_audit()
     controller.attach_guard(DegradedModeGuard(_GUARD))
     board_ids = [b.board_id for b in cluster.boards]
 

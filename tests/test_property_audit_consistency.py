@@ -48,6 +48,7 @@ def test_random_operations_keep_log_and_state_consistent(
         seed):
     rng = random.Random(seed)
     controller = SystemController(cluster)
+    controller.attach_audit()
     # undersize DRAM (4 blocks' worth per 15-block board) so deploys
     # regularly die in _map_memory and must roll back cleanly
     for board_id in list(controller.memories):

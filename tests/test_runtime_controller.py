@@ -213,6 +213,7 @@ class TestSpanningModelEqualsPerFlowLoop:
 
 class TestQuotas:
     def test_quota_blocks_admission(self, controller, compiled_medium):
+        audit = controller.attach_audit()
         controller.set_quota("acme", compiled_medium.num_blocks)
         d1 = controller.try_deploy(compiled_medium, 1, 0.0,
                                    tenant="acme")
@@ -220,7 +221,7 @@ class TestQuotas:
         d2 = controller.try_deploy(compiled_medium, 2, 0.0,
                                    tenant="acme")
         assert d2 is None
-        rejected = controller.audit.by_request(2)
+        rejected = audit.by_request(2)
         assert rejected[-1].detail["reason"] == "quota-exceeded"
 
     def test_quota_frees_with_release(self, controller,

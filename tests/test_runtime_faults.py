@@ -18,7 +18,9 @@ from repro.runtime.resource_db import BlockState
 
 @pytest.fixture
 def controller(cluster) -> SystemController:
-    return SystemController(cluster)
+    controller = SystemController(cluster)
+    controller.attach_audit()   # the tests below read the log
+    return controller
 
 
 class TestFailBoard:

@@ -109,6 +109,7 @@ class TestHeterogeneousStack:
         adapter = HeterogeneousManagerAdapter(hetero_cluster)
         stack = adapter.stack
         controller = stack.controller
+        controller.attach_audit()
         spec = benchmark("cifar10", "M")
         artifacts = stack.compile(spec)
         roomier, serviceable = sorted(

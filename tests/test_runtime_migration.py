@@ -144,6 +144,7 @@ class TestMigrate:
                                         compiled_medium):
         tracer = Tracer()
         controller.attach_tracer(tracer)
+        audit = controller.attach_audit()
         d = controller.try_deploy(compiled_medium, 1, 0.0)
         old_boards = list(d.placement.boards)
         target = [b.board_id for b in controller.cluster.boards
@@ -161,7 +162,7 @@ class TestMigrate:
         assert fields["pause_s"] == pytest.approx(pause)
         assert fields["blocks_by_board"] \
             == [(target[0], d.num_blocks)]
-        entry = [e for e in controller.audit.entries()
+        entry = [e for e in audit.entries()
                  if e.request_id == 1
                  and e.event.value == "migrate"]
         assert len(entry) == 1

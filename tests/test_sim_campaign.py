@@ -402,3 +402,21 @@ class TestPoolThreshold:
         inline = CampaignRunner(cache=CampaignCache(), apps=apps)
         seq = inline.run_many(configs, jobs=1)
         assert canonical_json(seq) == canonical_json(par)
+
+
+class TestDegradedTime:
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP 1(a): a stale completion adds its interval to degraded_s "
+        "and then skips 'prev_t = now', so the next event adds it again; "
+        "the fix re-pins sim_chaos_64 and lands with the next benchmark "
+        "change, which flips this test"))
+    def test_degraded_time_fits_in_the_run(self, apps):
+        """``sim_chaos_64`` at smoke scale: rack outages, guard,
+        defragmenter and live migration."""
+        summary = run_config(CampaignConfig(
+            name="degraded", seed=42, set_index=1, num_boards=16,
+            boards_per_rack=8, num_requests=300, mean_interarrival_s=1.0,
+            fault_profile="rack-outage", guard=True, defrag=True,
+            recovery="migrate-on-failure", horizon_s=300.0),
+            apps=apps)["summary"]
+        assert 0 < summary["degraded_s"] <= summary["makespan_s"]

@@ -303,7 +303,7 @@ class TestMissingDesigns:
         assert "compile_benchmarks(cluster, specs=" in message
         # nothing ran, nothing was attached
         assert not controller.deployments
-        assert len(controller.audit) == 0
+        assert controller.audit is None
         assert controller.tracer is None
         assert len(tracer) == 0
 

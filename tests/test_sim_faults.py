@@ -85,6 +85,7 @@ class TestDeterminism:
         runs = []
         for _ in range(2):
             controller = SystemController(cluster)
+            controller.attach_audit()
             result = run_experiment(controller, requests,
                                     compiled_apps, faults=ONE_FAILURE,
                                     recovery="migrate")
@@ -319,6 +320,7 @@ class TestBackToBackFaults:
         interruption implies an extra deployment (audit evidence), not
         a double count of one eviction."""
         controller = SystemController(cluster)
+        controller.attach_audit()
         result = run_experiment(controller, requests, compiled_apps,
                                 faults=BACK_TO_BACK,
                                 recovery="requeue")
