@@ -8,8 +8,10 @@ segments, so the policy's preference for few, adjacent boards directly
 reduces both latency and segment contention.
 
 Topology is immutable after construction, so every topology query is
-memoized: pairwise distances are precomputed, and path segments / subset
-span costs are cached on first use.  The caches matter because the
+memoized: path segments / subset span costs are cached on first use.
+Hop counts are arithmetic (``min(|a-b|, n-|a-b|)``): the ring keeps no
+N x N distance matrix, and :meth:`RingNetwork.distances` builds the
+submatrix a caller needs from board ids.  The caches matter because the
 communication-aware policy evaluates ``span_cost`` for many candidate
 board subsets per allocation, and the same subsets recur across the
 thousands of allocations of a System-Layer experiment.  Flow occupancy is
@@ -49,10 +51,6 @@ class RingNetwork:
     #: register/release at 1024 boards)
     _flow_counts: "np.ndarray" = field(
         default=None, repr=False, compare=False)  # type: ignore[assignment]
-    #: pairwise ring distances as an (n, n) int64 matrix; row/fancy
-    #: indexing feeds the policy's vectorized span bounds
-    _dist: "np.ndarray" = field(
-        default=None, repr=False, compare=False)  # type: ignore[assignment]
     _path_cache: "dict[tuple[int, int], list[int]]" = field(
         default=None, repr=False, compare=False)  # type: ignore[assignment]
     _span_cache: "dict[tuple[int, ...], int]" = field(
@@ -72,9 +70,6 @@ class RingNetwork:
         self._segment_drop = {}
         n = self.num_nodes
         self._flow_counts = np.zeros(n, dtype=np.int64)
-        idx = np.arange(n)
-        around = np.abs(idx[:, None] - idx[None, :])
-        self._dist = np.minimum(around, n - around)
         self._path_cache = {}
         self._span_cache = {}
         self._members_segments_cache = {}
@@ -85,7 +80,16 @@ class RingNetwork:
         """Hop count along the shorter ring direction."""
         self._check(a)
         self._check(b)
-        return int(self._dist[a, b])
+        around = abs(int(a) - int(b))
+        return min(around, self.num_nodes - around)
+
+    def distances(self, boards) -> "np.ndarray":
+        """Pairwise hop counts of the board ids ``boards`` as a square
+        int64 matrix in their order -- built from the ids, the
+        submatrix a caller needs and never the whole ring's."""
+        ids = np.asarray(boards, dtype=np.int64)
+        around = np.abs(ids[:, None] - ids[None, :])
+        return np.minimum(around, self.num_nodes - around, out=around)
 
     def path_latency_us(self, a: int, b: int) -> float:
         return self.distance(a, b) * self.hop_latency_us
@@ -113,10 +117,9 @@ class RingNetwork:
             return cached
         for m in members:
             self._check(m)
-        rows = np.asarray(members, dtype=np.intp)
-        # full symmetric sum, halved: one vector gather instead of the
-        # O(k^2) Python pair loop
-        total = int(self._dist[np.ix_(rows, rows)].sum()) // 2
+        # full symmetric sum, halved: one vector expression instead of
+        # the O(k^2) Python pair loop
+        total = int(self.distances(members).sum()) // 2
         self._span_cache[key] = total
         return total
 

@@ -36,6 +36,17 @@ Op counters arrive either directly (:meth:`count`) or by subscribing to
 a :class:`~repro.obs.tracer.Tracer` (:meth:`attach_tracer`): the sink
 folds ``policy.allocate`` search effort, migrations, defrag passes and
 blocks moved out of the event stream the instrumentation already emits.
+
+``PhaseProfiler(memory=True)`` also charges memory to ``with``-phases,
+through the standard library's :mod:`tracemalloc` (started by the
+profiler unless something already traces): each phase accumulates the
+traced bytes it left allocated (``net_bytes``) and its highest traced
+level above where it began (``peak_bytes``), and :meth:`memory_sites`
+names the source lines holding the most traced bytes -- called at the
+end of a run, what the run keeps and where it was allocated.  Tracing
+costs several times the run's wall, and phases reset the tracer's peak,
+so it is off by default; a profiler without it never touches
+:mod:`tracemalloc`.
 """
 
 from __future__ import annotations
@@ -53,7 +64,8 @@ __all__ = ["PhaseProfiler"]
 class _PhaseRecord:
     """Accumulated state of one named phase."""
 
-    __slots__ = ("count", "total_s", "durations", "nested", "sim_t")
+    __slots__ = ("count", "total_s", "durations", "nested", "sim_t",
+                 "net_bytes", "peak_bytes")
 
     def __init__(self, nested: bool) -> None:
         self.count = 0
@@ -63,15 +75,32 @@ class _PhaseRecord:
         self.nested = nested
         #: last simulated time this phase was charged at (-1: never)
         self.sim_t = -1.0
+        #: memory mode: traced bytes left allocated, summed over
+        #: invocations, and the highest rise above an invocation's start
+        self.net_bytes = 0
+        self.peak_bytes = 0
 
 
 class PhaseProfiler:
     """Accumulating wall/sim-time phase breakdown with op counters."""
 
     def __init__(self, clock=time.perf_counter,
-                 keep_samples: bool = True) -> None:
+                 keep_samples: bool = True, memory: bool = False) -> None:
         self._clock = clock
         self.keep_samples = keep_samples
+        #: charge traced memory to phases (see the module docstring)
+        self.memory = memory
+        #: per open ``with``-phase: [traced bytes at entry, highest seen]
+        self._open: list[list[int]] = []
+        #: traced bytes at the last phase boundary
+        self._open_level = 0
+        #: this profiler started tracemalloc (and :meth:`close` stops it)
+        self._tracing = False
+        if memory:
+            import tracemalloc
+            if not tracemalloc.is_tracing():
+                tracemalloc.start()
+                self._tracing = True
         self._phases: dict[str, _PhaseRecord] = {}
         self._counters: dict[str, int] = {}
         #: strong refs, identity-scanned: a dead tracer's recycled id
@@ -94,13 +123,24 @@ class PhaseProfiler:
     @contextmanager
     def phase(self, name: str, nested: bool = False,
               sim_t: "float | None" = None):
-        """Time one contiguous phase invocation (wall clock)."""
+        """Time one contiguous phase invocation (wall clock; traced
+        memory too in memory mode)."""
+        if self.memory:
+            self._memory_mark()
+            self._open.append([self._open_level, self._open_level])
         start = self._clock()
         try:
             yield self
         finally:
-            self.add(name, self._clock() - start, nested=nested,
-                     sim_t=sim_t)
+            wall_s = self._clock() - start
+            self.add(name, wall_s, nested=nested, sim_t=sim_t)
+            if self.memory:
+                self._memory_mark()
+                entered, highest = self._open.pop()
+                record = self._phases[name]
+                record.net_bytes += self._open_level - entered
+                record.peak_bytes = max(record.peak_bytes,
+                                        highest - entered)
 
     def add(self, name: str, wall_s: float, nested: bool = False,
             sim_t: "float | None" = None) -> None:
@@ -114,6 +154,40 @@ class PhaseProfiler:
             record.sim_t = sim_t
             if sim_t > self.sim_makespan_s:
                 self.sim_makespan_s = sim_t
+
+    def _memory_mark(self) -> None:
+        """Read the traced level, fold the peak since the last mark into
+        every open phase, and restart the peak from here."""
+        import tracemalloc
+        level, peak = tracemalloc.get_traced_memory()
+        for frame in self._open:
+            if peak > frame[1]:
+                frame[1] = peak
+        tracemalloc.reset_peak()
+        self._open_level = level
+
+    def memory_sites(self, limit: "int | None" = 10,
+                     ) -> list[tuple[str, int, int, int]]:
+        """``(file, line, bytes, blocks)`` of the source lines whose
+        allocations hold the most traced bytes now, largest first
+        (``limit=None``: every line).  Memory mode only."""
+        import tracemalloc
+        if not self.memory:
+            raise RuntimeError("memory_sites needs PhaseProfiler("
+                               "memory=True)")
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(False, tracemalloc.__file__),
+             tracemalloc.Filter(False, __file__)])
+        return [(stat.traceback[0].filename, stat.traceback[0].lineno,
+                 stat.size, stat.count)
+                for stat in snapshot.statistics("lineno")[:limit]]
+
+    def close(self) -> None:
+        """Stop :mod:`tracemalloc` if this profiler started it."""
+        if self._tracing:
+            import tracemalloc
+            tracemalloc.stop()
+            self._tracing = False
 
     def count(self, name: str, n: int = 1) -> None:
         """Bump op counter ``name`` by ``n``."""
@@ -224,6 +298,9 @@ class PhaseProfiler:
                 row["p95_s"] = _percentile(durations, 0.95)
             if record.sim_t >= 0:
                 row["sim_t"] = record.sim_t
+            if self.memory:
+                row["net_bytes"] = record.net_bytes
+                row["peak_bytes"] = record.peak_bytes
             spans[name] = row
         decisions = {
             **self.counters(),

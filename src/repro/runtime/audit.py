@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import json
+from array import array
 from dataclasses import dataclass, field
 
 __all__ = ["AuditEvent", "AuditEntry", "AuditLog"]
@@ -100,12 +101,16 @@ class AuditLog:
     row index.  A long run logs two records per request, so a frozen
     entry, a boxed sequence number and a kwargs dict per record were
     most of the log's bytes.  Queries rebuild equal :class:`AuditEntry`
-    objects on demand (each with its own fresh ``detail`` dict).
+    objects on demand (each with its own fresh ``detail`` dict).  Times
+    are unboxed doubles; a time that was not a ``float`` (an int clock,
+    say) is also kept as given, so entries read back what was logged.
     """
 
     def __init__(self, strict: bool = False) -> None:
         self.strict = strict
-        self._time: list[float] = []
+        self._time = array("d")
+        #: row -> its time as given, where that was not a float
+        self._given_time: dict[int, object] = {}
         self._event: list[AuditEvent] = []
         self._request: list[int] = []
         self._tenant: list[str] = []
@@ -123,13 +128,15 @@ class AuditLog:
         (:meth:`record` also returns it)."""
         times = self._time
         if times and time_s < times[-1]:
+            last = self._time_at(len(times) - 1)
             if self.strict:
                 raise ValueError(
-                    f"audit time went backwards: {time_s} < "
-                    f"{times[-1]}")
+                    f"audit time went backwards: {time_s} < {last}")
             detail["reported_t"] = time_s
-            time_s = times[-1]
+            time_s = last
         keys = tuple(detail)
+        if type(time_s) is not float:
+            self._given_time[len(times)] = time_s
         times.append(time_s)
         self._event.append(event)
         self._request.append(request_id)
@@ -156,8 +163,12 @@ class AuditLog:
         self.append(time_s, event, request_id, tenant, **detail)
         return self._entry(len(self._time) - 1)
 
+    def _time_at(self, row: int):
+        given = self._given_time
+        return given[row] if row in given else self._time[row]
+
     def _entry(self, row: int) -> AuditEntry:
-        return AuditEntry(row, self._time[row], self._event[row],
+        return AuditEntry(row, self._time_at(row), self._event[row],
                           self._request[row], self._tenant[row],
                           dict(zip(self._keys[row], self._values[row])))
 

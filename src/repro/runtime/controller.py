@@ -1035,7 +1035,7 @@ class SystemController(ClusterManager):
         # equals max(bits / effective_bits) exactly -- division by a
         # positive number is monotone and max does not round
         mapping = placement.mapping
-        dist = network._dist
+        ring_n = network.num_nodes
         max_bits = 0
         max_hops = 0
         for (src, dst), bits in app.flows.items():
@@ -1045,10 +1045,13 @@ class SystemController(ClusterManager):
                 continue
             if bits > max_bits:
                 max_bits = bits
-            hops = dist[board_a, board_b]
+            # RingNetwork.distance, inline: min(|a - b|, n - |a - b|)
+            hops = board_a - board_b if board_a > board_b \
+                else board_b - board_a
+            if ring_n - hops < hops:
+                hops = ring_n - hops
             if hops > max_hops:
                 max_hops = hops
-        max_hops = int(max_hops)  # numpy scalar: keep the model float
         worst_ser = max_bits / effective_bits
         slowdown = max(1.0, worst_ser / COMPUTE_CYCLES_PER_BEAT) \
             * mem_slowdown

@@ -412,10 +412,16 @@ class CommunicationAwarePolicy(AllocationPolicy):
         # suffix_max[i]: most free blocks on any of present[i:]
         suffix_max = np.zeros(n + 1, dtype=np.int64)
         suffix_max[:n] = np.maximum.accumulate(free_arr[::-1])[::-1]
-        ctx = (k, n, needed, present, np.asarray(present, dtype=np.intp),
-               free_arr, free_arr.tolist(), suffix_max, network._dist,
-               stats)
-        return _extend_subset(ctx, [], 0, 0, 0, None)
+        # hop counts between the present boards, by position; the
+        # search tracks positions and names boards only in its answer
+        # (positions ascend with board ids, so tie-breaks are unchanged)
+        ctx = (k, n, needed, free_arr, free_arr.tolist(), suffix_max,
+               network.distances(present), stats)
+        best = _extend_subset(ctx, [], 0, 0, 0, None)
+        if best is None:
+            return None
+        span, leftover, at = best
+        return span, leftover, tuple(present[i] for i in at)
 
     @staticmethod
     def _quotas(subset: tuple[int, ...], free: dict[int, int],
@@ -437,15 +443,15 @@ def _extend_subset(ctx: tuple, chosen: list[int], start: int,
                    best: tuple[int, int, tuple[int, ...]] | None,
                    ) -> tuple[int, int, tuple[int, ...]] | None:
     """One node of :meth:`CommunicationAwarePolicy._best_subset_array`'s
-    depth-first search: explore every extension of ``chosen`` and
-    return the incumbent ``best`` they leave.
+    depth-first search: explore every extension of ``chosen`` (positions
+    in the present-board list) and return the incumbent ``best`` they
+    leave.
 
     A plain recursive function over an argument tuple rather than a
     self-referencing closure, so a search leaves no reference cycle
     (and no arrays held by one) for the cycle collector.
     """
-    (k, n, needed, present, present_arr, free_arr, free_list,
-     suffix_max, dist, stats) = ctx
+    (k, n, needed, free_arr, free_list, suffix_max, dist, stats) = ctx
     remaining = k - len(chosen)
     if remaining == 0:
         if capacity < needed:
@@ -462,9 +468,7 @@ def _extend_subset(ctx: tuple, chosen: list[int], start: int,
                + (remaining - 1) * suffix_max[start + 1:end + 1]
                < needed).tolist()
     if chosen:
-        added_all = (span
-                     + dist[chosen][:, present_arr[seg]]
-                     .sum(axis=0)).tolist()
+        added_all = (span + dist[chosen, seg].sum(axis=0)).tolist()
     else:
         added_all = [span] * (end - start)
     tail = (remaining - 1) * (len(chosen) + 1) \
@@ -482,7 +486,7 @@ def _extend_subset(ctx: tuple, chosen: list[int], start: int,
                 stats[1] += 1
             continue
         i = start + j
-        chosen.append(present[i])
+        chosen.append(i)
         best = _extend_subset(ctx, chosen, i + 1,
                               capacity + free_list[i], added, best)
         chosen.pop()

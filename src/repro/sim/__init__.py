@@ -28,6 +28,7 @@ __all__ = [
     "Request",
     "WorkloadGenerator",
     "RequestRecord",
+    "RequestTable",
     "SummaryMetrics",
     "MetricsCollector",
     "ExperimentResult",
@@ -57,7 +58,8 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, {
     "events": ("ArrayEventQueue", "TimeWeightedValue"),
     "workload": ("COMPOSITIONS", "Request", "WorkloadGenerator"),
-    "metrics": ("RequestRecord", "SummaryMetrics", "MetricsCollector"),
+    "metrics": ("RequestRecord", "RequestTable", "SummaryMetrics",
+                "MetricsCollector"),
     "experiment": (
         "ExperimentResult", "run_experiment", "compile_benchmarks",
         "compare_managers", "specs_for", "MANAGER_FACTORIES",

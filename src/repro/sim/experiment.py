@@ -33,8 +33,7 @@ averages -- the paper's methodology.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
@@ -58,7 +57,7 @@ from repro.obs.tracer import Tracer
 from repro.runtime.controller import SystemController
 from repro.runtime.defrag import DefragConfig, Defragmenter
 from repro.sim.events import ArrayEventQueue
-from repro.sim.metrics import MetricsCollector, RequestRecord, \
+from repro.sim.metrics import MetricsCollector, RequestTable, \
     SummaryMetrics
 from repro.sim.request_queue import RequestQueue
 from repro.sim.workload import Request
@@ -119,11 +118,16 @@ def compile_benchmarks(cluster: FPGACluster,
 
 @dataclass(slots=True)
 class ExperimentResult:
-    """One (manager, workload set) run."""
+    """One (manager, workload set) run.
+
+    ``records`` is a read-only sequence of
+    :class:`~repro.sim.metrics.RequestRecord`, one per admitted request
+    in admission order, each built when it is read.
+    """
 
     manager_name: str
     summary: SummaryMetrics
-    records: list[RequestRecord] = field(default_factory=list)
+    records: RequestTable = field(default_factory=RequestTable)
     extras: dict[str, float] = field(default_factory=dict)
 
 
@@ -283,8 +287,7 @@ def run_experiment(manager: ClusterManager, requests: list[Request],
                      recovery=recovery, tracer=tracer, metrics=metrics,
                      timeline=timeline, slo=slo, guard=guard, probe=probe,
                      defrag=defrag, profile=profile)
-    with _collector_paused():
-        replay.run()
+    replay.run()
     return replay.result()
 
 
@@ -302,33 +305,6 @@ _DISCIPLINES = {
 
 #: the phase a run without a profiler opens (stateless, so shared)
 _UNPROFILED = nullcontext()
-
-
-@contextmanager
-def _collector_paused():
-    """Automatic garbage collection paused for the ``with`` body.
-
-    A long run accumulates hundreds of thousands of long-lived
-    containers (request records, step-function points, an attached
-    audit log's columns),
-    and every full generational collection rescans that entire heap --
-    a superlinear tax that dominated million-request runs (~1.6x wall
-    at 1024 boards x 100k requests).  Resuming forces no collection:
-    a run builds no reference cycles (the replay kernel, the controller
-    and its guard die by reference counting; ``tests/test_gc_cycles.py``
-    and ``TestCollectorPause`` check it), so a full pass at the end
-    found nothing to free and only paid its heap scan -- about 40 ms
-    of a 20 000-request run.  The collector's previous state is
-    restored: a caller that runs with it off keeps it off.
-    """
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 class _Replay:
@@ -511,16 +487,18 @@ class _Replay:
             return True  # superseded by a penalty reschedule
         del self.completion_at[request_id]
         self.manager.release(self.live.pop(request_id), now)
-        collector = self.collector
-        collector.complete(request_id, now)
-        record = collector.records[request_id]
-        if self.tracer:
-            self.tracer.event("sim.complete", t=now, request=request_id,
-                              response_s=record.response_s,
-                              service_s=record.service_time_s)
-        if self.mx is not None:
-            self.mx.completions.inc()
-            self.mx.response_s.observe(record.response_s)
+        row = self.collector.complete(request_id, now)
+        if self.tracer or self.mx is not None:
+            table = self.collector.records
+            response_s = now - table.sources[row].arrival_s
+            if self.tracer:
+                self.tracer.event("sim.complete", t=now,
+                                  request=request_id,
+                                  response_s=response_s,
+                                  service_s=table.service_time_s[row])
+            if self.mx is not None:
+                self.mx.completions.inc()
+                self.mx.response_s.observe(response_s)
         self.drain(now)
         self.defrag(now)
 
@@ -555,17 +533,20 @@ class _Replay:
         # lazy invalidation: the stale completion event finds no
         # matching authoritative time and is skipped
         self.completion_at.pop(rid, None)
-        record = self.collector.records[rid]
-        record.interruptions += 1
-        progress = max(0.0, now - (record.deployed_s
-                                   + record.reconfig_time_s))
-        progress = min(progress, record.service_time_s)
+        table = self.collector.records
+        row = table.row(rid)
+        table.interruptions[row] = table.interruptions.get(row, 0) + 1
+        service_s = table.service_time_s[row]
+        progress = max(0.0, now - (table.deployed_s[row]
+                                   + table.reconfig_time_s[row]))
+        progress = min(progress, service_s)
         if mx is not None:
             mx.evictions.inc()
         replacement = self.recovery.recover(self.manager, deployment, now)
         if replacement is None:
             # re-queue: every service-second of this attempt is lost
-            record.lost_service_s += progress
+            table.lost_service_s[row] = \
+                table.lost_service_s.get(row, 0.0) + progress
             self.evicted_at[rid] = now
             if tracer:
                 tracer.event("sim.evict", t=now, request=rid,
@@ -573,18 +554,18 @@ class _Replay:
             return False
         # progress survives the move; the new placement may run at a
         # different (spanning-adjusted) rate
-        frac_done = (progress / record.service_time_s
-                     if record.service_time_s > 0 else 1.0)
+        frac_done = progress / service_s if service_s > 0 else 1.0
         remaining = (1.0 - frac_done) * replacement.service_time_s
         self.live[rid] = replacement
-        record.recoveries += 1
-        record.num_blocks = replacement.num_blocks
-        record.boards = replacement.placement.num_boards
-        record.spans_boards = record.spans_boards or replacement.spans_boards
-        record.comm_slowdown = max(record.comm_slowdown,
-                                   replacement.comm_slowdown)
-        record.reconfig_time_s += replacement.reconfig_time_s
-        record.service_time_s = replacement.service_time_s
+        table.recoveries[row] = table.recoveries.get(row, 0) + 1
+        table.num_blocks[row] = replacement.num_blocks
+        table.boards[row] = replacement.placement.num_boards
+        if replacement.spans_boards:
+            table.spans_boards[row] = 1
+        table.comm_slowdown[row] = max(table.comm_slowdown[row],
+                                       replacement.comm_slowdown)
+        table.reconfig_time_s[row] += replacement.reconfig_time_s
+        table.service_time_s[row] = replacement.service_time_s
         self.collector.record_recovery(replacement.reconfig_time_s)
         if tracer:
             tracer.event("sim.evict", t=now, request=rid, reason="migrated",
@@ -596,23 +577,17 @@ class _Replay:
         return True
 
     def _admit(self, request: Request, now: float) -> None:
-        """One arrival's bookkeeping: record, queue entry, trace, count."""
-        app_name = request.spec.name
-        size = request.spec.size.value
-        self.collector.add_request(RequestRecord(
-            request_id=request.request_id,
-            app_name=app_name,
-            size=size,
-            num_blocks=0,
-            arrival_s=request.arrival_s,
-        ))
+        """One arrival's bookkeeping: table row, queue entry, trace,
+        count."""
+        self.collector.admit(request)
         if self.injector is not None:
             self.request_of[request.request_id] = request
         self.enqueue(request)
         if self.tracer:
+            spec = request.spec
             self.tracer.event("sim.arrival", t=now,
                               request=request.request_id,
-                              app=app_name, size=size)
+                              app=spec.name, size=spec.size.value)
         if self.mx is not None:
             self.mx.arrivals.inc()
 
@@ -652,26 +627,30 @@ class _Replay:
         """Book a deployment the drain just made."""
         rid = request.request_id
         self.live[rid] = deployment
-        record = self.collector.records[rid]
+        table = self.collector.records
+        row = table.row(rid)
         if rid in self.pending_readmit:
             # a defrag pass consolidated right before this deploy: the
             # stock controller had just declined it
-            record.readmitted = True
+            table.readmitted.add(row)
             self.pending_readmit.discard(rid)
-        record.deployed_s = now
-        record.num_blocks = deployment.num_blocks
-        record.boards = deployment.placement.num_boards
-        record.spans_boards = deployment.spans_boards
-        record.comm_slowdown = deployment.comm_slowdown
-        record.latency_overhead_fraction = \
+        num_blocks = deployment.num_blocks
+        boards = deployment.placement.num_boards
+        spans = deployment.spans_boards
+        table.deployed_s[row] = now
+        table.num_blocks[row] = num_blocks
+        table.boards[row] = boards
+        table.spans_boards[row] = spans
+        table.comm_slowdown[row] = deployment.comm_slowdown
+        table.latency_overhead_fraction[row] = \
             deployment.latency_overhead_fraction
         if self.tracer:
-            # payload reuses the record's freshly computed fields -- no
+            # payload reuses the row's freshly computed fields -- no
             # second pass over the placement
             self.tracer.event(
-                "sim.deploy", t=now, request=rid, app=record.app_name,
-                wait_s=now - request.arrival_s, blocks=record.num_blocks,
-                boards=record.boards, spans=record.spans_boards,
+                "sim.deploy", t=now, request=rid, app=request.spec.name,
+                wait_s=now - request.arrival_s, blocks=num_blocks,
+                boards=boards, spans=spans,
                 # lets a trace consumer (the SLO engine) close an open
                 # recovery the way the collector does: at deploy +
                 # programming time
@@ -682,8 +661,8 @@ class _Replay:
         # accumulate (like the migration path does): a re-queued
         # eviction victim redeploys through here, and its earlier
         # attempts' reconfigurations were real ICAP time
-        record.reconfig_time_s += deployment.reconfig_time_s
-        record.service_time_s = deployment.service_time_s
+        table.reconfig_time_s[row] += deployment.reconfig_time_s
+        table.service_time_s[row] = deployment.service_time_s
         if rid in self.evicted_at:
             # an evicted request is back on silicon: recovery completes
             # when its blocks finish programming
@@ -734,16 +713,16 @@ class _Replay:
             return
         victims = guard.shed_victims(now, queue)
         queue.remove_all(victims)
+        table = self.collector.records
         for request in victims:
-            record = self.collector.records[request.request_id]
-            record.shed = True
+            table.shed.add(table.row(request.request_id))
             # an open recovery dies with the shed: the request will
             # never redeploy, so there is no MTTR sample to close
             self.evicted_at.pop(request.request_id, None)
             if self.tracer:
                 self.tracer.event("sim.shed", t=now,
                                   request=request.request_id,
-                                  app=record.app_name,
+                                  app=request.spec.name,
                                   reason="load-shed")
 
     def _schedule(self, request_id: int, when: float) -> None:
@@ -772,9 +751,9 @@ class _Replay:
                     "completed (manager starvation bug)")
             # capacity died under them and never came back: graceful
             # degradation, recorded rather than raised
+            table = collector.records
             for request in queue:
-                collector.records[request.request_id] \
-                    .permanently_failed = True
+                table.permanently_failed.add(table.row(request.request_id))
                 if self.tracer:
                     self.tracer.event("sim.permanent_failure",
                                       t=collector.last_completion,
@@ -811,7 +790,7 @@ class _Replay:
             return ExperimentResult(
                 manager_name=manager.name,
                 summary=replace(summary, **extra),
-                records=list(collector.records.values()),
+                records=collector.records,
                 extras=manager.extras())
 
 

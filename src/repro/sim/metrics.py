@@ -8,21 +8,30 @@ requests were waiting, the ">93%" figure), concurrency (the "2.3x more
 co-running applications" figure), the fraction of deployments spanning
 multiple FPGAs (5~40% in the paper) and the latency-insensitive interface
 overhead (<0.03%).
+
+A run keeps its per-request lifecycle in one :class:`RequestTable` --
+typed columns, one row per admitted request -- rather than one object
+per request; :class:`RequestRecord` is what a row reads as.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import compress
+from operator import sub
+from typing import NamedTuple
 
 from repro.obs.stats import percentile
 from repro.sim.events import TimeWeightedValue
 
-__all__ = ["RequestRecord", "SummaryMetrics", "MetricsCollector",
-           "per_size_response", "jain_fairness"]
+__all__ = ["RequestRecord", "RequestTable", "SummaryMetrics",
+           "MetricsCollector", "per_size_response", "jain_fairness"]
 
 
-def per_size_response(records: "list[RequestRecord]",
+def per_size_response(records: "Iterable[RequestRecord]",
                       ) -> dict[str, float]:
     """Mean response time by accelerator size class (S/M/L).
 
@@ -38,7 +47,7 @@ def per_size_response(records: "list[RequestRecord]",
     return {size: sum(v) / len(v) for size, v in by_size.items()}
 
 
-def jain_fairness(records: "list[RequestRecord]") -> float:
+def jain_fairness(records: "Iterable[RequestRecord]") -> float:
     """Jain's fairness index over per-request slowdown.
 
     Slowdown = response / service; 1.0 means every tenant suffered the
@@ -99,6 +108,158 @@ class RequestRecord:
     @property
     def finished(self) -> bool:
         return not math.isnan(self.completed_s)
+
+
+class _Source(NamedTuple):
+    """The identity of a row added from a hand-built record (a run's
+    rows point at their :class:`~repro.sim.workload.Request`)."""
+
+    request_id: int
+    arrival_s: float
+    app_name: str
+    size: str
+
+
+#: the dense array columns and their typecodes
+_DENSE = (("num_blocks", "i"), ("boards", "i"), ("deployed_s", "d"),
+          ("completed_s", "d"), ("comm_slowdown", "d"),
+          ("latency_overhead_fraction", "d"), ("reconfig_time_s", "d"),
+          ("service_time_s", "d"))
+#: the fault-only fields, kept for the rows that have them: row -> count
+#: or seconds, or the set of rows whose flag is set
+_SPARSE_VALUES = ("interruptions", "recoveries", "lost_service_s")
+_SPARSE_FLAGS = ("permanently_failed", "shed", "readmitted")
+
+
+class RequestTable(Sequence):
+    """Every request of one run as typed columns, one row per admitted
+    request, in admission order.
+
+    Times and costs are ``array('d')`` columns, block and board counts
+    ``array('i')``, ``spans_boards`` a ``bytearray``; a row's id, app,
+    size and arrival are read off the request it points at, never
+    copied.  The fault-only fields live in dicts and sets keyed by row,
+    so a fault-free run keeps none of them.  Nothing here is an object
+    per request the cycle collector would have to scan.
+
+    Read as a sequence it is read-only and yields :class:`RequestRecord`
+    snapshots, built on access.  Rows are found by request id: while
+    every id equals its row number (a generated workload) that is the
+    identity; the first id that does not builds a dict index.  An id has
+    one row: adding it again raises ``ValueError``.
+    """
+
+    __slots__ = ("sources", "spans_boards", *(n for n, _ in _DENSE),
+                 *_SPARSE_VALUES, *_SPARSE_FLAGS, "_index")
+
+    def __init__(self) -> None:
+        #: row -> the request (or hand-built identity) it records
+        self.sources: list = []
+        self.spans_boards = bytearray()
+        for name, code in _DENSE:
+            setattr(self, name, array(code))
+        self.interruptions: dict[int, int] = {}
+        self.recoveries: dict[int, int] = {}
+        self.lost_service_s: dict[int, float] = {}
+        self.permanently_failed: set[int] = set()
+        self.shed: set[int] = set()
+        self.readmitted: set[int] = set()
+        #: request id -> row, once some id is not its row number
+        self._index: dict[int, int] | None = None
+
+    # -- writes --------------------------------------------------------
+    def append(self, source) -> int:
+        """Add a row for ``source`` (anything with ``request_id`` and
+        ``arrival_s``) with every field at its default; its row."""
+        row, rid, index = len(self.sources), source.request_id, self._index
+        if index is None and rid != row:
+            if 0 <= rid < row:
+                raise ValueError(f"request {rid} already has a row")
+            self._index = index = {i: i for i in range(row)}
+        if index is not None:
+            if rid in index:
+                raise ValueError(f"request {rid} already has a row")
+            index[rid] = row
+        self.sources.append(source)
+        self.spans_boards.append(0)
+        self.num_blocks.append(0)
+        self.boards.append(0)
+        self.deployed_s.append(math.nan)
+        self.completed_s.append(math.nan)
+        self.comm_slowdown.append(1.0)
+        self.latency_overhead_fraction.append(0.0)
+        self.reconfig_time_s.append(0.0)
+        self.service_time_s.append(0.0)
+        return row
+
+    def row(self, request_id: int) -> int:
+        """The row of ``request_id`` (KeyError if it has none)."""
+        index = self._index
+        if index is not None:
+            return index[request_id]
+        if 0 <= request_id < len(self.sources):
+            return request_id
+        raise KeyError(request_id)
+
+    # -- reads ---------------------------------------------------------
+    def finished_mask(self) -> list[bool]:
+        """Per row: did the request complete (``completed_s`` not NaN)."""
+        return [t == t for t in self.completed_s]
+
+    def arrivals(self) -> list[float]:
+        return [source.arrival_s for source in self.sources]
+
+    def record(self, row: int) -> RequestRecord:
+        """Row ``row`` as a :class:`RequestRecord` snapshot."""
+        source = self.sources[row]
+        if type(source) is _Source:
+            app_name, size = source.app_name, source.size
+        else:
+            spec = source.spec
+            app_name, size = spec.name, spec.size.value
+        # an unset time reads as the ``math.nan`` object itself, as a
+        # record's default does: equality of records (and of the tuples
+        # and lists holding them) treats an identical NaN as equal
+        deployed_s, completed_s = self.deployed_s[row], self.completed_s[row]
+        return RequestRecord(
+            request_id=source.request_id, app_name=app_name, size=size,
+            num_blocks=self.num_blocks[row], arrival_s=source.arrival_s,
+            deployed_s=deployed_s if deployed_s == deployed_s else math.nan,
+            completed_s=completed_s if completed_s == completed_s
+            else math.nan,
+            boards=self.boards[row],
+            spans_boards=bool(self.spans_boards[row]),
+            comm_slowdown=self.comm_slowdown[row],
+            latency_overhead_fraction=self.latency_overhead_fraction[row],
+            reconfig_time_s=self.reconfig_time_s[row],
+            service_time_s=self.service_time_s[row],
+            interruptions=self.interruptions.get(row, 0),
+            recoveries=self.recoveries.get(row, 0),
+            lost_service_s=self.lost_service_s.get(row, 0.0),
+            permanently_failed=row in self.permanently_failed,
+            shed=row in self.shed, readmitted=row in self.readmitted)
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def __getitem__(self, index):
+        rows = range(len(self.sources))[index]
+        if isinstance(rows, range):
+            return [self.record(row) for row in rows]
+        return self.record(rows)
+
+    def __iter__(self):
+        return map(self.record, range(len(self.sources)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (RequestTable, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<RequestTable of {len(self)} requests>"
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,7 +336,8 @@ class MetricsCollector:
     def __init__(self, manager_name: str, capacity_blocks: float) -> None:
         self.manager_name = manager_name
         self.capacity_blocks = capacity_blocks
-        self.records: dict[int, RequestRecord] = {}
+        #: every admitted request, one row each
+        self.records = RequestTable()
         self.busy_blocks = TimeWeightedValue()
         self.running_apps = TimeWeightedValue()
         self.queue_len = TimeWeightedValue()
@@ -190,9 +352,30 @@ class MetricsCollector:
         self.recovery_durations: list[float] = []
 
     # ------------------------------------------------------------------
+    def admit(self, request) -> int:
+        """A row for ``request`` (a :class:`~repro.sim.workload.Request`
+        or anything with its ``request_id`` / ``spec`` / ``arrival_s``);
+        its row in :attr:`records`."""
+        if request.arrival_s < self.first_arrival:
+            self.first_arrival = request.arrival_s
+        return self.records.append(request)
+
     def add_request(self, record: RequestRecord) -> None:
-        self.records[record.request_id] = record
+        """A row holding a hand-built record's values."""
+        table = self.records
+        row = table.append(_Source(record.request_id, record.arrival_s,
+                                   record.app_name, record.size))
         self.first_arrival = min(self.first_arrival, record.arrival_s)
+        for name, _ in _DENSE:
+            getattr(table, name)[row] = getattr(record, name)
+        table.spans_boards[row] = bool(record.spans_boards)
+        for name in _SPARSE_VALUES:
+            value = getattr(record, name)
+            if value:
+                getattr(table, name)[row] = value
+        for name in _SPARSE_FLAGS:
+            if getattr(record, name):
+                getattr(table, name).add(row)
 
     def record_state(self, now: float, busy_blocks: float,
                      running: int, queued: int) -> None:
@@ -208,9 +391,13 @@ class MetricsCollector:
         if queued > self._peak_queue:
             self._peak_queue = int(queued)
 
-    def complete(self, request_id: int, now: float) -> None:
-        self.records[request_id].completed_s = now
+    def complete(self, request_id: int, now: float) -> int:
+        """Mark ``request_id`` completed at ``now``; its row."""
+        table = self.records
+        row = table.row(request_id)
+        table.completed_s[row] = now
         self.last_completion = max(self.last_completion, now)
+        return row
 
     def record_recovery(self, duration_s: float) -> None:
         """One eviction healed: time from eviction until the
@@ -255,20 +442,33 @@ class MetricsCollector:
             **label)
         service = registry.histogram(
             "service_seconds", "per-request service time", **label)
-        for record in self.records.values():
-            if record.finished:
-                reconfig.observe(record.reconfig_time_s)
-                service.observe(record.service_time_s)
+        table = self.records
+        done = table.finished_mask()
+        for value in compress(table.reconfig_time_s, done):
+            reconfig.observe(value)
+        for value in compress(table.service_time_s, done):
+            service.observe(value)
 
     # ------------------------------------------------------------------
     def summarize(self) -> SummaryMetrics:
-        done = [r for r in self.records.values() if r.finished]
-        if not done:
+        """Fold the columns into the run's summary.
+
+        Every sum runs over the same values in the same (row) order as
+        one over the rows' records would, so the result is bit-identical
+        to folding :class:`RequestRecord` objects; a sparse column
+        skips rows that hold 0, which adds nothing to a float sum.
+        """
+        table = self.records
+        done = table.finished_mask()
+        n = sum(done)
+        if not n:
             raise RuntimeError("no request completed; nothing to report")
-        responses = sorted(r.response_s for r in done)
-        every = list(self.records.values())
-        useful = sum(r.service_time_s for r in done)
-        lost = sum(r.lost_service_s for r in every)
+        arrivals = list(compress(table.arrivals(), done))
+        responses = sorted(map(sub, compress(table.completed_s, done),
+                               arrivals))
+        useful = sum(compress(table.service_time_s, done))
+        lost_by_row = table.lost_service_s
+        lost = sum(lost_by_row[row] for row in sorted(lost_by_row))
         goodput = useful / (useful + lost) if useful + lost else 1.0
         mttr = (sum(self.recovery_durations)
                 / len(self.recovery_durations)
@@ -278,13 +478,13 @@ class MetricsCollector:
         peak = self._peak_running
         return SummaryMetrics(
             manager=self.manager_name,
-            num_requests=len(done),
+            num_requests=n,
             mean_response_s=sum(responses) / len(responses),
             p50_response_s=percentile(responses, 0.50),
             p95_response_s=percentile(responses, 0.95),
-            mean_wait_s=sum(r.wait_s for r in done) / len(done),
-            mean_service_s=(sum(r.service_time_s for r in done)
-                            / len(done)),
+            mean_wait_s=sum(map(sub, compress(table.deployed_s, done),
+                                arrivals)) / n,
+            mean_service_s=useful / n,
             makespan_s=t1 - t0,
             block_utilization=(self.busy_blocks.average(t0, t1)
                                / self.capacity_blocks),
@@ -293,20 +493,18 @@ class MetricsCollector:
                 / self.capacity_blocks),
             mean_concurrency=self.running_apps.average(t0, t1),
             peak_concurrency=peak,
-            multi_fpga_fraction=(sum(1 for r in done if r.spans_boards)
-                                 / len(done)),
+            multi_fpga_fraction=(sum(compress(table.spans_boards, done))
+                                 / n),
             max_latency_overhead=max(
-                (r.latency_overhead_fraction for r in done), default=0.0),
-            mean_reconfig_s=(sum(r.reconfig_time_s for r in done)
-                             / len(done)),
+                compress(table.latency_overhead_fraction, done),
+                default=0.0),
+            mean_reconfig_s=sum(compress(table.reconfig_time_s, done)) / n,
             peak_queue_len=self._peak_queue,
-            interruptions=float(sum(r.interruptions for r in every)),
-            recoveries=float(sum(r.recoveries for r in every)),
-            permanently_failed=float(
-                sum(1 for r in every if r.permanently_failed)),
+            interruptions=float(sum(table.interruptions.values())),
+            recoveries=float(sum(table.recoveries.values())),
+            permanently_failed=float(len(table.permanently_failed)),
             mean_time_to_recovery_s=mttr,
             goodput_fraction=goodput,
-            shed_requests=float(sum(1 for r in every if r.shed)),
-            readmitted_requests=float(
-                sum(1 for r in every if r.readmitted)),
+            shed_requests=float(len(table.shed)),
+            readmitted_requests=float(len(table.readmitted)),
         )

@@ -13,7 +13,9 @@ The ten compositions are Table 3 verbatim (set 7's published row reads
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.hls.kernels import BENCHMARKS, KernelSpec, SizeClass, benchmark
 
@@ -81,10 +83,17 @@ class WorkloadGenerator:
             arrival_process = PoissonArrivals(mean_interarrival_s)
         arrivals = arrival_process.times(num_requests, rng)
 
+        # rng.choices(sizes, weights=shares)[0] per request, with the
+        # cumulative weights and total built once: the same arithmetic on
+        # the same draws, so the same stream
+        cum = list(accumulate(shares))
+        total = cum[-1] + 0.0
+        last = len(sizes) - 1
+        draw, choice = rng.random, rng.choice
         requests = []
         for rid, arrival in enumerate(arrivals):
-            size = rng.choices(sizes, weights=shares, k=1)[0]
-            family = rng.choice(families)
+            size = sizes[bisect(cum, draw() * total, 0, last)]
+            family = choice(families)
             requests.append(Request(
                 request_id=rid,
                 spec=benchmark(family, size),

@@ -252,7 +252,6 @@ class ScalarPolicy(CommunicationAwarePolicy):
         suffix_max = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
             suffix_max[i] = max(free[present[i]], suffix_max[i + 1])
-        dist = network._dist
         best: tuple[int, int, tuple[int, ...]] | None = None
         chosen: list[int] = []
 
@@ -282,7 +281,7 @@ class ScalarPolicy(CommunicationAwarePolicy):
                     continue
                 added = span
                 for member in chosen:
-                    added += int(dist[member, board])
+                    added += network.distance(member, board)
                 if best is not None:
                     # span bound: each of the remaining boards adds at
                     # least one hop to every board already chosen and to

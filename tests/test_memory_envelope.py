@@ -1,8 +1,8 @@
 """What a finished run still holds, bounded by shape.
 
 A long run keeps per-request structures alive until it ends: the
-controller's relocation memo, the collector's step functions and -- only
-when one is attached -- the controller's audit log.  Each test here runs
+controller's relocation memo, the collector's step functions and request
+table and -- only when one is attached -- the controller's audit log.  Each test here runs
 one 64-board, 2 000-request underload scenario under ``tracemalloc`` and
 inspects the run at ``_Replay.result()``, the moment it has the most to
 hold.  The limits are shapes -- entries per block kind, allocations per
@@ -38,9 +38,10 @@ CONFIG = CampaignConfig(name="envelope", seed=42, set_index=1,
 AUDIT_BYTES_PER_RECORD = 126 * 1.10
 
 #: everything a plain run still holds at ``result()`` (cluster,
-#: controller, workload, request records), per request.  Measured 700 B
-#: on CPython 3.11; when every run kept an audit log it was 1 085 B.
-RETAINED_BYTES_PER_REQUEST = 700 * 1.10
+#: controller, workload, request table), per request.  Measured 415 B
+#: on CPython 3.11; with one ``RequestRecord`` object per request it was
+#: 700 B, and when every run also kept an audit log 1 085 B.
+RETAINED_BYTES_PER_REQUEST = 415 * 1.10
 
 
 @pytest.fixture(scope="module")

@@ -215,3 +215,106 @@ class TestExperimentIntegration:
         assert spans["sim.defrag"]["count"] == len(processed)
         assert all(spans[name]["nested"] for name in (
             "sim.admit", "sim.defrag", "sim.fault", "sim.finalize"))
+
+
+class TestMemoryMode:
+    """``PhaseProfiler(memory=True)``: traced bytes per phase and the
+    allocation sites a run keeps; off by default."""
+
+    @pytest.fixture()
+    def untraced(self):
+        import tracemalloc
+        was = tracemalloc.is_tracing()
+        if was:
+            tracemalloc.stop()
+        yield
+        if tracemalloc.is_tracing():
+            tracemalloc.stop()
+
+    def test_default_never_starts_tracemalloc(self, untraced, monkeypatch,
+                                              cluster, bench_apps):
+        import tracemalloc
+
+        def refuse(*args):
+            raise AssertionError("the default profiler started tracing")
+
+        monkeypatch.setattr(tracemalloc, "start", refuse)
+        monkeypatch.setattr(tracemalloc, "reset_peak", refuse)
+        prof = PhaseProfiler()
+        requests = WorkloadGenerator(seed=3).generate(
+            7, num_requests=12, mean_interarrival_s=2.0)
+        with prof.phase("experiment"):
+            run_experiment(SystemController(cluster), requests,
+                           bench_apps, profile=prof)
+        assert not tracemalloc.is_tracing()
+        assert "net_bytes" not in prof.as_profile()["spans"]["experiment"]
+        with pytest.raises(RuntimeError, match="memory=True"):
+            prof.memory_sites()
+
+    def test_net_and_peak_bytes_per_phase(self, untraced):
+        import tracemalloc
+        prof = PhaseProfiler(memory=True)
+        assert tracemalloc.is_tracing()
+        keep = []
+        with prof.phase("outer"):
+            keep.append(bytearray(100_000))
+            with prof.phase("inner", nested=True):
+                scratch = bytearray(400_000)
+                del scratch
+                keep.append(bytearray(20_000))
+        spans = prof.as_profile()["spans"]
+        inner, outer = spans["inner"], spans["outer"]
+        assert 20_000 <= inner["net_bytes"] < 25_000
+        assert 400_000 <= inner["peak_bytes"] < 425_000
+        assert 120_000 <= outer["net_bytes"] < 130_000
+        # the outer phase saw the inner one's transient on top of its own
+        assert 500_000 <= outer["peak_bytes"] < 530_000
+        prof.close()
+        assert not tracemalloc.is_tracing()
+
+    def test_close_leaves_a_callers_tracing_alone(self, untraced):
+        import tracemalloc
+        tracemalloc.start()
+        prof = PhaseProfiler(memory=True)
+        prof.close()
+        assert tracemalloc.is_tracing()
+
+    def test_a_run_names_the_request_table_not_records(self, untraced):
+        """At the end of a run the per-request bytes sit on the request
+        table's column lines; neither ``RequestRecord`` nor the replay
+        kernel holds any."""
+        import inspect
+
+        from repro.cluster.cluster import make_cluster
+        from repro.hls.kernels import all_benchmarks
+        from repro.sim import experiment, metrics
+        from repro.sim.experiment import compile_benchmarks
+
+        apps = compile_benchmarks(
+            make_cluster(num_boards=1),
+            specs=[s for s in all_benchmarks() if s.size.value == "S"])
+        requests = WorkloadGenerator(seed=3).generate(
+            1, num_requests=2_000, mean_interarrival_s=0.4)
+        prof = PhaseProfiler(memory=True, keep_samples=False)
+        result = run_experiment(
+            SystemController(make_cluster(num_boards=16)), requests,
+            apps, profile=prof)
+        sites = prof.memory_sites(limit=None)
+        prof.close()
+        assert result.summary.num_requests == len(requests)
+
+        def lines_of(cls) -> range:
+            source, first = inspect.getsourcelines(cls)
+            return range(first, first + len(source))
+
+        def bytes_in(cls) -> int:
+            lines = lines_of(cls)
+            return sum(size for path, line, size, _ in sites
+                       if path == metrics.__file__ and line in lines)
+
+        assert bytes_in(metrics.RequestTable) > 8 * len(requests)
+        assert bytes_in(metrics.RequestRecord) == 0
+        # where a record object per request was built (the replay
+        # kernel's admission) now holds less than a byte a request
+        assert sum(size for path, _, size, _ in sites
+                   if path == experiment.__file__) < len(requests)

@@ -138,31 +138,33 @@ class _Cycle:
         self.me = self
 
 
-class TestCollectorPause:
-    """The loop runs with the collector paused and hands back the
-    caller's collector state.  Resuming forces no collection: a run
-    leaves no cyclic garbage for one to free."""
+class TestCollectorUntouched:
+    """A run never switches the cycle collector off, tunes it or forces
+    a pass: it leaves ``gc.isenabled()`` and ``gc.get_threshold()`` as
+    it found them.  It can, because it keeps no object per request for
+    the collector to scan (the request table is typed columns)."""
 
     @pytest.fixture
     def collector_state(self):
-        was_enabled = gc.isenabled()
+        was_enabled, threshold = gc.isenabled(), gc.get_threshold()
         yield
         (gc.enable if was_enabled else gc.disable)()
+        gc.set_threshold(*threshold)
 
     @staticmethod
-    def _run(cluster, compiled_apps, compiled_small):
-        """One small run that drops a reference cycle mid-loop; returns
-        (weak reference to the cycle, generations collected meanwhile)."""
-        dropped, collected = [], []
-
+    def _run(cluster, compiled_apps, compiled_small, seen):
+        """One small run; ``seen`` gets the collector's state at every
+        processed event and the generations collected meanwhile."""
         def probe(now, manager):
-            assert not gc.isenabled()
-            if not dropped:
-                dropped.append(weakref.ref(_Cycle()))
+            seen.setdefault("enabled", set()).add(gc.isenabled())
+            seen.setdefault("threshold", set()).add(gc.get_threshold())
+            if "cycle" not in seen:
+                seen["cycle"] = weakref.ref(_Cycle())
 
         def on_gc(phase, info):
             if phase == "start":
-                collected.append(info["generation"])
+                seen.setdefault("collected", []).append(
+                    info["generation"])
 
         reqs = requests_for([compiled_small] * 6,
                             [1 + i * 0.5 for i in range(6)])
@@ -172,35 +174,53 @@ class TestCollectorPause:
                            compiled_apps, probe=probe)
         finally:
             gc.callbacks.remove(on_gc)
-        return dropped[0], collected
 
-    def test_enabled_stays_enabled_without_a_forced_collection(
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_and_thresholds_as_found(
+            self, collector_state, cluster, compiled_apps,
+            compiled_small, enabled):
+        (gc.enable if enabled else gc.disable)()
+        gc.set_threshold(1_234, 12, 11)
+        seen: dict = {}
+        self._run(cluster, compiled_apps, compiled_small, seen)
+        assert gc.isenabled() is enabled
+        assert gc.get_threshold() == (1_234, 12, 11)
+        # and throughout the run, not only on the way out
+        assert seen["enabled"] == {enabled}
+        assert seen["threshold"] == {(1_234, 12, 11)}
+
+    def test_disabled_collects_nothing(self, collector_state, cluster,
+                                       compiled_apps, compiled_small):
+        gc.disable()
+        seen: dict = {}
+        self._run(cluster, compiled_apps, compiled_small, seen)
+        assert "collected" not in seen
+        assert seen["cycle"]() is not None
+
+    def test_no_forced_collection_and_no_cyclic_garbage(
             self, collector_state, cluster, compiled_apps,
             compiled_small):
         """No full collection runs on the way out, and none is owed:
         under ``DEBUG_SAVEALL`` a collection after the run finds no
         cyclic garbage the run left behind."""
-        collected = []
-
-        def probe(now, manager):
-            assert not gc.isenabled()
-
-        def on_gc(phase, info):
-            if phase == "start":
-                collected.append(info["generation"])
-
         reqs = requests_for([compiled_small] * 6,
                             [1 + i * 0.5 for i in range(6)])
         debug = gc.get_debug()
         gc.enable()
         gc.collect()
+        # a threshold no small run reaches: any pass would be forced
+        gc.set_threshold(1_000_000, 10, 10)
+        collected = []
+
+        def on_gc(phase, info):
+            if phase == "start":
+                collected.append(info["generation"])
+
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.callbacks.append(on_gc)
         try:
-            run_experiment(SystemController(cluster), reqs,
-                           compiled_apps, probe=probe)
-            assert gc.isenabled()
-            assert 2 not in collected
+            run_experiment(SystemController(cluster), reqs, compiled_apps)
+            assert collected == []
             gc.collect()
             garbage = list(gc.garbage)
         finally:
@@ -208,16 +228,6 @@ class TestCollectorPause:
             gc.set_debug(debug)
             gc.garbage.clear()
         assert garbage == []
-
-    def test_disabled_stays_disabled_and_does_not_collect(
-            self, collector_state, cluster, compiled_apps,
-            compiled_small):
-        gc.disable()
-        cycle, collected = self._run(cluster, compiled_apps,
-                                     compiled_small)
-        assert not gc.isenabled()
-        assert collected == []
-        assert cycle() is not None
 
     def test_run_state_freed_without_a_collection(
             self, collector_state, monkeypatch, cluster, compiled_apps,
@@ -242,6 +252,44 @@ class TestCollectorPause:
             run_experiment(SystemController(cluster), reqs,
                            compiled_apps, profile=profile)
             assert queues[-1]() is None
+
+    def test_tracked_objects_are_o1_per_request(self, collector_state,
+                                                monkeypatch):
+        """From the first event to ``result()`` a 2 000-request run
+        grows the collector's tracked set by at most 0.01 objects a
+        request (it grew by one ``RequestRecord`` each)."""
+        from repro.cluster.cluster import make_cluster
+        from repro.hls.kernels import all_benchmarks
+        from repro.sim import experiment
+        from repro.sim.campaign import CampaignConfig, run_config
+
+        config = CampaignConfig(name="tracked", seed=42, set_index=1,
+                                num_boards=64, num_requests=2_000,
+                                mean_interarrival_s=0.4)
+        apps = experiment.compile_benchmarks(
+            make_cluster(num_boards=1),
+            specs=[s for s in all_benchmarks() if s.size.value == "S"])
+        run, result = experiment._Replay.run, experiment._Replay.result
+        tracked = []
+
+        def count() -> None:
+            gc.collect()
+            tracked.append(len(gc.get_objects()))
+
+        def counting_run(replay):
+            count()
+            run(replay)
+
+        def counting_result(replay):
+            count()
+            return result(replay)
+
+        monkeypatch.setattr(experiment._Replay, "run", counting_run)
+        monkeypatch.setattr(experiment._Replay, "result",
+                            counting_result)
+        summary = run_config(config, apps=apps)["summary"]
+        assert summary["num_requests"] == config.num_requests
+        assert tracked[1] - tracked[0] <= 0.01 * config.num_requests
 
 
 class TestCompareManagers:

@@ -1,6 +1,7 @@
 """Tests for workload-set generation (Table 3) and metrics records."""
 
 import math
+import random
 
 import pytest
 
@@ -10,7 +11,27 @@ from repro.sim.metrics import (
     jain_fairness,
     per_size_response,
 )
-from repro.sim.workload import COMPOSITIONS, WorkloadGenerator
+from repro.hls.kernels import BENCHMARKS, SizeClass, benchmark
+from repro.sim.arrivals import PoissonArrivals
+from repro.sim.workload import COMPOSITIONS, Request, WorkloadGenerator
+
+
+def choices_stream(seed, set_index, replica, num_requests,
+                   mean_interarrival_s):
+    """The generator as written with ``rng.choices`` per request."""
+    rng = random.Random(f"{seed}/{set_index}/{replica}")
+    families = sorted(BENCHMARKS)
+    sizes = (SizeClass.SMALL, SizeClass.MEDIUM, SizeClass.LARGE)
+    arrivals = PoissonArrivals(mean_interarrival_s).times(num_requests,
+                                                          rng)
+    requests = []
+    for rid, arrival in enumerate(arrivals):
+        size = rng.choices(sizes, weights=COMPOSITIONS[set_index], k=1)[0]
+        family = rng.choice(families)
+        requests.append(Request(request_id=rid,
+                                spec=benchmark(family, size),
+                                arrival_s=arrival))
+    return requests
 
 
 class TestCompositions:
@@ -27,6 +48,18 @@ class TestCompositions:
 
 
 class TestGenerator:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_stream_equals_the_choices_draw(self, seed):
+        """Cumulative weights built once draw exactly what
+        ``random.choices`` draws per call: every set, two replicas."""
+        generator = WorkloadGenerator(seed=seed)
+        for set_index in COMPOSITIONS:
+            for replica in (0, 1):
+                assert generator.generate(
+                    set_index, num_requests=200, mean_interarrival_s=2.5,
+                    replica=replica) == choices_stream(
+                        seed, set_index, replica, 200, 2.5)
+
     def test_respects_composition(self):
         requests = WorkloadGenerator(seed=1).generate(
             1, num_requests=50)
