@@ -7,15 +7,15 @@ latency.  Traffic between non-adjacent boards traverses intermediate
 segments, so the policy's preference for few, adjacent boards directly
 reduces both latency and segment contention.
 
-Topology is immutable after construction, so every topology query is
-memoized: path segments / subset span costs are cached on first use.
-Hop counts are arithmetic (``min(|a-b|, n-|a-b|)``): the ring keeps no
-N x N distance matrix, and :meth:`RingNetwork.distances` builds the
-submatrix a caller needs from board ids.  The caches matter because the
-communication-aware policy evaluates ``span_cost`` for many candidate
-board subsets per allocation, and the same subsets recur across the
-thousands of allocations of a System-Layer experiment.  Flow occupancy is
-likewise tracked per segment incrementally instead of rescanned per query.
+Nothing is memoized per board set.  Hop counts are arithmetic
+(``min(|a-b|, n-|a-b|)``): the ring keeps no N x N distance matrix, and
+:meth:`RingNetwork.distances` builds the submatrix a caller needs from
+board ids.  The segments a board set's pairwise shorter paths hold are
+whole gaps between consecutive members, so a flow is a handful of
+half-open segment runs computed in O(k) over its k members
+(:meth:`RingNetwork.arcs`); the ring holds one run tuple per live flow
+and one flow count per segment, updated by slice on register/release,
+and nothing sized by how many distinct board sets a run has seen.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ class RingNetwork:
     num_nodes: int
     segment_bandwidth_gbps: float = 100.0
     hop_latency_us: float = 1.0
-    _flows: "dict[object, list[int]]" = None  # type: ignore[assignment]
+    #: flow id -> its segments as ascending half-open ``(lo, hi)`` runs
+    _flows: "dict[object, tuple]" = None  # type: ignore[assignment]
     #: segment id -> remaining capacity fraction (absent == 1.0, healthy)
     _segment_scale: "dict[int, float]" = None  # type: ignore[assignment]
     #: segment id -> transient drop probability (absent == 0.0, stable)
@@ -51,16 +52,6 @@ class RingNetwork:
     #: register/release at 1024 boards)
     _flow_counts: "np.ndarray" = field(
         default=None, repr=False, compare=False)  # type: ignore[assignment]
-    _path_cache: "dict[tuple[int, int], list[int]]" = field(
-        default=None, repr=False, compare=False)  # type: ignore[assignment]
-    _span_cache: "dict[tuple[int, ...], int]" = field(
-        default=None, repr=False, compare=False)  # type: ignore[assignment]
-    _members_segments_cache: "dict[tuple[int, ...], set[int]]" = field(
-        default=None, repr=False, compare=False)  # type: ignore[assignment]
-    #: members tuple -> segment ids as an int64 array (vector gather for
-    #: contention_factor / timeline peak-flow queries)
-    _members_segments_arr: "dict[tuple[int, ...], np.ndarray]" = field(
-        default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
@@ -68,12 +59,7 @@ class RingNetwork:
         self._flows = {}
         self._segment_scale = {}
         self._segment_drop = {}
-        n = self.num_nodes
-        self._flow_counts = np.zeros(n, dtype=np.int64)
-        self._path_cache = {}
-        self._span_cache = {}
-        self._members_segments_cache = {}
-        self._members_segments_arr = {}
+        self._flow_counts = np.zeros(self.num_nodes, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def distance(self, a: int, b: int) -> int:
@@ -106,22 +92,14 @@ class RingNetwork:
         """Total pairwise hop count of a board set.
 
         The communication-aware policy minimizes this when forced to
-        split an application across boards.  Memoized per subset: the
-        topology never changes, and the policy re-evaluates the same
-        subsets across allocations.
+        split an application across boards.
         """
         members = sorted(set(boards))
-        key = tuple(members)
-        cached = self._span_cache.get(key)
-        if cached is not None:
-            return cached
         for m in members:
             self._check(m)
         # full symmetric sum, halved: one vector expression instead of
         # the O(k^2) Python pair loop
-        total = int(self.distances(members).sum()) // 2
-        self._span_cache[key] = total
-        return total
+        return int(self.distances(members).sum()) // 2
 
     # ------------------------------------------------------------------
     # flow registry (segment contention)
@@ -131,43 +109,58 @@ class RingNetwork:
         node (i+1) mod n); ties resolve clockwise."""
         self._check(a)
         self._check(b)
-        cached = self._path_cache.get((a, b))
-        if cached is not None:
-            return list(cached)
-        if a == b:
-            path: list[int] = []
-        else:
-            clockwise = (b - a) % self.num_nodes
-            counter = (a - b) % self.num_nodes
-            if clockwise <= counter:
-                path = [(a + i) % self.num_nodes
-                        for i in range(clockwise)]
+        n = self.num_nodes
+        clockwise = (b - a) % n
+        counter = (a - b) % n
+        if clockwise <= counter:
+            return [(a + i) % n for i in range(clockwise)]
+        return [(a - 1 - i) % n for i in range(counter)]
+
+    def arcs(self, boards) -> "tuple[tuple[int, int], ...]":
+        """The union of :meth:`segments_on_path` over every pair of the
+        board set, as ascending, disjoint half-open ``(lo, hi)`` runs.
+
+        Sorted members ``m_0 < ... < m_{k-1}`` cut the ring into k gaps:
+        gap g joins ``m_g`` and ``m_{g+1}``, gap k-1 wraps from
+        ``m_{k-1}`` round to ``m_0``.  A shorter path between two
+        members runs through whole gaps, and never through one wider
+        than half the ring.  So an inner gap is held exactly when it is
+        at most half the ring (its own end pair takes it; a tie goes
+        clockwise), and the wrap gap exactly when the two extreme
+        members are more than half the ring apart (that pair goes the
+        other way round).  O(k).
+        """
+        members = sorted(set(boards))
+        if len(members) < 2:
+            return ()
+        first, last = members[0], members[-1]
+        self._check(first)
+        self._check(last)
+        n = self.num_nodes
+        half = n // 2
+        runs: list[tuple[int, int]] = []
+        start = lo = first
+        for hi in members[1:]:
+            if hi - lo > half:
+                # an inner gap wider than half the ring: not held
+                if start < lo:
+                    runs.append((start, lo))
+                start = hi
+            lo = hi
+        if start < last:
+            runs.append((start, last))
+        if last - first > half:
+            # the wrap gap, segments last .. n-1 and 0 .. first-1
+            if runs and runs[-1][1] == last:
+                runs[-1] = (runs[-1][0], n)
             else:
-                path = [(a - 1 - i) % self.num_nodes
-                        for i in range(counter)]
-        self._path_cache[(a, b)] = path
-        return list(path)
-
-    def _segments_of_members(self, members: "tuple[int, ...]") -> set[int]:
-        """Union of path segments over all member pairs (memoized)."""
-        cached = self._members_segments_cache.get(members)
-        if cached is None:
-            cached = set()
-            for i, a in enumerate(members):
-                for b in members[i + 1:]:
-                    cached.update(self.segments_on_path(a, b))
-            self._members_segments_cache[members] = cached
-        return cached
-
-    def _segments_arr(self, members: "tuple[int, ...]") -> "np.ndarray":
-        """The member set's segment union as a sorted index array."""
-        cached = self._members_segments_arr.get(members)
-        if cached is None:
-            cached = np.fromiter(
-                sorted(self._segments_of_members(members)),
-                dtype=np.intp)
-            self._members_segments_arr[members] = cached
-        return cached
+                runs.append((last, n))
+            if first:
+                if runs[0][0] == first:
+                    runs[0] = (0, runs[0][1])
+                else:
+                    runs.insert(0, (0, first))
+        return tuple(runs)
 
     def register_flow(self, flow_id: object, boards: "list[int]") -> None:
         """Claim the segments a deployment's traffic traverses.
@@ -177,18 +170,16 @@ class RingNetwork:
         """
         if flow_id in self._flows:
             raise ValueError(f"flow {flow_id} already registered")
-        members = tuple(sorted(set(boards)))
-        segments = self._segments_arr(members)
-        self._flows[flow_id] = segments
-        # segment ids within one flow are unique, so fancy-index
-        # increment touches each slot exactly once
-        self._flow_counts[segments] += 1
+        runs = self.arcs(boards)
+        self._flows[flow_id] = runs
+        counts = self._flow_counts
+        for lo, hi in runs:
+            counts[lo:hi] += 1
 
     def release_flow(self, flow_id: object) -> None:
-        segments = self._flows.pop(flow_id, None)
-        if segments is None or not len(segments):
-            return
-        self._flow_counts[segments] -= 1
+        counts = self._flow_counts
+        for lo, hi in self._flows.pop(flow_id, ()):
+            counts[lo:hi] -= 1
 
     def flows_on_segment(self, segment: int) -> int:
         return int(self._flow_counts[segment])
@@ -209,15 +200,18 @@ class RingNetwork:
         count is divided by the segment's capacity fraction and the
         result feeds the service model unchanged.
         """
-        members = tuple(sorted(set(boards)))
-        segments = self._segments_arr(members)
-        if not len(segments):
+        runs = self.arcs(boards)
+        if not runs:
             return 1
+        counts = self._flow_counts
         if not self._segment_scale and not self._segment_drop:
             # healthy-ring fast path: identical to the pre-fault model
-            return 1 + int(self._flow_counts[segments].max())
-        return max((1 + int(self._flow_counts[s]))
-                   / self._effective_scale(s) for s in segments)
+            return 1 + max(max(counts[lo:hi].tolist()) for lo, hi in runs)
+        scale = self._effective_scale
+        return max((1 + count) / scale(s)
+                   for lo, hi in runs
+                   for s, count in zip(range(lo, hi),
+                                       counts[lo:hi].tolist()))
 
     # ------------------------------------------------------------------
     # link degradation (fault model)

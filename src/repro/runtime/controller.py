@@ -139,7 +139,7 @@ class SystemController(ClusterManager):
         hardware holds and what runs on it.  A warm restart calls this
         and then :meth:`load_snapshot`; the cluster, policy, tracer,
         guard, audit log and bitstream database outlive it.  Board
-        health is the ResourceDB's ``FAILED`` rows."""
+        health is the ResourceDB's failed-board set."""
         self.resource_db = ResourceDB(self.cluster)
         # per board: DRAM, its bandwidth arbiter and the one
         # configuration port (ICAP) simultaneous deployments queue behind
@@ -158,6 +158,11 @@ class SystemController(ClusterManager):
         #: deployments; releases must free exactly this deployment's)
         self._segments_of: dict[int, list] = {}
         self.deployments: dict[int, Deployment] = {}
+        #: board id -> {request id: tracking sequence} of the live
+        #: deployments with blocks on that board (``fail_board``'s
+        #: victims); the sequence numbers order ``deployments``
+        self._on_board: dict[int, dict[int, int]] = {}
+        self._track_seq = itertools.count()
         #: tenant -> physical blocks currently held; kept in lockstep
         #: with ``deployments`` so quota admission is O(1) instead of a
         #: scan over every live deployment
@@ -438,21 +443,44 @@ class SystemController(ClusterManager):
         return self._tenant_blocks.get(tenant, 0)
 
     def _track_deployment(self, deployment: Deployment) -> None:
-        """Admit one deployment into the live set (+ tenant counter)."""
+        """Admit one deployment into the live set (+ tenant counter and
+        per-board index)."""
         self.deployments[deployment.request_id] = deployment
+        self._index_boards(deployment.request_id, deployment.placement,
+                           next(self._track_seq))
         self._tenant_blocks[deployment.tenant] = \
             self._tenant_blocks.get(deployment.tenant, 0) \
             + deployment.num_blocks
 
     def _untrack_deployment(self, deployment: Deployment) -> None:
-        """Remove one deployment from the live set (+ tenant counter)."""
+        """Remove one deployment from the live set (+ tenant counter and
+        per-board index)."""
         del self.deployments[deployment.request_id]
+        self._unindex_boards(deployment.request_id, deployment.placement)
         held = self._tenant_blocks.get(deployment.tenant, 0) \
             - deployment.num_blocks
         if held > 0:
             self._tenant_blocks[deployment.tenant] = held
         else:
             self._tenant_blocks.pop(deployment.tenant, None)
+
+    def _index_boards(self, request_id: int, placement: Placement,
+                      seq: int) -> None:
+        on_board = self._on_board
+        for board, _ in placement.per_board:
+            on_board.setdefault(board, {})[request_id] = seq
+
+    def _unindex_boards(self, request_id: int,
+                        placement: Placement) -> int:
+        """Drop ``request_id`` from its boards' index entries; returns
+        its tracking sequence number."""
+        on_board = self._on_board
+        for board, _ in placement.per_board:
+            held = on_board[board]
+            seq = held.pop(request_id)
+            if not held:
+                del on_board[board]
+        return seq
 
     def _within_quota(self, tenant: str, new_blocks: int) -> bool:
         quota = self.quotas.get(tenant)
@@ -474,14 +502,13 @@ class SystemController(ClusterManager):
         ``load_snapshot``, ``attach_guard`` and the guard's breaker
         transitions), so no search, migration or defrag pass rescans
         health."""
-        failed = self.resource_db.failed_boards()
-        quarantined = self.guard.excluded_boards() \
-            if self.guard is not None else ()
-        ids = self.resource_db.board_ids_array()
-        mask = np.fromiter(
-            (board not in failed and board not in quarantined
-             for board in ids.tolist()),
-            dtype=bool, count=len(ids))
+        db = self.resource_db
+        ids = db.board_ids_array()
+        mask = ~db.failed_rows()
+        if self.guard is not None:
+            quarantined = self.guard.excluded_boards()
+            if quarantined:
+                mask[[db.board_row(board) for board in quarantined]] = False
         self._allocatable = _Allocatable.from_mask(mask, ids)
 
     def _allocatable_for(self, app: CompiledApp) -> _Allocatable:
@@ -658,13 +685,9 @@ class SystemController(ClusterManager):
         no-op returning ``[]``.
         """
         self._require_board(board_id)
-        if board_id in self.resource_db.failed_boards():
+        if self.resource_db.is_failed(board_id):
             return []
-        # the placement's fold names each board once: no boards list
-        victims = sorted(
-            (d for d in self.deployments.values()
-             for board, _ in d.placement.per_board if board == board_id),
-            key=lambda d: d.deployed_at)
+        victims = self._victims_on(board_id)
         if self._recording:
             self._emit("ctrl.board_fail", now, board=board_id,
                        victims=[d.request_id for d in victims])
@@ -686,6 +709,16 @@ class SystemController(ClusterManager):
             self.guard.record_board_failure(board_id, now)
         return victims
 
+    def _victims_on(self, board_id: int) -> list[Deployment]:
+        """The live deployments with blocks on ``board_id``, read off
+        the per-board index: oldest first, ties in the order of
+        ``deployments``."""
+        held = self._on_board.get(board_id, {})
+        deployments = self.deployments
+        return [deployments[rid] for rid in sorted(
+            held, key=lambda rid: (deployments[rid].deployed_at,
+                                   held[rid]))]
+
     def _wipe_board(self, board) -> None:
         """Empty DRAM, no bandwidth demand and an idle ICAP on ``board``."""
         self.memories[board.board_id] = VirtualMemory(
@@ -697,7 +730,7 @@ class SystemController(ClusterManager):
     def repair_board(self, board_id: int, now: float = 0.0) -> None:
         """Return a failed board to service (empty: the crash wiped it)."""
         self._require_board(board_id)
-        if board_id not in self.resource_db.failed_boards():
+        if not self.resource_db.is_failed(board_id):
             return
         self.resource_db.set_board_repaired(board_id)
         self._refresh_allocatable()
@@ -841,6 +874,8 @@ class SystemController(ClusterManager):
         self._detach_dram_demand(deployment.tenant, old_placement)
         self._attach_dram_demand(deployment.tenant, placement)
         self.cluster.network.release_flow(self._flow_key(request_id))
+        self._index_boards(request_id, placement,
+                           self._unindex_boards(request_id, old_placement))
         deployment.placement = placement
         if placement.spans_boards:
             self.cluster.network.register_flow(

@@ -10,11 +10,14 @@ holds one int per physical block -- the owning request id, ``FREE`` or
 ``FAILED``.  Beside it sits only what the hot path reads, updated on every
 transition: the int64 per-board ``_free_counts`` vector the policy search
 and the admission prefilter read, the ``_total_free`` / ``_allocated``
-counters, and ``_owned`` (request id -> addresses) so ``release`` never
-scans.  The rest is derived: a board's free blocks are one pass over its
-row, failed blocks are ``total - allocated - free``, and a board is failed
-when its row holds ``FAILED`` (rows are all-``FAILED`` or hold none).
-:meth:`verify` rescans the rows against every summary.  The dict-per-block
+counters, ``_owned`` (request id -> addresses) so ``release`` never
+scans, and board health: the failed boards' ids and a per-row failed
+flag vector, written only by :meth:`set_board_failed` /
+:meth:`set_board_repaired`, so no health query scans the boards.  The
+rest is derived: a board's free blocks are one pass over its row and
+failed blocks are ``total - allocated - free``; a failed board's row is
+all ``FAILED``, any other row holds none.  :meth:`verify` rescans the
+rows against every summary.  The dict-per-block
 database this replaced is the differential reference in
 ``tests/reference_runtime.py``.
 """
@@ -70,6 +73,11 @@ class ResourceDB:
         self._total_free = self._total_blocks
         self._allocated = 0
         self._owned: dict[int, set[BlockAddress]] = {}
+        #: ids of the fail-stopped boards (replaced, never mutated:
+        #: callers may hold the set they were handed)
+        self._failed: frozenset[int] = frozenset()
+        #: per-row failed flags, row order = board order
+        self._failed_rows = np.zeros(len(self._board_ids), dtype=bool)
         #: footprint class name -> rows of the boards in that class (one
         #: entry on homogeneous clusters)
         by_class: dict[str, list[int]] = {}
@@ -133,10 +141,10 @@ class ResourceDB:
         excluded: out-of-service blocks are not free, and counting them
         would overstate fragmentation during outages."""
         counts = self._free_counts.tolist()
-        owner = self._owner
+        failed = self._failed
         return {board: counts[row]
                 for row, board in enumerate(self._board_ids)
-                if not owner[row] or owner[row][0] != FAILED}
+                if board not in failed}
 
     def allocated_count(self) -> int:
         return self._allocated
@@ -144,10 +152,12 @@ class ResourceDB:
     def failed_count(self) -> int:
         return self._total_blocks - self._allocated - self._total_free
 
-    def failed_boards(self) -> set[int]:
-        owner = self._owner
-        return {board for row, board in enumerate(self._board_ids)
-                if owner[row] and owner[row][0] == FAILED}
+    def failed_boards(self) -> frozenset[int]:
+        """Ids of the fail-stopped boards, O(1): the kept set itself."""
+        return self._failed
+
+    def is_failed(self, board_id: int) -> bool:
+        return board_id in self._failed
 
     def utilization(self) -> float:
         """Fraction of physical blocks currently allocated."""
@@ -171,6 +181,11 @@ class ResourceDB:
 
     def board_row(self, board_id: int) -> int:
         return self._row_of[board_id]
+
+    def failed_rows(self) -> "np.ndarray":
+        """Per-row failed flags, row order = board order.  The live
+        vector (no copy): callers must treat it as read-only."""
+        return self._failed_rows
 
     def class_rows(self, footprint: str) -> "np.ndarray":
         """Rows of the boards whose blocks carry ``footprint``."""
@@ -315,16 +330,20 @@ class ResourceDB:
         cells[:] = [FAILED] * len(cells)
         self._total_free -= int(self._free_counts[row])
         self._free_counts[row] = 0
+        self._failed = self._failed | {board_id}
+        self._failed_rows[row] = True
 
     def set_board_repaired(self, board_id: int) -> None:
         """Return a failed board's blocks to the free pool."""
         row = self._board_row(board_id)
-        cells = self._owner[row]
-        if cells[0] != FAILED:
+        if not self._failed_rows[row]:
             return
+        cells = self._owner[row]
         cells[:] = [FREE] * len(cells)
         self._free_counts[row] = len(cells)
         self._total_free += len(cells)
+        self._failed = self._failed - {board_id}
+        self._failed_rows[row] = False
 
     # ------------------------------------------------------------------
     # consistency cross-check
@@ -338,6 +357,7 @@ class ResourceDB:
         """
         owned: dict[int, set[BlockAddress]] = {}
         total_free = 0
+        failed_boards = set()
         for board, row in self._row_of.items():
             cells = self._owner[row]
             failed = cells.count(FAILED)
@@ -351,6 +371,13 @@ class ResourceDB:
                 raise RuntimeError(
                     f"free-count vector says {count} on board "
                     f"{board}, rescan {free}")
+            flagged = bool(self._failed_rows[row])
+            if flagged != bool(failed):
+                raise RuntimeError(
+                    f"failed-row vector says {flagged} on board "
+                    f"{board}, rescan {bool(failed)}")
+            if failed:
+                failed_boards.add(board)
             total_free += free
             for block, value in enumerate(cells):
                 if value >= 0:
@@ -360,6 +387,10 @@ class ResourceDB:
             raise RuntimeError(
                 f"allocated counter {self._allocated} != rescan "
                 f"{allocated}")
+        if failed_boards != self._failed:
+            raise RuntimeError(
+                f"failed-board set {sorted(self._failed)} != rescan "
+                f"{sorted(failed_boards)}")
         if total_free != self._total_free:
             raise RuntimeError(
                 f"total-free counter {self._total_free} != rescan "

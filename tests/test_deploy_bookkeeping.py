@@ -150,11 +150,11 @@ class _ReleaseEveryFlow(SystemController):
 
 
 def _flows(controller) -> tuple[dict, list]:
-    """The network's registered flows by request id, and the per-
-    segment flow counts."""
+    """The network's registered flows by request id (their segment
+    runs expanded to segment lists), and the per-segment flow counts."""
     network = controller.cluster.network
-    return ({rid: segments.tolist()
-             for (_, rid), segments in network._flows.items()},
+    return ({rid: [s for lo, hi in runs for s in range(lo, hi)]
+             for (_, rid), runs in network._flows.items()},
             network._flow_counts.tolist())
 
 

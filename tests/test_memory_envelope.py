@@ -8,18 +8,28 @@ inspects the run at ``_Replay.result()``, the moment it has the most to
 hold.  The limits are shapes -- entries per block kind, allocations per
 step function, bytes per audit record, bytes per request -- so they
 hold however long the run is, and on every supported Python.
+
+The ring is checked on a 64-board rack-outage run with spanning
+placements, live migration and the defragmenter, at two lengths: what
+``cluster/network.py`` holds at ``result()`` must not grow with the
+number of requests (it once kept one memo entry per board set the run
+had ever spanned).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import inspect
+import sys
 import tracemalloc
 import weakref
 
 import pytest
 
+from repro.cluster import network
 from repro.cluster.cluster import make_cluster
+from repro.cluster.network import RingNetwork
 from repro.hls.kernels import all_benchmarks
 from repro.sim import experiment
 from repro.sim.campaign import CampaignConfig, run_config
@@ -157,3 +167,93 @@ def test_audit_log_bytes_per_record(held_attached):
     assert held["records"] >= 2 * CONFIG.num_requests
     per_record = held["audit_bytes"] / held["records"]
     assert per_record <= AUDIT_BYTES_PER_RECORD
+
+
+#: the ring's run: spanning placements under rack outages, moved by
+#: migration on failure and by the defragmenter (``sim_chaos_64``'s
+#: shape on a mixed-size workload set)
+RING_CONFIG = CampaignConfig(
+    name="ring-envelope", seed=42, set_index=7, num_boards=64,
+    boards_per_rack=8, num_requests=1_000, mean_interarrival_s=0.3,
+    fault_profile="rack-outage", guard=True, defrag=True,
+    recovery="migrate-on-failure", horizon_s=1_800.0)
+
+
+#: numpy keeps freed small buffers in a cache of its own, still traced
+#: at the line that first allocated them (``RingNetwork.distances``
+#: here): a few hundred bytes that move with the allocation history,
+#: not with the run's length.  One memo entry per spanned board set
+#: grew the ring from 0.26 to 1.5 MB between these two runs.
+NUMPY_CACHE_SLACK = 2_048
+
+
+def _ring_held(num_requests: int, monkeypatch) -> dict:
+    """Run ``RING_CONFIG`` at ``num_requests`` and measure, at
+    ``result()``, the bytes allocated by ``cluster/network.py`` that
+    are still live, the flow table's share of them, and the most flows
+    registered at once during the run."""
+    seen = {"peak": 0}
+    register, result = RingNetwork.register_flow, \
+        experiment._Replay.result
+
+    def registering(ring, flow_id, boards):
+        register(ring, flow_id, boards)
+        seen["peak"] = max(seen["peak"], len(ring._flows))
+        assert type(ring._flows[flow_id]) is tuple
+
+    def measuring(replay):
+        manager = replay.manager
+        ring = manager.cluster.network
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, network.__file__)])
+        seen["bytes"] = sum(stat.size
+                            for stat in snapshot.statistics("filename"))
+        seen["table"] = sys.getsizeof(ring._flows) - sys.getsizeof({})
+        seen["flows"] = len(ring._flows)
+        seen["spanning"] = sum(d.placement.spans_boards
+                               for d in manager.deployments.values())
+        return result(replay)
+
+    monkeypatch.setattr(RingNetwork, "register_flow", registering)
+    monkeypatch.setattr(experiment._Replay, "result", measuring)
+    config = dataclasses.replace(RING_CONFIG, num_requests=num_requests)
+    tracemalloc.start(1)
+    try:
+        seen["summary"] = run_config(config)["summary"]
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+    return seen
+
+
+@pytest.fixture(scope="module")
+def ring_held():
+    with pytest.MonkeyPatch.context() as patch:
+        return {n: _ring_held(n, patch) for n in (1_000, 3_000)}
+
+
+def test_the_ring_run_spans_boards(ring_held):
+    for held in ring_held.values():
+        assert held["summary"]["multi_fpga_fraction"] > 0.05
+        assert held["peak"] >= 20
+
+
+def test_ring_bytes_do_not_grow_with_requests(ring_held):
+    """Outside the flow table, the ring holds no more after 3 000
+    requests than after 1 000; the table is a dict of live flows, sized
+    by the most flows live at once (CPython gives a dict that saw
+    deletions up to 3 slots per live entry, a fresh one 1.5), never by
+    how many board sets the run has spanned."""
+    short, long = ring_held[1_000], ring_held[3_000]
+    assert long["bytes"] - long["table"] \
+        <= short["bytes"] - short["table"] + NUMPY_CACHE_SLACK
+    for held in (short, long):
+        fresh = dict.fromkeys(range(held["peak"]))
+        assert held["table"] <= 4 * (sys.getsizeof(fresh)
+                                     - sys.getsizeof({}))
+
+
+def test_the_ring_holds_one_run_tuple_per_live_flow(ring_held):
+    for held in ring_held.values():
+        assert held["flows"] == held["spanning"]
