@@ -158,11 +158,6 @@ class SystemController(ClusterManager):
         #: deployments; releases must free exactly this deployment's)
         self._segments_of: dict[int, list] = {}
         self.deployments: dict[int, Deployment] = {}
-        #: board id -> {request id: tracking sequence} of the live
-        #: deployments with blocks on that board (``fail_board``'s
-        #: victims); the sequence numbers order ``deployments``
-        self._on_board: dict[int, dict[int, int]] = {}
-        self._track_seq = itertools.count()
         #: tenant -> physical blocks currently held; kept in lockstep
         #: with ``deployments`` so quota admission is O(1) instead of a
         #: scan over every live deployment
@@ -443,44 +438,21 @@ class SystemController(ClusterManager):
         return self._tenant_blocks.get(tenant, 0)
 
     def _track_deployment(self, deployment: Deployment) -> None:
-        """Admit one deployment into the live set (+ tenant counter and
-        per-board index)."""
+        """Admit one deployment into the live set (+ tenant counter)."""
         self.deployments[deployment.request_id] = deployment
-        self._index_boards(deployment.request_id, deployment.placement,
-                           next(self._track_seq))
         self._tenant_blocks[deployment.tenant] = \
             self._tenant_blocks.get(deployment.tenant, 0) \
             + deployment.num_blocks
 
     def _untrack_deployment(self, deployment: Deployment) -> None:
-        """Remove one deployment from the live set (+ tenant counter and
-        per-board index)."""
+        """Remove one deployment from the live set (+ tenant counter)."""
         del self.deployments[deployment.request_id]
-        self._unindex_boards(deployment.request_id, deployment.placement)
         held = self._tenant_blocks.get(deployment.tenant, 0) \
             - deployment.num_blocks
         if held > 0:
             self._tenant_blocks[deployment.tenant] = held
         else:
             self._tenant_blocks.pop(deployment.tenant, None)
-
-    def _index_boards(self, request_id: int, placement: Placement,
-                      seq: int) -> None:
-        on_board = self._on_board
-        for board, _ in placement.per_board:
-            on_board.setdefault(board, {})[request_id] = seq
-
-    def _unindex_boards(self, request_id: int,
-                        placement: Placement) -> int:
-        """Drop ``request_id`` from its boards' index entries; returns
-        its tracking sequence number."""
-        on_board = self._on_board
-        for board, _ in placement.per_board:
-            held = on_board[board]
-            seq = held.pop(request_id)
-            if not held:
-                del on_board[board]
-        return seq
 
     def _within_quota(self, tenant: str, new_blocks: int) -> bool:
         quota = self.quotas.get(tenant)
@@ -504,11 +476,12 @@ class SystemController(ClusterManager):
         health."""
         db = self.resource_db
         ids = db.board_ids_array()
-        mask = ~db.failed_rows()
+        out = db.failed_boards()
         if self.guard is not None:
-            quarantined = self.guard.excluded_boards()
-            if quarantined:
-                mask[[db.board_row(board) for board in quarantined]] = False
+            out = out | self.guard.excluded_boards()
+        mask = np.ones(len(ids), dtype=bool)
+        if out:
+            mask[[db.board_row(board) for board in out]] = False
         self._allocatable = _Allocatable.from_mask(mask, ids)
 
     def _allocatable_for(self, app: CompiledApp) -> _Allocatable:
@@ -687,7 +660,11 @@ class SystemController(ClusterManager):
         self._require_board(board_id)
         if self.resource_db.is_failed(board_id):
             return []
-        victims = self._victims_on(board_id)
+        # the placement's fold names each board once: no boards list
+        victims = sorted(
+            (d for d in self.deployments.values()
+             for board, _ in d.placement.per_board if board == board_id),
+            key=lambda d: d.deployed_at)
         if self._recording:
             self._emit("ctrl.board_fail", now, board=board_id,
                        victims=[d.request_id for d in victims])
@@ -708,16 +685,6 @@ class SystemController(ClusterManager):
         if self.guard is not None:
             self.guard.record_board_failure(board_id, now)
         return victims
-
-    def _victims_on(self, board_id: int) -> list[Deployment]:
-        """The live deployments with blocks on ``board_id``, read off
-        the per-board index: oldest first, ties in the order of
-        ``deployments``."""
-        held = self._on_board.get(board_id, {})
-        deployments = self.deployments
-        return [deployments[rid] for rid in sorted(
-            held, key=lambda rid: (deployments[rid].deployed_at,
-                                   held[rid]))]
 
     def _wipe_board(self, board) -> None:
         """Empty DRAM, no bandwidth demand and an idle ICAP on ``board``."""
@@ -874,8 +841,6 @@ class SystemController(ClusterManager):
         self._detach_dram_demand(deployment.tenant, old_placement)
         self._attach_dram_demand(deployment.tenant, placement)
         self.cluster.network.release_flow(self._flow_key(request_id))
-        self._index_boards(request_id, placement,
-                           self._unindex_boards(request_id, old_placement))
         deployment.placement = placement
         if placement.spans_boards:
             self.cluster.network.register_flow(

@@ -11,14 +11,13 @@ holds one int per physical block -- the owning request id, ``FREE`` or
 transition: the int64 per-board ``_free_counts`` vector the policy search
 and the admission prefilter read, the ``_total_free`` / ``_allocated``
 counters, ``_owned`` (request id -> addresses) so ``release`` never
-scans, and board health: the failed boards' ids and a per-row failed
-flag vector, written only by :meth:`set_board_failed` /
-:meth:`set_board_repaired`, so no health query scans the boards.  The
-rest is derived: a board's free blocks are one pass over its row and
-failed blocks are ``total - allocated - free``; a failed board's row is
-all ``FAILED``, any other row holds none.  :meth:`verify` rescans the
-rows against every summary.  The dict-per-block
-database this replaced is the differential reference in
+scans, and board health: the failed boards' ids, written only by
+:meth:`set_board_failed` / :meth:`set_board_repaired`, so no health
+query scans the boards.  The rest is derived: a board's free blocks are
+one pass over its row and failed blocks are ``total - allocated -
+free``; a failed board's row is all ``FAILED``, any other row holds
+none.  :meth:`verify` rescans the rows against every summary.  The
+dict-per-block database this replaced is the differential reference in
 ``tests/reference_runtime.py``.
 """
 
@@ -76,8 +75,6 @@ class ResourceDB:
         #: ids of the fail-stopped boards (replaced, never mutated:
         #: callers may hold the set they were handed)
         self._failed: frozenset[int] = frozenset()
-        #: per-row failed flags, row order = board order
-        self._failed_rows = np.zeros(len(self._board_ids), dtype=bool)
         #: footprint class name -> rows of the boards in that class (one
         #: entry on homogeneous clusters)
         by_class: dict[str, list[int]] = {}
@@ -181,11 +178,6 @@ class ResourceDB:
 
     def board_row(self, board_id: int) -> int:
         return self._row_of[board_id]
-
-    def failed_rows(self) -> "np.ndarray":
-        """Per-row failed flags, row order = board order.  The live
-        vector (no copy): callers must treat it as read-only."""
-        return self._failed_rows
 
     def class_rows(self, footprint: str) -> "np.ndarray":
         """Rows of the boards whose blocks carry ``footprint``."""
@@ -331,19 +323,17 @@ class ResourceDB:
         self._total_free -= int(self._free_counts[row])
         self._free_counts[row] = 0
         self._failed = self._failed | {board_id}
-        self._failed_rows[row] = True
 
     def set_board_repaired(self, board_id: int) -> None:
         """Return a failed board's blocks to the free pool."""
         row = self._board_row(board_id)
-        if not self._failed_rows[row]:
+        if board_id not in self._failed:
             return
         cells = self._owner[row]
         cells[:] = [FREE] * len(cells)
         self._free_counts[row] = len(cells)
         self._total_free += len(cells)
         self._failed = self._failed - {board_id}
-        self._failed_rows[row] = False
 
     # ------------------------------------------------------------------
     # consistency cross-check
@@ -371,11 +361,6 @@ class ResourceDB:
                 raise RuntimeError(
                     f"free-count vector says {count} on board "
                     f"{board}, rescan {free}")
-            flagged = bool(self._failed_rows[row])
-            if flagged != bool(failed):
-                raise RuntimeError(
-                    f"failed-row vector says {flagged} on board "
-                    f"{board}, rescan {bool(failed)}")
             if failed:
                 failed_boards.add(board)
             total_free += free
